@@ -116,13 +116,17 @@ const DefaultMaxSenders = 8
 // publish time so budget refits never re-decode on the request path. A
 // raw publish fills cloud; a feature publish fills feat and leaves cloud
 // nil. Whichever form is missing is derived lazily (and at most once) on
-// the request paths that need it.
+// the request paths that need it, and so are the ROI ladder's
+// budget-independent rungs: every capped request for the frame, from any
+// requester at any budget, shares them. Served payloads alias the cache,
+// so nothing downstream may mutate them.
 type cachedFrame struct {
 	state   fusion.VehicleState
 	payload []byte
 	cloud   *pointcloud.Cloud
 	feat    *spod.FeatureFrame
 	seq     uint64
+	ladder  roi.Ladder
 
 	featOnce    sync.Once
 	featDerived *spod.FeatureFrame
@@ -147,11 +151,6 @@ func (f *cachedFrame) features() *spod.FeatureFrame {
 	return f.featDerived
 }
 
-// featureSource lifts the frame into the ROI ladder's selection source.
-func (f *cachedFrame) featureSource() roi.Source {
-	return roi.Source{Cloud: f.cloud, Features: f.feat, Derive: f.features}
-}
-
 // featureWire returns the frame's uncapped CPF3 wire bytes, encoding at
 // most once per cached frame.
 func (f *cachedFrame) featureWire() []byte {
@@ -160,6 +159,24 @@ func (f *cachedFrame) featureWire() []byte {
 	}
 	f.featPayOnce.Do(func() { f.featPayload = f.features().Encode() })
 	return f.featPayload
+}
+
+// selection fits the frame under a per-sender byte share (0 = uncapped)
+// for a raw or feature-level round — the hub's one selection path, which
+// round assembly and the selftest's rung accounting share.
+func (f *cachedFrame) selection(perSender int, feature bool) (roi.Selection, error) {
+	switch {
+	case perSender == 0 && !feature && f.cloud != nil:
+		return roi.Selection{Payload: f.payload, Category: roi.CategoryFullFrame, Points: f.cloud.Len()}, nil
+	case perSender == 0:
+		// Feature requester, or a feature-only publish a raw requester
+		// still fuses: serve the uncapped feature frame.
+		return roi.Selection{Payload: f.featureWire(), Category: roi.CategoryFeature, Points: f.features().Sites()}, nil
+	case feature:
+		return roi.SelectFeature(f.ladder.Source, perSender)
+	default:
+		return f.ladder.Select(perSender)
+	}
 }
 
 // deltaState is one publisher's CPD1 decoder — the per-vehicle keyframe
@@ -286,6 +303,9 @@ func (h *Hub) Publish(sender string, state fusion.VehicleState, payload []byte, 
 			return 0, fmt.Errorf("hub: frame from %s: %w", sender, err)
 		}
 		frame.cloud = cloud
+	}
+	frame.ladder.Source = roi.Source{
+		Cloud: frame.cloud, Features: frame.feat, Derive: frame.features, Encoded: frame.payload,
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -443,16 +463,7 @@ func (h *Hub) assembleRound(requester string, at geom.Vec3, k int, budgetBps uin
 		cands = cands[:k]
 	}
 
-	perSender := 0
-	if budgetBps > 0 && len(cands) > 0 {
-		// The cap is a sustained rate; at the scheduler's exchange rate it
-		// buys budget/8/rate bytes per round, shared by the round's frames.
-		roundBytes := float64(budgetBps) / 8 / h.cfg.Scheduler.RateHz
-		if perSender = int(roundBytes) / len(cands); perSender < 1 {
-			perSender = 1 // a cap is a cap: force the smallest payload
-		}
-	}
-
+	perSender := h.perSender(budgetBps, len(cands))
 	r := Round{Frames: make([]RoundFrame, 0, len(cands))}
 	sizes := make([]int, 0, len(cands))
 	for _, c := range cands {
@@ -461,33 +472,14 @@ func (h *Hub) assembleRound(requester string, at geom.Vec3, k int, budgetBps uin
 			rf.Stale = true
 			r.Stale = append(r.Stale, c.id)
 		}
-		switch {
-		case perSender == 0 && !feature && c.frame.cloud != nil:
-			rf.Payload = c.frame.payload
-			rf.Category = roi.CategoryFullFrame
-			rf.Points = c.frame.cloud.Len()
-		case perSender == 0:
-			// Feature requester, or a feature-only publish a raw requester
-			// still fuses: serve the uncapped feature frame.
-			rf.Payload = c.frame.featureWire()
-			rf.Category = roi.CategoryFeature
-			rf.Points = c.frame.features().Sites()
-		default:
-			var sel roi.Selection
-			var err error
-			if feature {
-				sel, err = roi.SelectFeature(c.frame.featureSource(), perSender)
-			} else {
-				sel, err = roi.Select(c.frame.featureSource(), perSender)
-			}
-			if err != nil {
-				return Round{}, fmt.Errorf("hub: fitting %s's frame: %w", c.id, err)
-			}
-			rf.Payload = sel.Payload
-			rf.Category = sel.Category
-			rf.Points = sel.Points
-			rf.Downsampled = sel.Downsampled
+		sel, err := c.frame.selection(perSender, feature)
+		if err != nil {
+			return Round{}, fmt.Errorf("hub: fitting %s's frame: %w", c.id, err)
 		}
+		rf.Payload = sel.Payload
+		rf.Category = sel.Category
+		rf.Points = sel.Points
+		rf.Downsampled = sel.Downsampled
 		r.Frames = append(r.Frames, rf)
 		sizes = append(sizes, len(rf.Payload))
 	}
@@ -495,6 +487,18 @@ func (h *Hub) assembleRound(requester string, at geom.Vec3, k int, budgetBps uin
 	r.Seq = h.rounds.Add(1)
 	h.observeRound(requester, r, feature)
 	return r, nil
+}
+
+// perSender is the byte share of a bandwidth cap each of a round's n
+// senders gets, 0 when uncapped. The cap is a sustained rate; at the
+// scheduler's exchange rate it buys budget/8/rate bytes per round, shared
+// evenly by the round's frames.
+func (h *Hub) perSender(budgetBps uint64, n int) int {
+	if budgetBps == 0 || n == 0 {
+		return 0
+	}
+	roundBytes := float64(budgetBps) / 8 / h.cfg.Scheduler.RateHz
+	return max(int(roundBytes)/n, 1) // a cap is a cap: force the smallest payload
 }
 
 // observeRound records an assembled round's telemetry and pushes its

@@ -13,6 +13,8 @@ import (
 	"cooper/internal/geom"
 	"cooper/internal/network"
 	"cooper/internal/pointcloud"
+	"cooper/internal/roi"
+	"cooper/internal/spod"
 )
 
 // testCloud builds an all-around cloud so the front-FOV rung shrinks it.
@@ -340,5 +342,120 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 	if h.Cached() != vehicles {
 		t.Errorf("cached = %d, want %d", h.Cached(), vehicles)
+	}
+}
+
+// freshSelection re-derives a capped payload the way a hub without any
+// memo would: decode the published bytes and walk a one-shot ladder.
+func freshSelection(t *testing.T, payload []byte, perSender int) roi.Selection {
+	t.Helper()
+	cloud, err := pointcloud.Decode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := roi.Select(roi.Source{Cloud: cloud, Derive: func() *spod.FeatureFrame {
+		return spod.NewDefault().EncodeFeatureFrame(cloud, nil).Prune(fusion.DefaultFeatureBackend().TransmitFloor)
+	}}, perSender)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
+// TestConcurrentCappedRequesters has many requesters fit the same cached
+// frames under different caps at once — first touch and warm memo alike.
+// Every served payload must equal a fresh one-shot selection; run with
+// -race this is the data-race check for the per-frame rung memo.
+func TestConcurrentCappedRequesters(t *testing.T) {
+	h := New(Config{})
+	const senders = 4
+	published := make(map[string][]byte, senders)
+	for i := 0; i < senders; i++ {
+		id := fmt.Sprintf("v%d", i+1)
+		published[id] = payloadFor(t, 2000, int64(40+i))
+		if _, err := h.Publish(id, stateAt(float64(10*(i+1)), 0), published[id], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Per-sender shares that land on every rung: full frame, front FOV,
+	// stride-downsampled front FOV and the feature frame.
+	full := len(published["v1"])
+	shares := []int{full + 100, full * 2 / 5, full / 5, pointcloud.EncodedSizeQuantized(roi.MinStridePoints) - 1}
+	budgets := make([]uint64, len(shares))
+	want := make([]map[string]roi.Selection, len(shares))
+	rungs := map[roi.Category]bool{}
+	for i, share := range shares {
+		budgets[i] = uint64(float64(share*senders*8) * h.cfg.Scheduler.RateHz)
+		want[i] = make(map[string]roi.Selection, senders)
+		for id, p := range published {
+			sel := freshSelection(t, p, h.perSender(budgets[i], senders))
+			want[i][id] = sel
+			rungs[sel.Category] = true
+		}
+	}
+	if len(rungs) != 3 {
+		t.Fatalf("caps reach categories %v, want full frame, front FOV and feature", rungs)
+	}
+
+	const requesters = 8
+	var wg sync.WaitGroup
+	errs := make([]error, requesters)
+	for r := 0; r < requesters; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := 0; n < 3*len(budgets); n++ {
+				b := (r + n) % len(budgets)
+				round, err := h.AssembleRound(fmt.Sprintf("rx%d", r), geom.V3(0, 0, 0), 0, budgets[b])
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				for _, f := range round.Frames {
+					w := want[b][f.Sender]
+					if !bytes.Equal(f.Payload, w.Payload) || f.Category != w.Category || f.Points != w.Points || f.Downsampled != w.Downsampled {
+						errs[r] = fmt.Errorf("cap %d: %s served %v/%d B, fresh selection %v/%d B",
+							b, f.Sender, f.Category, len(f.Payload), w.Category, len(w.Payload))
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Errorf("requester %d: %v", r, err)
+		}
+	}
+}
+
+// TestNonCanonicalPublishServedCanonically pins the full-rung shortcut to
+// canonical publishes: a CPQ1 frame that does not survive a re-encode
+// (here its first record sits a cell off the origin) is served, once its
+// full frame fits the cap, as the canonical re-encoding — exactly what a
+// fresh selection produces — never as the published bytes.
+func TestNonCanonicalPublishServedCanonically(t *testing.T) {
+	h := New(Config{})
+	payload := payloadFor(t, 500, 3)
+	payload[pointcloud.EncodedSizeQuantized(0)] = 1
+	if _, err := h.Publish("v1", stateAt(10, 0), payload, 1); err != nil {
+		t.Fatal(err)
+	}
+	budget := uint64(float64(8*(len(payload)+100)) * h.cfg.Scheduler.RateHz)
+	round, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 0, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := round.Frames[0]
+	want := freshSelection(t, payload, h.perSender(budget, 1))
+	if got.Category != roi.CategoryFullFrame || want.Category != roi.CategoryFullFrame {
+		t.Fatalf("served %v, fresh %v; want the full frame", got.Category, want.Category)
+	}
+	if bytes.Equal(got.Payload, payload) {
+		t.Fatal("served the non-canonical published bytes")
+	}
+	if !bytes.Equal(got.Payload, want.Payload) {
+		t.Fatal("served payload differs from the canonical re-encode")
 	}
 }

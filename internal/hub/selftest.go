@@ -493,21 +493,7 @@ func selectionFor(h *Hub, sender string, n int, budgetBps uint64, feature bool) 
 	if f == nil {
 		return roi.Selection{}, fmt.Errorf("hub: no cached frame for %s", sender)
 	}
-	if budgetBps == 0 {
-		if feature || f.cloud == nil {
-			return roi.Selection{Payload: f.featureWire(), Category: roi.CategoryFeature, Points: f.features().Sites()}, nil
-		}
-		return roi.Selection{Payload: f.payload, Category: roi.CategoryFullFrame, Points: f.cloud.Len()}, nil
-	}
-	roundBytes := float64(budgetBps) / 8 / h.cfg.Scheduler.RateHz
-	perSender := int(roundBytes) / n
-	if perSender < 1 {
-		perSender = 1
-	}
-	if feature {
-		return roi.SelectFeature(f.featureSource(), perSender)
-	}
-	return roi.Select(f.featureSource(), perSender)
+	return f.selection(h.perSender(budgetBps, n), feature)
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }

@@ -68,15 +68,25 @@ func quantOrigin(c *Cloud) (geom.Vec3, error) {
 		return geom.Vec3{}, nil
 	}
 	p := c.pts[0]
-	ox := math.Round(p.X / QuantStep)
-	oy := math.Round(p.Y / QuantStep)
-	oz := math.Round(p.Z / QuantStep)
-	if !(math.Abs(ox) <= maxOriginCell && math.Abs(oy) <= maxOriginCell && math.Abs(oz) <= maxOriginCell) {
+	ox, okx := latticeOrigin(p.X)
+	oy, oky := latticeOrigin(p.Y)
+	oz, okz := latticeOrigin(p.Z)
+	if !okx || !oky || !okz {
 		return geom.Vec3{}, fmt.Errorf("origin point at (%g,%g,%g): %w", p.X, p.Y, p.Z, ErrTooLarge)
+	}
+	return geom.V3(ox, oy, oz), nil
+}
+
+// latticeOrigin snaps one origin coordinate to the QuantStep lattice; ok
+// is false for NaN/±Inf and beyond ±maxOriginCell steps.
+func latticeOrigin(v float64) (float64, bool) {
+	cell := math.Round(v / QuantStep)
+	if !(math.Abs(cell) <= maxOriginCell) {
+		return 0, false
 	}
 	// +0 normalises the −0.0 that Round yields for tiny negatives: a −0.0
 	// origin would decode to +0.0 coordinates and break byte-stability.
-	return geom.V3(ox*QuantStep+0, oy*QuantStep+0, oz*QuantStep+0), nil
+	return cell*QuantStep + 0, true
 }
 
 // quantCell quantizes one coordinate against an origin. ok is false when
@@ -161,6 +171,32 @@ func EncodeQuantized(c *Cloud) ([]byte, error) {
 		off += quantPointSize
 	}
 	return buf, nil
+}
+
+// IsCanonicalQuantized reports, in O(1), whether data is exactly the
+// EncodeQuantized output of its own decoding, so a holder of the decoded
+// cloud may reuse data instead of re-encoding. It checks the framing, that
+// every origin coordinate is its own lattice snap (see quantOrigin) — the
+// zero vector for an empty cloud — and that the first record is the zero
+// cell. Every EncodeQuantized output passes; CPC1, CPD1 and hand-built
+// CPQ1 frames with an off-lattice origin or a nonzero first cell do not.
+func IsCanonicalQuantized(data []byte) bool {
+	if len(data) < quantHeaderSize || [4]byte(data[:4]) != magicQuantized {
+		return false
+	}
+	n, err := checkFrameLen(data, quantHeaderSize, quantPointSize, binary.LittleEndian.Uint32(data[4:]))
+	if err != nil {
+		return false
+	}
+	for off := 8; off < quantHeaderSize; off += 8 {
+		bits := binary.LittleEndian.Uint64(data[off:])
+		snapped, ok := latticeOrigin(math.Float64frombits(bits))
+		if !ok || math.Float64bits(snapped) != bits || (n == 0 && bits != 0) {
+			return false
+		}
+	}
+	first := data[quantHeaderSize:]
+	return n == 0 || first[0]|first[1]|first[2]|first[3]|first[4]|first[5] == 0
 }
 
 // Decode parses any wire format back into a fresh cloud. CPD1 keyframes

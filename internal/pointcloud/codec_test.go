@@ -2,6 +2,7 @@ package pointcloud
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -295,5 +296,65 @@ func TestEmptyCloudRoundTrip(t *testing.T) {
 	got, err = Decode(q)
 	if err != nil || got.Len() != 0 {
 		t.Errorf("empty quantized round trip: %v", err)
+	}
+}
+
+// withOriginAxis returns a copy of a CPQ1 encoding with one origin
+// coordinate (0 = x, 1 = y, 2 = z) overwritten.
+func withOriginAxis(enc []byte, axis int, v float64) []byte {
+	out := bytes.Clone(enc)
+	binary.LittleEndian.PutUint64(out[8+8*axis:], math.Float64bits(v))
+	return out
+}
+
+func TestIsCanonicalQuantized(t *testing.T) {
+	c := FromPoints([]Point{{X: 1.25, Y: -3.5, Z: 0.75, Reflectance: 0.5}, {X: -40.02, Y: 17.4, Z: 2.25, Reflectance: 1}})
+	enc := mustEncodeQuantized(t, c)
+	empty := mustEncodeQuantized(t, &Cloud{})
+	firstCell := bytes.Clone(enc)
+	firstCell[quantHeaderSize] = 1 // first record one step off the origin
+	nearZero := mustEncodeQuantized(t, FromPoints([]Point{{X: 3, Y: -0.001, Z: 0}}))
+	var delta DeltaEncoder
+	keyframe, _, err := delta.Encode(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tests := []struct {
+		name string
+		data []byte
+		want bool
+	}{
+		{"EncodeQuantized output", enc, true},
+		{"empty cloud", empty, true},
+		{"empty cloud with a lattice origin", withOriginAxis(empty, 0, 0.02), false},
+		{"off-lattice origin", withOriginAxis(enc, 0, 1.013), false},
+		{"nonzero first cell", firstCell, false},
+		{"positive-zero origin", nearZero, true},
+		{"negative-zero origin", withOriginAxis(nearZero, 1, math.Copysign(0, -1)), false},
+		{"NaN origin", withOriginAxis(enc, 2, math.NaN()), false},
+		{"origin beyond the lattice window", withOriginAxis(enc, 0, (maxOriginCell+1)*QuantStep), false},
+		{"truncated", enc[:len(enc)-1], false},
+		{"trailing byte", append(bytes.Clone(enc), 0), false},
+		{"CPC1", EncodeRaw(c), false},
+		{"CPD1 keyframe", keyframe, false},
+		{"nil", nil, false},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := IsCanonicalQuantized(tc.data); got != tc.want {
+				t.Fatalf("IsCanonicalQuantized = %v, want %v", got, tc.want)
+			}
+			// For every decodable CPQ1 frame the check is exact: it passes
+			// iff re-encoding the decoding reproduces the bytes.
+			dec, err := Decode(tc.data)
+			if err != nil || !bytes.HasPrefix(tc.data, magicQuantized[:]) {
+				return
+			}
+			re, err := EncodeQuantized(dec)
+			if same := err == nil && bytes.Equal(re, tc.data); same != tc.want {
+				t.Fatalf("EncodeQuantized(Decode(p)) == p is %v, check says %v", same, tc.want)
+			}
+		})
 	}
 }

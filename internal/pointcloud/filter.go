@@ -49,10 +49,44 @@ func (c *Cloud) CropRange(minR, maxR float64) *Cloud {
 // measured from +x toward +y) lies within ±halfFOV of the given centre
 // azimuth. The paper's ROI category 2 exchanges a 120° front field of view,
 // i.e. halfFOV = 60°.
+//
+// A forward-facing crop (centerAz == 0, 0 < halfFOV < π/2) first tries an
+// exact prefilter that skips the atan2 for almost every point: x < 0 is
+// outside, and for x > 0 the point is inside when |y| ≤ x·tan(halfFOV)
+// by a relative margin of 1e-9 and outside when above it by that margin —
+// a margin far wider than the rounding of tan, atan2 and the products.
+// Points in the thin band between, x == ±0, NaN and magnitudes where the
+// products could leave the normal float range fall through to the atan2
+// predicate, so the result is bit-identical to it.
 func (c *Cloud) CropFOV(centerAz, halfFOV float64) *Cloud {
-	return c.Filter(func(p Point) bool {
+	inFOV := func(p Point) bool {
 		az := math.Atan2(p.Y, p.X)
 		return math.Abs(geom.WrapAngle(az-centerAz)) <= halfFOV
+	}
+	if centerAz != 0 || !(halfFOV > 0 && halfFOV < math.Pi/2) {
+		return c.Filter(inFOV)
+	}
+	// Near 0 and π/2 the margin shrinks toward atan2's own rounding; keep
+	// the prefilter to tangents where it stays orders of magnitude wider.
+	tan := math.Tan(halfFOV)
+	if !(tan >= 0x1p-16 && tan <= 0x1p16) {
+		return c.Filter(inFOV)
+	}
+	inside, outside := tan*(1-1e-9), tan*(1+1e-9)
+	return c.Filter(func(p Point) bool {
+		switch {
+		case p.X < 0:
+			return false
+		case p.X >= 0x1p-900 && p.X <= 0x1p900:
+			ay := math.Abs(p.Y)
+			if ay <= p.X*inside {
+				return true
+			}
+			if ay >= p.X*outside {
+				return false
+			}
+		}
+		return inFOV(p)
 	})
 }
 

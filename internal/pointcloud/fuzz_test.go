@@ -14,6 +14,10 @@ import (
 //     must never panic and must return structurally valid clouds, and
 //  2. as raw material for building a cloud, which must round-trip
 //     through encode→decode within the codec's quantization tolerance.
+//
+// Both legs also pin IsCanonicalQuantized: every EncodeQuantized output
+// passes it, and any payload that passes it is reproduced byte for byte
+// by re-encoding its decoding.
 func FuzzEncodeDecodeQuantized(f *testing.F) {
 	// Wire-shaped seeds: valid encodings, truncations and bad magic.
 	seedCloud := New(4)
@@ -22,8 +26,16 @@ func FuzzEncodeDecodeQuantized(f *testing.F) {
 	seedCloud.AppendXYZR(0, 0, 0, 0)
 	if enc, err := EncodeQuantized(seedCloud); err == nil {
 		f.Add(enc)
-		f.Add(enc[:len(enc)-3]) // truncated payload
-		f.Add(enc[:7])          // truncated header
+		f.Add(enc[:len(enc)-3])                             // truncated payload
+		f.Add(enc[:7])                                      // truncated header
+		f.Add(withOriginAxis(enc, 0, 1.013))                // off-lattice origin
+		f.Add(withOriginAxis(enc, 1, math.Copysign(0, -1))) // −0.0 origin
+		firstCell := bytes.Clone(enc)
+		firstCell[quantHeaderSize+2] = 3 // nonzero first cell
+		f.Add(firstCell)
+	}
+	if enc, err := EncodeQuantized(&Cloud{}); err == nil {
+		f.Add(enc) // empty cloud
 	}
 	f.Add(EncodeRaw(seedCloud))
 	f.Add([]byte("CPQ1"))
@@ -40,6 +52,19 @@ func FuzzEncodeDecodeQuantized(f *testing.F) {
 			}
 			_ = c.Len()
 		}
+		if IsCanonicalQuantized(data) {
+			c, err := Decode(data)
+			if err != nil {
+				t.Fatalf("canonical payload does not decode: %v", err)
+			}
+			re, err := EncodeQuantized(c)
+			if err != nil {
+				t.Fatalf("re-encoding a canonical payload: %v", err)
+			}
+			if !bytes.Equal(re, data) {
+				t.Fatal("canonical payload changed on decode→encode")
+			}
+		}
 
 		// Leg 2: interpret the bytes as float64 coordinate material and
 		// round-trip a cloud built from them.
@@ -52,6 +77,9 @@ func FuzzEncodeDecodeQuantized(f *testing.F) {
 				t.Fatalf("empty cloud failed to encode: %v", err)
 			}
 			return
+		}
+		if !IsCanonicalQuantized(enc) {
+			t.Fatal("EncodeQuantized output fails IsCanonicalQuantized")
 		}
 		dec, err := Decode(enc)
 		if err != nil {

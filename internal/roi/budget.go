@@ -2,6 +2,7 @@ package roi
 
 import (
 	"errors"
+	"sync"
 
 	"cooper/internal/pointcloud"
 	"cooper/internal/spod"
@@ -46,6 +47,11 @@ type Source struct {
 	Features *spod.FeatureFrame
 	// Derive produces the feature frame on demand when Features is nil.
 	Derive func() *spod.FeatureFrame
+	// Encoded, when set, is the wire encoding Cloud was decoded from. The
+	// full-frame rung serves it instead of re-encoding Cloud when
+	// pointcloud.IsCanonicalQuantized proves the two identical; any other
+	// encoding is ignored.
+	Encoded []byte
 }
 
 // features resolves the source's feature frame, nil when unavailable.
@@ -84,26 +90,79 @@ func SelectPayload(cloud *pointcloud.Cloud, budgetBytes int) (Selection, error) 
 // the same payload. The ladder never errors on a hard budget: rung 3 is
 // terminal when no feature source exists, rung 4 otherwise — both
 // degrade to a header-only payload under a budget too small for any
-// content.
+// content. Select is a one-shot Ladder; callers fitting one frame under
+// several budgets keep a Ladder instead.
 func Select(src Source, budgetBytes int) (Selection, error) {
-	if src.Cloud == nil {
-		f := src.features()
-		if f == nil {
-			return Selection{}, ErrNoSource
+	l := Ladder{Source: src}
+	return l.Select(budgetBytes)
+}
+
+// Ladder is one frame's ROI ladder with its budget-independent rungs
+// memoized: the full-frame encoding, the front-FOV crop and the front-FOV
+// encoding are each derived at most once, on the first Select that
+// reaches them, and shared by every later Select at any budget. Only the
+// budget-dependent steps — the size comparisons, the stride downsample
+// and the feature trim — run per call. The feature rung has nothing
+// budget-independent beyond the feature frame, which callers cache behind
+// Source.Derive, so a feature-only selection is SelectFeature(l.Source, b).
+//
+// Set Source before the first Select and leave it unchanged; the zero
+// value plus a Source is ready to use, so a Ladder can live by value next
+// to the frame it describes. All methods are safe for concurrent use.
+// Payloads of the memoized rungs are shared between calls: callers must
+// not mutate them.
+type Ladder struct {
+	Source Source
+
+	fullOnce sync.Once
+	full     []byte
+	fullErr  error
+
+	frontOnce sync.Once
+	front     *pointcloud.Cloud
+	frontEnc  []byte
+	frontErr  error
+}
+
+// fullFrame returns the category-1 payload, reusing Source.Encoded when
+// it is canonical.
+func (l *Ladder) fullFrame() ([]byte, error) {
+	l.fullOnce.Do(func() {
+		if pointcloud.IsCanonicalQuantized(l.Source.Encoded) {
+			l.full = l.Source.Encoded
+			return
 		}
-		return selectFeature(f, budgetBytes), nil
+		l.full, l.fullErr = pointcloud.EncodeQuantized(l.Source.Cloud)
+	})
+	return l.full, l.fullErr
+}
+
+// frontFOV returns the category-2 crop and its encoding.
+func (l *Ladder) frontFOV() (*pointcloud.Cloud, []byte, error) {
+	l.frontOnce.Do(func() {
+		l.front = Extract(l.Source.Cloud, CategoryFrontFOV)
+		l.frontEnc, l.frontErr = pointcloud.EncodeQuantized(l.front)
+	})
+	return l.front, l.frontEnc, l.frontErr
+}
+
+// Select walks the ladder under the budget (see the package-level
+// Select for the rungs and guarantees).
+func (l *Ladder) Select(budgetBytes int) (Selection, error) {
+	cloud := l.Source.Cloud
+	if cloud == nil {
+		return SelectFeature(l.Source, budgetBytes)
 	}
 
-	full, err := pointcloud.EncodeQuantized(src.Cloud)
+	full, err := l.fullFrame()
 	if err != nil {
 		return Selection{}, err
 	}
 	if budgetBytes <= 0 || len(full) <= budgetBytes {
-		return Selection{Payload: full, Category: CategoryFullFrame, Points: src.Cloud.Len()}, nil
+		return Selection{Payload: full, Category: CategoryFullFrame, Points: cloud.Len()}, nil
 	}
 
-	front := Extract(src.Cloud, CategoryFrontFOV)
-	enc, err := pointcloud.EncodeQuantized(front)
+	front, enc, err := l.frontFOV()
 	if err != nil {
 		return Selection{}, err
 	}
@@ -111,24 +170,17 @@ func Select(src Source, budgetBytes int) (Selection, error) {
 		return Selection{Payload: enc, Category: CategoryFrontFOV, Points: front.Len()}, nil
 	}
 
-	if pointcloud.MaxQuantizedPoints(budgetBytes) >= MinStridePoints {
-		reduced := front.DownsampleTo(pointcloud.MaxQuantizedPoints(budgetBytes))
-		enc, err = pointcloud.EncodeQuantized(reduced)
-		if err != nil {
-			return Selection{}, err
+	capacity := pointcloud.MaxQuantizedPoints(budgetBytes)
+	if capacity < MinStridePoints {
+		if f := l.Source.features(); f != nil {
+			return selectFeature(f, budgetBytes), nil
 		}
-		return Selection{Payload: enc, Category: CategoryFrontFOV, Points: reduced.Len(), Downsampled: true}, nil
+		// No feature source: the stride rung stays terminal
+		// (compatibility with cloud-only callers), however small the
+		// budget.
 	}
-
-	if f := src.features(); f != nil {
-		return selectFeature(f, budgetBytes), nil
-	}
-
-	// No feature source: the stride rung stays terminal (compatibility
-	// with cloud-only callers), however small the budget.
-	reduced := front.DownsampleTo(pointcloud.MaxQuantizedPoints(budgetBytes))
-	enc, err = pointcloud.EncodeQuantized(reduced)
-	if err != nil {
+	reduced := front.DownsampleTo(capacity)
+	if enc, err = pointcloud.EncodeQuantized(reduced); err != nil {
 		return Selection{}, err
 	}
 	return Selection{Payload: enc, Category: CategoryFrontFOV, Points: reduced.Len(), Downsampled: true}, nil

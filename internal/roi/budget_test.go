@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cooper/internal/pointcloud"
+	"cooper/internal/spod"
 )
 
 // budgetCloud builds a cloud with points all around the sensor so the
@@ -82,5 +83,90 @@ func TestSelectPayloadDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Payload, b.Payload) {
 		t.Error("SelectPayload is not deterministic")
+	}
+}
+
+// TestLadderMatchesSelect reuses one Ladder across a budget sweep that
+// crosses all four rungs, shrinking and then growing, and checks every
+// selection against a fresh one-shot Select. The published-encoding
+// shortcut is covered three ways: none given, a canonical encoding (which
+// the full rung must serve as is) and a non-canonical one (which it must
+// ignore in favour of the canonical re-encode).
+func TestLadderMatchesSelect(t *testing.T) {
+	c := budgetCloud(3000, 5)
+	feat := featureFrameFor(t, c)
+	full, err := pointcloud.EncodeQuantized(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A CPQ1 frame whose first record sits one cell off its origin
+	// decodes fine but does not survive a re-encode.
+	offCell := bytes.Clone(full)
+	offCell[pointcloud.EncodedSizeQuantized(0)] = 1
+	offCloud, err := pointcloud.Decode(offCell)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	frontBytes := pointcloud.EncodedSizeQuantized(Extract(c, CategoryFrontFOV).Len())
+	strideFloor := pointcloud.EncodedSizeQuantized(MinStridePoints)
+	var budgets []int
+	for _, b := range []int{0, -1, len(full) + 1, len(full), len(full) - 1, frontBytes + 1, frontBytes, frontBytes - 1,
+		strideFloor, strideFloor - 1, feat.EncodedSize(), feat.EncodedSize() - 1, 40, 1} {
+		budgets = append(budgets, b)
+	}
+	for b := len(full) + 64; b > 0; b = b * 7 / 8 {
+		budgets = append(budgets, b)
+	}
+	for i := len(budgets) - 1; i >= 0; i-- {
+		budgets = append(budgets, budgets[i]) // and back up, on a warm memo
+	}
+
+	tests := []struct {
+		name      string
+		src       Source
+		encodedOK bool // the full rung serves src.Encoded itself
+	}{
+		{"no encoding", Source{Cloud: c, Features: feat}, false},
+		{"canonical encoding", Source{Cloud: c, Features: feat, Encoded: full}, true},
+		{"non-canonical encoding", Source{Cloud: offCloud, Derive: func() *spod.FeatureFrame { return feat }, Encoded: offCell}, false},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			l := Ladder{Source: tc.src}
+			rungs := map[[2]int]bool{}
+			for _, b := range budgets {
+				got, err := l.Select(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh := Source{Cloud: tc.src.Cloud, Features: tc.src.Features, Derive: tc.src.Derive}
+				want, err := Select(fresh, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Payload, want.Payload) || got.Category != want.Category ||
+					got.Points != want.Points || got.Downsampled != want.Downsampled {
+					t.Fatalf("budget %d: memoized %v/%d pts/%d B, fresh %v/%d pts/%d B", b,
+						got.Category, got.Points, len(got.Payload), want.Category, want.Points, len(want.Payload))
+				}
+				if got.Category == CategoryFullFrame {
+					shared := len(tc.src.Encoded) > 0 && &got.Payload[0] == &tc.src.Encoded[0]
+					if shared != tc.encodedOK {
+						t.Fatalf("budget %d: full rung reuses the given encoding = %v, want %v", b, shared, tc.encodedOK)
+					}
+				}
+				down := 0
+				if got.Downsampled {
+					down = 1
+				}
+				rungs[[2]int{int(got.Category), down}] = true
+			}
+			for _, r := range [][2]int{{int(CategoryFullFrame), 0}, {int(CategoryFrontFOV), 0}, {int(CategoryFrontFOV), 1}, {int(CategoryFeature), 1}} {
+				if !rungs[r] {
+					t.Errorf("sweep never reached rung %v (downsampled %v)", Category(r[0]), r[1] == 1)
+				}
+			}
+		})
 	}
 }
