@@ -1,17 +1,18 @@
-// Command coopernode runs Cooper over a real network transport, in two
-// generations. The original 1:1 protocol pairs one serving and one
-// requesting vehicle:
-//
-//	coopernode -serve 127.0.0.1:7777 -scenario "TJ-Scenario 1" -pose 1
-//	coopernode -connect 127.0.0.1:7777 -scenario "TJ-Scenario 1" -pose 0
-//
-// The fleet hub serves many concurrent vehicles: it caches every
-// vehicle's latest frame and assembles K-sender fusion rounds on demand,
-// fitting payloads under an advertised bandwidth cap:
+// Command coopernode runs Cooper over a real network transport. The
+// fleet hub serves many concurrent vehicles: it caches every vehicle's
+// latest frame and assembles K-sender fusion rounds on demand, fitting
+// payloads under an advertised bandwidth cap:
 //
 //	coopernode -hub 127.0.0.1:7777
 //	coopernode -join 127.0.0.1:7777 -scenario platoon -fleet 4 -seed 7 -pose 1
 //	coopernode -join 127.0.0.1:7777 -scenario platoon -fleet 4 -seed 7 -pose 0 -bw 2.0
+//
+// The paper's 1:1 exchange is the two-vehicle case: one vehicle
+// publishes, the other requests a round of one sender:
+//
+//	coopernode -hub 127.0.0.1:7777
+//	coopernode -join 127.0.0.1:7777 -scenario "TJ-Scenario 1" -pose 1
+//	coopernode -join 127.0.0.1:7777 -scenario "TJ-Scenario 1" -pose 0 -k 1
 //
 // -selftest K spins the whole thing — hub plus K clients — inside one
 // process from a generated scenario and prints a deterministic fused
@@ -50,7 +51,8 @@ import (
 	"cooper/internal/telemetry"
 )
 
-// defaultScenario is the -scenario flag default, the 1:1 demo scenario.
+// defaultScenario is the -scenario flag default, the paper's 1:1 demo
+// scenario.
 const defaultScenario = "TJ-Scenario 1"
 
 func main() {
@@ -61,8 +63,6 @@ func main() {
 }
 
 func run() error {
-	serve := flag.String("serve", "", "1:1 mode: address to serve this vehicle's frames on")
-	connect := flag.String("connect", "", "1:1 mode: address of a serving vehicle")
 	hubAddr := flag.String("hub", "", "hub mode: address to run the fleet hub on")
 	join := flag.String("join", "", "client mode: address of a fleet hub to join")
 	selftest := flag.Int("selftest", 0, "run an in-process hub with K clients and print a deterministic report")
@@ -160,28 +160,8 @@ func run() error {
 			return err
 		}
 		return joinHub(v, sc, *join, *k, *bw, backend, *wire)
-	case *serve != "":
-		sc, err := resolve(*scenarioName, *fleet, *seed, *traffic)
-		if err != nil {
-			return err
-		}
-		v, err := makeVehicle(sc, *pose)
-		if err != nil {
-			return err
-		}
-		return serveVehicle(v, *serve)
-	case *connect != "":
-		sc, err := resolve(*scenarioName, *fleet, *seed, *traffic)
-		if err != nil {
-			return err
-		}
-		v, err := makeVehicle(sc, *pose)
-		if err != nil {
-			return err
-		}
-		return requestAndFuse(v, *connect)
 	default:
-		return fmt.Errorf("specify one of -hub, -join, -selftest K, -serve or -connect")
+		return fmt.Errorf("specify one of -hub, -join or -selftest K")
 	}
 }
 
@@ -339,86 +319,6 @@ func joinHub(v *core.Vehicle, sc *scene.Scenario, addr string, k int, bwMbps flo
 	}
 	coop, _ := in.Detect(sensorFrame.Detector.Config(), nil)
 	fmt.Printf("single shot: %d cars; cooperative: %d cars\n", len(singles), len(coop))
-	for _, d := range coop {
-		fmt.Printf("  car at (%6.1f, %6.1f) score %.2f\n", d.Box.Center.X, d.Box.Center.Y, d.Score)
-	}
-	return nil
-}
-
-// --- original 1:1 protocol ---
-//
-// The wire exchange is unchanged from the pre-hub coopernode; the node's
-// detector is now configured through core.PoseVehicle, so its range gate
-// matches the evaluation runner's (45 m on 16-beam T&J data, 70 m on
-// 64-beam KITTI data) instead of the old fixed default.
-
-func serveVehicle(v *core.Vehicle, addr string) error {
-	l, err := network.Listen(addr)
-	if err != nil {
-		return err
-	}
-	defer l.Close()
-	fmt.Printf("%s serving frames on %s\n", v.ID, l.Addr())
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		if err := serveOne(v, conn); err != nil {
-			fmt.Fprintln(os.Stderr, "serving:", err)
-		}
-	}
-}
-
-func serveOne(v *core.Vehicle, conn *network.Transport) error {
-	defer conn.Close()
-	req, err := conn.Receive()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("request from %s (type %d)\n", req.Sender, req.Type)
-	pkg, err := v.PreparePackage(nil)
-	if err != nil {
-		return err
-	}
-	return conn.Send(network.Message{
-		Type:    network.MsgFullScan,
-		Sender:  pkg.SenderID,
-		State:   pkg.State,
-		Payload: pkg.Payload,
-	})
-}
-
-func requestAndFuse(v *core.Vehicle, addr string) error {
-	conn, err := network.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-
-	if err := conn.Send(network.Message{Type: network.MsgROIRequest, Sender: v.ID, State: v.State()}); err != nil {
-		return err
-	}
-	reply, err := conn.Receive()
-	if err != nil {
-		return err
-	}
-	if reply.Type == network.MsgError {
-		return fmt.Errorf("peer error: %s", reply.Payload)
-	}
-	fmt.Printf("received %d KB frame from %s\n", len(reply.Payload)/1024, reply.Sender)
-
-	singles, _, err := v.Detect()
-	if err != nil {
-		return err
-	}
-	pkg := core.ExchangePackage{SenderID: reply.Sender, State: reply.State, Payload: reply.Payload}
-	coop, stats, err := v.CooperativeDetect(pkg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("single shot: %d cars; cooperative: %d cars (detection %v)\n",
-		len(singles), len(coop), stats.Total.Round(1e6))
 	for _, d := range coop {
 		fmt.Printf("  car at (%6.1f, %6.1f) score %.2f\n", d.Box.Center.X, d.Box.Center.Y, d.Score)
 	}

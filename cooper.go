@@ -22,7 +22,7 @@
 //	roi         region-of-interest extraction and background subtraction
 //	network     DSRC channel model, wire messages, TCP transport
 //	hub         fleet hub: concurrent sessions, frame cache, fusion rounds
-//	core        vehicles, exchange packages, cooperative detection
+//	core        vehicles, cooperative detection, episodes
 //	eval        matching, detection matrices, accuracy, CDFs
 //
 // A minimal cooperative round trip:
@@ -31,7 +31,7 @@
 //	tx := cooper.NewVehicle("tx", cooper.VLP16(), txState, 2)
 //	rx.Sense(targets, 0)
 //	tx.Sense(targets, 0)
-//	pkg, _ := tx.PreparePackage(nil)
+//	pkg, _ := tx.PreparePackage(nil) // a FusionPayload: quantized cloud + state
 //	dets, _, _ := rx.CooperativeDetect(pkg)
 package cooper
 
@@ -89,8 +89,6 @@ type (
 	Vehicle = core.Vehicle
 	// VehicleState is a GPS/IMU pose report.
 	VehicleState = fusion.VehicleState
-	// ExchangePackage is the §II-D exchange unit: encoded cloud + state.
-	ExchangePackage = core.ExchangePackage
 	// Detection is one detected car with its confidence score.
 	Detection = spod.Detection
 	// Detector runs the SPOD pipeline.
@@ -342,9 +340,6 @@ type (
 	// renderable as JSON or Prometheus text. MaskEnvelope strips the
 	// wall-clock envelope for byte-exact diffing.
 	MetricsSnapshot = telemetry.Snapshot
-	// MetricsSeries is an FTDC-style delta-compressed snapshot series
-	// for long soak runs.
-	MetricsSeries = telemetry.Series
 	// EpisodeHeader opens an episode log: what ran, under which knobs.
 	EpisodeHeader = store.Header
 	// EpisodeWriter appends typed records (frames, rounds, detections,

@@ -31,7 +31,7 @@ func TestFacadeCooperativeLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkg.PayloadBytes() == 0 {
+	if len(pkg.Data) == 0 {
 		t.Fatal("empty exchange payload")
 	}
 	coop, stats, err := rx.CooperativeDetect(pkg)

@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("exchange payload: %d KB\n", pkg.PayloadBytes()/1024)
+	fmt.Printf("exchange payload: %d KB\n", len(pkg.Data)/1024)
 
 	coop, stats, err := rx.CooperativeDetect(pkg)
 	if err != nil {

@@ -78,14 +78,11 @@ func TestExchangeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkg.SenderID != "tx" || pkg.PayloadBytes() == 0 {
+	if pkg.SenderID != "tx" || pkg.State != tx.State() || len(pkg.Data) == 0 {
 		t.Fatalf("bad package: %+v", pkg.SenderID)
 	}
 
-	aligned, err := rx.ReceivePackage(pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	aligned := alignPayload(t, rx, pkg)
 	// The transmitter's returns, aligned, must land near the world
 	// objects as seen from the receiver: check the visible car region.
 	car, _ := w.ObjectByID(0)
@@ -96,12 +93,26 @@ func TestExchangeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReceivePackageErrors(t *testing.T) {
-	rx := testVehicle("rx", 0, 0, 0, 4)
-	if _, err := rx.ReceivePackage(ExchangePackage{SenderID: "x"}); !errors.Is(err, ErrEmptyPayload) {
-		t.Errorf("empty payload err = %v", err)
+// alignPayload fuses one payload into an empty receiver cloud through the
+// raw backend, leaving just the sender's points in rx's sensor frame.
+func alignPayload(t *testing.T, rx *Vehicle, p fusion.Payload) *pointcloud.Cloud {
+	t.Helper()
+	own := fusion.SensorFrame{State: rx.State(), Cloud: &pointcloud.Cloud{}}
+	in, err := fusion.RawBackend{}.Fuse(own, []fusion.Payload{p})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := rx.ReceivePackage(ExchangePackage{SenderID: "x", Payload: []byte("garbage....")}); err == nil {
+	return in.Cloud
+}
+
+func TestCooperativeDetectPayloadErrors(t *testing.T) {
+	w, _, _ := twoCarWorld()
+	rx := testVehicle("rx", 0, 0, 0, 4)
+	rx.Sense(w.Targets(), w.GroundZ)
+	if _, _, err := rx.CooperativeDetect(fusion.Payload{SenderID: "x"}); err == nil {
+		t.Error("empty payload fused")
+	}
+	if _, _, err := rx.CooperativeDetect(fusion.Payload{SenderID: "x", Data: []byte("garbage....")}); err == nil {
 		t.Error("garbage payload decoded")
 	}
 }
@@ -148,19 +159,23 @@ func TestCooperativeDetectRecoversHiddenCar(t *testing.T) {
 	}
 }
 
-func TestCooperativeCloudGrows(t *testing.T) {
+func TestFusedCloudGrows(t *testing.T) {
 	w, _, _ := twoCarWorld()
 	rx := testVehicle("rx", 0, 0, 0, 7)
 	tx := testVehicle("tx", 20, 5, 1.0, 8)
 	rx.Sense(w.Targets(), w.GroundZ)
 	tx.Sense(w.Targets(), w.GroundZ)
 	pkg, _ := tx.PreparePackage(nil)
-	merged, err := rx.CooperativeCloud(pkg)
+	own, err := rx.SensorFrame(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Len() <= rx.Cloud().Len() {
-		t.Errorf("merged %d <= own %d", merged.Len(), rx.Cloud().Len())
+	in, err := fusion.RawBackend{}.Fuse(own, []fusion.Payload{pkg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !in.Merged || in.Cloud.Len() <= rx.Cloud().Len() {
+		t.Errorf("merged %d <= own %d", in.Cloud.Len(), rx.Cloud().Len())
 	}
 }
 
@@ -178,8 +193,8 @@ func TestPreparePackageWithFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if half.PayloadBytes() >= full.PayloadBytes() {
-		t.Errorf("filtered payload %d >= full %d", half.PayloadBytes(), full.PayloadBytes())
+	if len(half.Data) >= len(full.Data) {
+		t.Errorf("filtered payload %d >= full %d", len(half.Data), len(full.Data))
 	}
 }
 

@@ -389,7 +389,7 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 	if opts.Drift > 0 {
 		walks = make(map[int][]scene.PoseError, len(participants))
 		for _, p := range participants {
-			walks[p] = scene.DriftWalk(sc.Seed*1000003+int64(p)*7919+11, opts.Drift, opts.Frames)
+			walks[p] = sc.DriftWalk(p, opts.Drift, opts.Frames)
 		}
 	}
 	// stateFor is the GPS/IMU state pose p reports at frame k: the true
@@ -810,12 +810,7 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 			if err := opts.Sink.WriteDetections(store.Detections{Frame: k, Receiver: fe.round.Receiver, Dets: fe.dets}); err != nil {
 				return nil, err
 			}
-			live := tracker.Tracks()
-			ts := make([]store.TrackState, len(live))
-			for j, tr := range live {
-				ts[j] = store.TrackState{ID: tr.ID, Box: tr.Box, VelX: tr.Vel.X, VelY: tr.Vel.Y, Hits: tr.Hits, Misses: tr.Misses}
-			}
-			if err := opts.Sink.WriteTracks(store.Tracks{Frame: k, Receiver: fe.round.Receiver, Tracks: ts}); err != nil {
+			if err := opts.Sink.WriteTracks(store.Tracks{Frame: k, Receiver: fe.round.Receiver, Tracks: store.TrackStates(tracker.Tracks())}); err != nil {
 				return nil, err
 			}
 		}

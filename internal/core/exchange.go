@@ -9,51 +9,29 @@ import (
 	"cooper/internal/spod"
 )
 
-// Exchange errors.
-var (
-	// ErrNoScan means the vehicle has not sensed yet.
-	ErrNoScan = errors.New("core: no scan available")
-	// ErrEmptyPayload means a package carried no decodable cloud.
-	ErrEmptyPayload = errors.New("core: empty exchange payload")
-)
-
-// ExchangePackage is the unit vehicles transmit (§II-D): the encoded
-// point cloud plus the sender's LiDAR installation and GPS/IMU state,
-// which the receiver needs to map the points into physical positions.
-type ExchangePackage struct {
-	// SenderID names the transmitting vehicle.
-	SenderID string
-	// State is the transmitter's GPS/IMU reading at capture time.
-	State fusion.VehicleState
-	// Payload is the wire-encoded point cloud.
-	Payload []byte
-}
-
-// PayloadBytes returns the exchange payload size — the quantity the
-// paper's networking feasibility analysis (Figs. 11–12) measures.
-func (p ExchangePackage) PayloadBytes() int { return len(p.Payload) }
+// ErrNoScan means the vehicle has not sensed yet.
+var ErrNoScan = errors.New("core: no scan available")
 
 // CloudFilter selects the subset of a cloud to share; nil shares the full
 // frame. The roi package provides the paper's three ROI categories as
 // filters.
 type CloudFilter func(*pointcloud.Cloud) *pointcloud.Cloud
 
-// PreparePackage builds an exchange package from the vehicle's latest
-// scan, optionally reduced by a region-of-interest filter, encoded with
-// the compact quantized codec.
-func (v *Vehicle) PreparePackage(filter CloudFilter) (ExchangePackage, error) {
-	if v.lastScan.Cloud == nil {
-		return ExchangePackage{}, fmt.Errorf("vehicle %s: %w", v.ID, ErrNoScan)
-	}
-	cloud := v.lastScan.Cloud
-	if filter != nil {
-		cloud = filter(cloud)
-	}
-	payload, err := pointcloud.EncodeQuantized(cloud)
+// PreparePackage builds the vehicle's §II-D exchange unit from its latest
+// scan, optionally reduced by a region-of-interest filter: the raw
+// backend's quantized cloud plus the vehicle's GPS/IMU state, which the
+// receiver needs to map the points into physical positions.
+func (v *Vehicle) PreparePackage(filter CloudFilter) (fusion.Payload, error) {
+	frame, err := v.SensorFrame(filter)
 	if err != nil {
-		return ExchangePackage{}, fmt.Errorf("vehicle %s: encoding scan: %w", v.ID, err)
+		return fusion.Payload{}, err
 	}
-	return ExchangePackage{SenderID: v.ID, State: v.state, Payload: payload}, nil
+	p, err := fusion.RawBackend{}.Encode(frame, nil)
+	if err != nil {
+		return fusion.Payload{}, fmt.Errorf("vehicle %s: encoding scan: %w", v.ID, err)
+	}
+	p.SenderID = v.ID
+	return p, nil
 }
 
 // SensorFrame builds the backend-layer view of the vehicle's latest
@@ -70,63 +48,19 @@ func (v *Vehicle) SensorFrame(filter CloudFilter) (fusion.SensorFrame, error) {
 	return fusion.SensorFrame{State: v.state, Cloud: cloud, Detector: v.detector}, nil
 }
 
-// ReceivePackage decodes a package and aligns its cloud into this
-// vehicle's sensor frame using both vehicles' GPS/IMU states (Eq. 3).
-func (v *Vehicle) ReceivePackage(pkg ExchangePackage) (*pointcloud.Cloud, error) {
-	if len(pkg.Payload) == 0 {
-		return nil, fmt.Errorf("from %s: %w", pkg.SenderID, ErrEmptyPayload)
-	}
-	// Zero-copy decode: alignment rewrites every point into the
-	// receiver's frame, so the decode buffer is transient and pools.
-	tmp := pointcloud.GetCloud()
-	defer pointcloud.PutCloud(tmp)
-	if err := pointcloud.DecodeInto(pkg.Payload, tmp); err != nil {
-		return nil, fmt.Errorf("from %s: decoding payload: %w", pkg.SenderID, err)
-	}
-	return fusion.Align(v.state, pkg.State, tmp), nil
-}
-
-// CooperativeCloud merges the vehicle's own scan with the aligned clouds
-// of the given packages (Eq. 2).
-func (v *Vehicle) CooperativeCloud(pkgs ...ExchangePackage) (*pointcloud.Cloud, error) {
-	if v.lastScan.Cloud == nil {
-		return nil, fmt.Errorf("vehicle %s: %w", v.ID, ErrNoScan)
-	}
-	aligned := make([]*pointcloud.Cloud, 0, len(pkgs))
-	for _, pkg := range pkgs {
-		c, err := v.ReceivePackage(pkg)
-		if err != nil {
-			return nil, err
-		}
-		aligned = append(aligned, c)
-	}
-	return fusion.Merge(v.lastScan.Cloud, aligned...), nil
-}
-
-// CooperativeDetect runs the full Cooper pipeline: receive, align, merge,
-// detect. The detector configuration switches to merged-cloud
-// preprocessing and widens its range gate to cover every contributing
-// vehicle's surroundings.
-func (v *Vehicle) CooperativeDetect(pkgs ...ExchangePackage) ([]spod.Detection, spod.Stats, error) {
-	return v.CooperativeDetectWith(nil, pkgs...)
-}
-
-// CooperativeDetectWith is CooperativeDetect reusing the caller's
-// detector scratch (nil draws from the shared pool). A scratch serves
-// any configuration, so the per-call cooperative detector costs only its
-// config struct.
-func (v *Vehicle) CooperativeDetectWith(s *spod.DetectorScratch, pkgs ...ExchangePackage) ([]spod.Detection, spod.Stats, error) {
-	merged, err := v.CooperativeCloud(pkgs...)
+// CooperativeDetect runs the full Cooper pipeline through the raw
+// backend: decode, align (Eq. 3), merge (Eq. 2), detect. The detector
+// configuration switches to merged-cloud preprocessing and widens its
+// range gate to cover every contributing vehicle's surroundings.
+func (v *Vehicle) CooperativeDetect(payloads ...fusion.Payload) ([]spod.Detection, spod.Stats, error) {
+	own, err := v.SensorFrame(nil)
 	if err != nil {
 		return nil, spod.Stats{}, err
 	}
-	maxDist := 0.0
-	for _, pkg := range pkgs {
-		if d := pkg.State.GPS.DistXY(v.state.GPS); d > maxDist {
-			maxDist = d
-		}
+	in, err := fusion.RawBackend{}.Fuse(own, payloads)
+	if err != nil {
+		return nil, spod.Stats{}, fmt.Errorf("vehicle %s: %w", v.ID, err)
 	}
-	coop := spod.New(spod.CoopConfig(v.detector.Config(), maxDist))
-	dets, stats := coop.DetectWithStatsScratch(merged, s)
+	dets, stats := in.Detect(v.detector.Config(), nil)
 	return dets, stats, nil
 }

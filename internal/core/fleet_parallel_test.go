@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cooper/internal/fusion"
 	"cooper/internal/scene"
 )
 
@@ -77,7 +78,7 @@ func TestNWayCaseOutcomeShape(t *testing.T) {
 
 // TestNWayMatchesManualMerge cross-checks the runner's K-cloud fan-in
 // against the public Vehicle exchange API: preparing each sender's
-// package by hand and fusing through CooperativeCloud must build a
+// package by hand and fusing through the raw backend must build a
 // merged cloud of exactly the size RunCase reports.
 func TestNWayMatchesManualMerge(t *testing.T) {
 	sc := generated(t, scene.FamilyPlatoon, 3, 9)
@@ -88,7 +89,7 @@ func TestNWayMatchesManualMerge(t *testing.T) {
 	}
 	// The runner has sensed every pose; replay the exchange by hand.
 	recv := r.Vehicle(0)
-	pkgs := make([]ExchangePackage, 0, 2)
+	pkgs := make([]fusion.Payload, 0, 2)
 	for _, s := range sc.Cases[0].Senders() {
 		pkg, err := r.Vehicle(s).PreparePackage(nil)
 		if err != nil {
@@ -96,11 +97,15 @@ func TestNWayMatchesManualMerge(t *testing.T) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	merged, err := recv.CooperativeCloud(pkgs...)
+	own, err := recv.SensorFrame(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Len() != o.CloudPointsCoop {
-		t.Errorf("manual K-way merge has %d points, RunCase reported %d", merged.Len(), o.CloudPointsCoop)
+	in, err := fusion.RawBackend{}.Fuse(own, pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Cloud.Len() != o.CloudPointsCoop {
+		t.Errorf("manual K-way merge has %d points, RunCase reported %d", in.Cloud.Len(), o.CloudPointsCoop)
 	}
 }

@@ -104,10 +104,7 @@ func TestHeterogeneousMixedMountHeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aligned, err := rx.ReceivePackage(pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	aligned := alignPayload(t, rx, pkg)
 	// Ground returns from the 2.4 m-high donor must align to the
 	// receiver's ground level (z ≈ −1.73 in its sensor frame).
 	groundZ := aligned.EstimateGroundZ()

@@ -118,8 +118,8 @@ func TestPublishDeltaKeyframeRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	canonical, _ := pointcloud.EncodeQuantized(frames[3])
-	f, ok := h.Nearest("rx", geom.V3(0, 0, 0))
-	if !ok || !bytes.Equal(f.Payload, canonical) {
+	r, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 1, 0)
+	if err != nil || len(r.Frames) != 1 || !bytes.Equal(r.Frames[0].Payload, canonical) {
 		t.Error("cached frame after recovery is not the canonical latest frame")
 	}
 }
@@ -153,8 +153,8 @@ func TestPublishDeltaRejectsGarbage(t *testing.T) {
 		t.Fatalf("delta after rejected garbage: %v", err)
 	}
 	canonical, _ := pointcloud.EncodeQuantized(frames[1])
-	f, ok := h.Nearest("rx", geom.V3(0, 0, 0))
-	if !ok || !bytes.Equal(f.Payload, canonical) {
+	r, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 1, 0)
+	if err != nil || len(r.Frames) != 1 || !bytes.Equal(r.Frames[0].Payload, canonical) {
 		t.Error("cached frame is not the canonical reconstruction")
 	}
 }

@@ -191,10 +191,10 @@ func TestFeatureOnlyPublisherDegradation(t *testing.T) {
 		t.Errorf("tiny-budget payload does not decode: %v", err)
 	}
 
-	// The v1 one-shot path degrades the same way.
-	f, ok := h.Nearest("rx", geom.V3(0, 0, 0))
-	if !ok || !spod.IsFeaturePayload(f.Payload) {
-		t.Errorf("Nearest over a feature-only publisher: ok=%v, feature=%v", ok, spod.IsFeaturePayload(f.Payload))
+	// An uncapped one-sender round (the 1:1 exchange) degrades the same way.
+	one, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 1, 0)
+	if err != nil || len(one.Frames) != 1 || !spod.IsFeaturePayload(one.Frames[0].Payload) {
+		t.Errorf("one-sender round over a feature-only publisher: %+v, err=%v", one.Frames, err)
 	}
 }
 

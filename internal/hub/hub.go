@@ -15,9 +15,9 @@
 // a publisher's feature frame only when that is all the publisher sent or
 // the budget is below the cheapest point rung.
 //
-// The hub speaks protocol v2 (network.MsgHello and friends) to fleet
-// clients and still answers a v1 MsgROIRequest with the nearest cached
-// frame, so the original 1:1 coopernode client keeps working against it.
+// The hub speaks protocol v2 (network.MsgHello and friends) and its v3
+// feature/delta extension. The paper's 1:1 exchange is the smallest hub
+// session: one vehicle publishes, the other requests a round of K = 1.
 package hub
 
 import (
@@ -545,14 +545,4 @@ func (h *Hub) RecentRounds() []RoundInfo {
 	out := make([]RoundInfo, len(h.ring))
 	copy(out, h.ring)
 	return out
-}
-
-// Nearest returns the cached frame closest to the given position,
-// excluding the requester — the hub's answer to a v1 one-shot request.
-func (h *Hub) Nearest(requester string, at geom.Vec3) (RoundFrame, bool) {
-	round, err := h.AssembleRound(requester, at, 1, 0)
-	if err != nil || len(round.Frames) == 0 {
-		return RoundFrame{}, false
-	}
-	return round.Frames[0], true
 }

@@ -2,12 +2,17 @@ package hub
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cooper/internal/fusion"
 	"cooper/internal/geom"
@@ -161,8 +166,8 @@ func TestPublishValidation(t *testing.T) {
 	if _, err := h.Publish("v1", stateAt(0, 0), older, 3); err != nil {
 		t.Fatal(err)
 	}
-	f, ok := h.Nearest("rx", geom.V3(0, 0, 0))
-	if !ok || !bytes.Equal(f.Payload, newer) {
+	r, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 1, 0)
+	if err != nil || len(r.Frames) != 1 || !bytes.Equal(r.Frames[0].Payload, newer) {
 		t.Error("stale publish replaced a newer cached frame")
 	}
 }
@@ -230,29 +235,58 @@ func TestSessionsOverTCP(t *testing.T) {
 		t.Fatalf("round frame from %q (%d B), want v2's %d B frame", frames[0].Sender, len(frames[0].Payload), len(p2))
 	}
 
-	// v1-compat: a bare MsgROIRequest is answered with the nearest frame.
-	conn, err := network.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Send(network.Message{Type: network.MsgROIRequest, Sender: "legacy", State: stateAt(1, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := conn.Receive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Type != network.MsgFullScan || reply.Sender != "v1" {
-		t.Errorf("v1 reply: type %d from %q, want MsgFullScan from v1", reply.Type, reply.Sender)
-	}
-
 	// An undecodable publish is answered in-band and the session survives.
 	if _, err := c2.Publish(stateAt(15, 0), []byte("garbage")); err == nil {
 		t.Error("garbage publish did not error")
 	}
 	if cached, err := c2.Publish(stateAt(15, 0), p2); err != nil || cached != h.Cached() {
 		t.Errorf("session did not survive a rejected publish: %v", err)
+	}
+}
+
+// TestV1FrameEndsOnlyItsSession sends a hand-built protocol-v1 request
+// (version byte 1, type 3, the retired one-shot ROI request) down one
+// connection. The hub must drop that session without panicking, and
+// another vehicle's session must keep serving rounds.
+func TestV1FrameEndsOnlyItsSession(t *testing.T) {
+	_, addr := startHub(t, Config{})
+	c1, _, err := Connect(addr, "v1", stateAt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	c2, _, err := Connect(addr, "v2", stateAt(15, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if _, err := c2.Publish(stateAt(15, 0), payloadFor(t, 300, 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Magic, version 1, type 3, sender "legacy", 13 zero float64s (state
+	// and region), zero payload length.
+	body := append([]byte("CPMX\x01\x03\x06\x00legacy"), make([]byte, 13*8+4)...)
+	raw := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(append(raw, body...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("v1 session read = %d bytes, %v; want the hub to close it", n, err)
+	}
+
+	frames, err := c1.RequestRound(stateAt(0, 0), 1, 0)
+	if err != nil {
+		t.Fatalf("round after a v1 frame on another session: %v", err)
+	}
+	if len(frames) != 1 || frames[0].Sender != "v2" {
+		t.Errorf("round = %+v, want v2's frame", frames)
 	}
 }
 

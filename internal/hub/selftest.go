@@ -163,14 +163,14 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 	h := New(Config{MaxSenders: scene.MaxFleet, Loss: opts.Loss, Metrics: opts.Metrics, HTTPAddr: opts.HTTPAddr})
 
 	// Localization drift: one seeded error walk per client, precomputed
-	// sequentially; the fan-out phases only index into it. The seed
-	// construction matches core's episode engine, so the selftest and an
-	// episode drift the same vehicle the same way.
+	// sequentially; the fan-out phases only index into it. The walks come
+	// from the scenario, as core's episode engine takes them, so the
+	// selftest and an episode drift the same vehicle the same way.
 	var walks [][]scene.PoseError
 	if opts.Drift > 0 {
 		walks = make([][]scene.PoseError, opts.Fleet)
 		for i := range walks {
-			walks[i] = scene.DriftWalk(sc.Seed*1000003+int64(i)*7919+11, opts.Drift, frames)
+			walks[i] = sc.DriftWalk(i, opts.Drift, frames)
 		}
 	}
 	driftState := func(st fusion.VehicleState, i, f int) fusion.VehicleState {
@@ -476,12 +476,7 @@ func writeSelfTestRound(ew *store.EpisodeWriter, f int, rep *selfReport, tr *tra
 	if err := ew.WriteDetections(store.Detections{Frame: f, Receiver: rep.id, Dets: rep.storeDets}); err != nil {
 		return err
 	}
-	tracks := tr.Tracks()
-	ts := make([]store.TrackState, len(tracks))
-	for j, t := range tracks {
-		ts[j] = store.TrackState{ID: t.ID, Box: t.Box, VelX: t.Vel.X, VelY: t.Vel.Y, Hits: t.Hits, Misses: t.Misses}
-	}
-	return ew.WriteTracks(store.Tracks{Frame: f, Receiver: rep.id, Tracks: ts})
+	return ew.WriteTracks(store.Tracks{Frame: f, Receiver: rep.id, Tracks: store.TrackStates(tr.Tracks())})
 }
 
 // selectionFor reports the payload-selection rung the hub used for one

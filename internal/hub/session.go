@@ -196,21 +196,6 @@ func (h *Hub) handle(conn *network.Transport, msg network.Message) error {
 		}
 		return nil
 
-	case network.MsgROIRequest:
-		// v1 compatibility: a one-shot client asks for a frame; answer
-		// with the nearest cached vehicle's full payload.
-		f, ok := h.Nearest(msg.Sender, msg.State.GPS)
-		if !ok {
-			return h.sendError(conn, fmt.Errorf("hub: no frames cached"))
-		}
-		h.logf("v1 request from %s: serving %s's frame", msg.Sender, f.Sender)
-		return conn.Send(network.Message{
-			Type:    network.MsgFullScan,
-			Sender:  f.Sender,
-			State:   f.State,
-			Payload: f.Payload,
-		})
-
 	default:
 		return h.sendError(conn, fmt.Errorf("hub: unexpected message type %d", msg.Type))
 	}

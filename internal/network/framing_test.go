@@ -34,7 +34,7 @@ func frame(body []byte) []byte {
 
 func validBody(t *testing.T) []byte {
 	t.Helper()
-	body, err := EncodeMessage(Message{Type: MsgFullScan, Sender: "car1", Payload: []byte{1, 2, 3}})
+	body, err := EncodeMessage(Message{Type: MsgFrame, Sender: "car1", Payload: []byte{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +133,29 @@ func TestFramingErrors(t *testing.T) {
 			},
 			want: ErrBadMessage,
 		},
+		{
+			name: "one trailing byte",
+			raw: func(t *testing.T) []byte {
+				return frame(append(validBody(t), 0))
+			},
+			want: ErrBadMessage,
+		},
+		{
+			name: "second message in one frame",
+			raw: func(t *testing.T) []byte {
+				return frame(append(validBody(t), validBody(t)...))
+			},
+			want: ErrBadMessage,
+		},
+		{
+			name: "retired version 1",
+			raw: func(t *testing.T) []byte {
+				body := validBody(t)
+				body[4] = 1
+				return frame(body)
+			},
+			want: ErrBadMessage,
+		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -154,7 +177,7 @@ func TestFramingValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Sender != "car1" || m.Type != MsgFullScan {
+	if m.Sender != "car1" || m.Type != MsgFrame {
 		t.Errorf("got %+v", m)
 	}
 }
@@ -203,18 +226,5 @@ func TestMessageV2RoundTrip(t *testing.T) {
 	}
 	if got.Type != MsgDeltaFrame || got.Seq != 7 || string(got.Payload) != "CPD1-opaque-payload" {
 		t.Errorf("delta frame round trip: got %+v", got)
-	}
-
-	// v1 types stay on the v1 wire layout...
-	enc, err = EncodeMessage(Message{Type: MsgFullScan, Sender: "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc[4] != 1 {
-		t.Errorf("v1 message encoded with version %d", enc[4])
-	}
-	// ...and refuse v2 fields rather than silently dropping them.
-	if _, err := EncodeMessage(Message{Type: MsgFullScan, Sender: "a", Seq: 1}); !errors.Is(err, ErrBadMessage) {
-		t.Errorf("v2 fields on v1 type: err = %v, want ErrBadMessage", err)
 	}
 }

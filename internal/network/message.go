@@ -13,18 +13,9 @@ import (
 // MsgType tags the Cooper wire messages.
 type MsgType uint8
 
-// Message types: a full-scan share, an ROI share, and the demand-driven
-// ROI request of §II-C (a vehicle that failed to detect in a region asks
-// a neighbour for that region's data).
-const (
-	MsgFullScan MsgType = iota + 1
-	MsgROIShare
-	MsgROIRequest
-)
-
-// Protocol-v2 message types, used by the fleet-hub session protocol. A
-// v2 message carries three extra fixed fields (Budget, Count, Seq) after
-// the v1 header; v1 peers never see these types.
+// Protocol-v2 message types: the fleet-hub session protocol. A vehicle's
+// 1:1 exchange of §II-C/§II-D is the one-sender case of a hub session
+// (publish, then request a round with Count = 1).
 const (
 	// MsgHello opens a hub session: the vehicle announces its identity
 	// and GPS/IMU state. The hub acknowledges with its own MsgHello
@@ -71,30 +62,29 @@ const (
 	MsgDeltaFrame
 )
 
-// V2 reports whether the type belongs to the hub session protocol and is
-// therefore framed with the version-2 wire layout.
-func (t MsgType) V2() bool { return t >= MsgHello && t < MsgFeatureFrame }
-
-// V3 reports whether the type belongs to the feature-level extension of
-// the hub protocol, framed with the version-3 wire layout (identical to
-// v2's, under version byte 3).
-func (t MsgType) V3() bool { return t >= MsgFeatureFrame }
+// version returns the wire version a type is framed with: 2 for the hub
+// session types, 3 for the feature-level extension (same layout, distinct
+// version byte), 0 for anything else.
+func (t MsgType) version() byte {
+	switch {
+	case t >= MsgFeatureFrame:
+		return 3
+	case t >= MsgHello:
+		return 2
+	}
+	return 0
+}
 
 // Message is one Cooper exchange unit on the wire: the sender's identity
-// and GPS/IMU state plus either a point-cloud payload (shares) or a
-// requested region (requests).
+// and GPS/IMU state, the session fields, and an opaque payload.
 type Message struct {
 	Type   MsgType
 	Sender string
 	State  fusion.VehicleState
-	// Payload is the encoded point cloud for share messages.
+	// Payload is the encoded frame (CPQ1, CPF3 or CPD1) on frame
+	// messages, the stale-sender list on MsgFuseReply and the error text
+	// on MsgError.
 	Payload []byte
-	// Region is the requested area for MsgROIRequest, in world
-	// coordinates.
-	Region geom.AABB
-
-	// The fields below exist only in protocol v2 (the hub session
-	// protocol); encoding a v1 message type with any of them set fails.
 
 	// Budget is a bandwidth cap in bits per second (0 = uncapped). A
 	// client advertises it on MsgFuseRequest; the hub fits the round's
@@ -122,31 +112,28 @@ var messageMagic = [4]byte{'C', 'P', 'M', 'X'}
 
 const (
 	headerFixed = 4 + 1 + 1 + 2 // magic, version, type, sender length
-	v2Extra     = 8 + 4 + 8     // budget, count, seq
+	stateSize   = 7 * 8         // GPS x/y/z, yaw, pitch, roll, mount height
+	// reservedSize is a block of zero bytes after the state. Version 1
+	// carried a requested region there; v2/v3 keep the slot so their
+	// frames stay byte-identical.
+	reservedSize = 6 * 8
+	v2Extra      = 8 + 4 + 8 // budget, count, seq
+	bodyFixed    = stateSize + reservedSize + v2Extra + 4
 )
 
 // EncodeMessage serialises a message. The wire version is chosen from the
-// message type: hub-protocol types use version 2 (which appends the
-// Budget/Count/Seq trailer), feature-level types use version 3 (same
-// layout, distinct version byte), everything else stays byte-compatible
-// with version 1.
+// message type: hub-protocol types use version 2, feature-level types
+// version 3 (same layout, distinct version byte); any other type is
+// rejected.
 func EncodeMessage(m Message) ([]byte, error) {
 	if len(m.Sender) > 65535 {
 		return nil, fmt.Errorf("%w: sender name too long", ErrBadMessage)
 	}
-	version := byte(1)
-	switch {
-	case m.Type.V3():
-		version = 3
-	case m.Type.V2():
-		version = 2
-	case m.Budget != 0 || m.Count != 0 || m.Seq != 0:
-		return nil, fmt.Errorf("%w: v2 fields set on v1 message type %d", ErrBadMessage, m.Type)
+	version := m.Type.version()
+	if version == 0 {
+		return nil, fmt.Errorf("%w: unknown message type %d", ErrBadMessage, m.Type)
 	}
-	size := headerFixed + len(m.Sender) + 7*8 + 4 + len(m.Payload) + 6*8
-	if version >= 2 {
-		size += v2Extra
-	}
+	size := headerFixed + len(m.Sender) + bodyFixed + len(m.Payload)
 	if size > MaxMessageSize {
 		return nil, ErrTooBig
 	}
@@ -161,23 +148,19 @@ func EncodeMessage(m Message) ([]byte, error) {
 	} {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 	}
-	for _, f := range []float64{
-		m.Region.Min.X, m.Region.Min.Y, m.Region.Min.Z,
-		m.Region.Max.X, m.Region.Max.Y, m.Region.Max.Z,
-	} {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-	}
-	if version >= 2 {
-		buf = binary.LittleEndian.AppendUint64(buf, m.Budget)
-		buf = binary.LittleEndian.AppendUint32(buf, m.Count)
-		buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
-	}
+	buf = append(buf, make([]byte, reservedSize)...)
+	buf = binary.LittleEndian.AppendUint64(buf, m.Budget)
+	buf = binary.LittleEndian.AppendUint32(buf, m.Count)
+	buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Payload)))
 	buf = append(buf, m.Payload...)
 	return buf, nil
 }
 
-// DecodeMessage parses a serialised message.
+// DecodeMessage parses one serialised message, which must fill data
+// exactly. It accepts only what EncodeMessage produces: a v2/v3 type
+// under its own version byte, a zero reserved block and no bytes after
+// the payload, so every accepted message re-encodes to the same bytes.
 func DecodeMessage(data []byte) (Message, error) {
 	var m Message
 	if len(data) < headerFixed {
@@ -186,18 +169,15 @@ func DecodeMessage(data []byte) (Message, error) {
 	if [4]byte(data[:4]) != messageMagic {
 		return m, fmt.Errorf("%w: bad magic", ErrBadMessage)
 	}
-	version := data[4]
-	if version < 1 || version > 3 {
-		return m, fmt.Errorf("%w: unsupported version %d", ErrBadMessage, version)
-	}
 	m.Type = MsgType(data[5])
+	if version := data[4]; version < 2 || version > 3 {
+		return m, fmt.Errorf("%w: unsupported version %d", ErrBadMessage, version)
+	} else if version != m.Type.version() {
+		return m, fmt.Errorf("%w: type %d under version %d", ErrBadMessage, m.Type, version)
+	}
 	senderLen := int(binary.LittleEndian.Uint16(data[6:]))
 	off := headerFixed
-	fixed := senderLen + 13*8 + 4
-	if version >= 2 {
-		fixed += v2Extra
-	}
-	if len(data) < off+fixed {
+	if len(data) < off+senderLen+bodyFixed {
 		return m, fmt.Errorf("%w: truncated", ErrBadMessage)
 	}
 	m.Sender = string(data[off : off+senderLen])
@@ -210,23 +190,28 @@ func DecodeMessage(data []byte) (Message, error) {
 	m.State.GPS = geom.V3(read(), read(), read())
 	m.State.Yaw, m.State.Pitch, m.State.Roll = read(), read(), read()
 	m.State.MountHeight = read()
-	m.Region.Min = geom.V3(read(), read(), read())
-	m.Region.Max = geom.V3(read(), read(), read())
-	if version >= 2 {
-		m.Budget = binary.LittleEndian.Uint64(data[off:])
-		m.Count = binary.LittleEndian.Uint32(data[off+8:])
-		m.Seq = binary.LittleEndian.Uint64(data[off+12:])
-		off += v2Extra
+	for _, b := range data[off : off+reservedSize] {
+		if b != 0 {
+			return m, fmt.Errorf("%w: nonzero reserved bytes", ErrBadMessage)
+		}
 	}
+	off += reservedSize
+	m.Budget = binary.LittleEndian.Uint64(data[off:])
+	m.Count = binary.LittleEndian.Uint32(data[off+8:])
+	m.Seq = binary.LittleEndian.Uint64(data[off+12:])
+	off += v2Extra
 	payloadLen := int(binary.LittleEndian.Uint32(data[off:]))
 	off += 4
 	if payloadLen > MaxMessageSize {
 		return m, ErrTooBig
 	}
-	if len(data) < off+payloadLen {
+	switch rest := len(data) - off; {
+	case rest < payloadLen:
 		return m, fmt.Errorf("%w: truncated payload", ErrBadMessage)
+	case rest > payloadLen:
+		return m, fmt.Errorf("%w: %d trailing bytes after the payload", ErrBadMessage, rest-payloadLen)
 	}
 	m.Payload = make([]byte, payloadLen)
-	copy(m.Payload, data[off:off+payloadLen])
+	copy(m.Payload, data[off:])
 	return m, nil
 }

@@ -41,7 +41,7 @@ func TestDSRCUtilization(t *testing.T) {
 
 func TestMessageRoundTrip(t *testing.T) {
 	m := Message{
-		Type:   MsgFullScan,
+		Type:   MsgFrame,
 		Sender: "car1",
 		State: fusion.VehicleState{
 			GPS: geom.V3(12.5, -3.25, 0.5),
@@ -69,28 +69,6 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMessageRequestRegion(t *testing.T) {
-	m := Message{
-		Type:   MsgROIRequest,
-		Sender: "car2",
-		Region: geom.NewAABB(geom.V3(10, -5, 0), geom.V3(20, 5, 3)),
-	}
-	enc, err := EncodeMessage(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeMessage(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Region != m.Region {
-		t.Errorf("region = %+v, want %+v", got.Region, m.Region)
-	}
-	if len(got.Payload) != 0 {
-		t.Errorf("request should carry no payload")
-	}
-}
-
 func TestDecodeMessageErrors(t *testing.T) {
 	if _, err := DecodeMessage(nil); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("nil: %v", err)
@@ -98,7 +76,7 @@ func TestDecodeMessageErrors(t *testing.T) {
 	if _, err := DecodeMessage([]byte("XXXXXXXXXX")); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("garbage: %v", err)
 	}
-	good, _ := EncodeMessage(Message{Type: MsgFullScan, Sender: "a", Payload: make([]byte, 100)})
+	good, _ := EncodeMessage(Message{Type: MsgFrame, Sender: "a", Payload: make([]byte, 100)})
 	if _, err := DecodeMessage(good[:40]); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("truncated: %v", err)
 	}
@@ -107,6 +85,27 @@ func TestDecodeMessageErrors(t *testing.T) {
 	bad[4] = 9
 	if _, err := DecodeMessage(bad); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("bad version: %v", err)
+	}
+	// Retired protocol v1 and types outside v2/v3 are refused both ways.
+	bad[4] = 1
+	if _, err := DecodeMessage(bad); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("version 1: %v", err)
+	}
+	for _, typ := range []MsgType{0, 1, 2, 3, MsgHello - 1} {
+		if _, err := EncodeMessage(Message{Type: typ, Sender: "a"}); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("encode type %d: err = %v, want ErrBadMessage", typ, err)
+		}
+	}
+	// A type framed under the other hub version is refused.
+	bad[4] = 3
+	if _, err := DecodeMessage(bad); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("v2 type under version 3: %v", err)
+	}
+	// The reserved block must stay zero.
+	bad = append([]byte{}, good...)
+	bad[headerFixed+1+stateSize] = 1
+	if _, err := DecodeMessage(bad); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("nonzero reserved byte: %v", err)
 	}
 }
 
@@ -135,7 +134,7 @@ func TestTransportOverTCP(t *testing.T) {
 			return
 		}
 		// Echo a response back.
-		if err := conn.Send(Message{Type: MsgROIShare, Sender: "server", Payload: msg.Payload}); err != nil {
+		if err := conn.Send(Message{Type: MsgFrame, Sender: "server", Payload: msg.Payload}); err != nil {
 			done <- result{err: err}
 			return
 		}
@@ -152,7 +151,7 @@ func TestTransportOverTCP(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	want := Message{Type: MsgFullScan, Sender: "car1", Payload: payload}
+	want := Message{Type: MsgFrame, Sender: "car1", Payload: payload}
 	if err := client.Send(want); err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,14 @@ type PoseError struct {
 	Yaw float64
 }
 
+// DriftWalk is the drift walk of the scenario's pose i, seeded
+// Seed*1000003 + i*7919 + 11. Every harness that drifts vehicles (the
+// episode engine, the hub selftest) takes its walks from here, so a
+// (scenario seed, vehicle, frame) coordinate lies the same way in each.
+func (s *Scenario) DriftWalk(i int, bound float64, frames int) []PoseError {
+	return DriftWalk(s.Seed*1000003+int64(i)*7919+11, bound, frames)
+}
+
 // DriftWalk simulates integrated GPS/IMU drift over an episode as a
 // seeded bounded random walk: each frame takes a uniform step of up to
 // bound/3 per axis and the accumulated error is clamped to ±bound

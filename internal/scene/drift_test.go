@@ -59,3 +59,15 @@ func TestDriftWalkZeroBoundAndLength(t *testing.T) {
 		t.Fatalf("negative-frame walk length %d", got)
 	}
 }
+
+// TestScenarioDriftWalkSeed pins the per-vehicle seed contract that the
+// episode engine and the hub selftest share (docs/DETERMINISM.md).
+func TestScenarioDriftWalkSeed(t *testing.T) {
+	sc := &Scenario{Seed: 5}
+	for i := 0; i < 3; i++ {
+		want := DriftWalk(5*1000003+int64(i)*7919+11, 0.6, 4)
+		if got := sc.DriftWalk(i, 0.6, 4); !reflect.DeepEqual(got, want) {
+			t.Errorf("vehicle %d: walk %v, want %v", i, got, want)
+		}
+	}
+}

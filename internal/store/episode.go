@@ -12,6 +12,7 @@ import (
 	"cooper/internal/geom"
 	"cooper/internal/pointcloud"
 	"cooper/internal/spod"
+	"cooper/internal/track"
 )
 
 // Typed record payloads. Every field is either a byte count, an index,
@@ -104,6 +105,15 @@ type TrackState struct {
 	Box          geom.Box
 	VelX, VelY   float64
 	Hits, Misses int
+}
+
+// TrackStates captures a tracker's live tracks as episode records.
+func TrackStates(tracks []*track.Track) []TrackState {
+	ts := make([]TrackState, len(tracks))
+	for j, t := range tracks {
+		ts[j] = TrackState{ID: t.ID, Box: t.Box, VelX: t.Vel.X, VelY: t.Vel.Y, Hits: t.Hits, Misses: t.Misses}
+	}
+	return ts
 }
 
 // Tracks is one receiver's tracker state after a frame.

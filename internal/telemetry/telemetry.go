@@ -1,8 +1,6 @@
-// Package telemetry is the repository's lightweight time-series metrics
-// layer: a registry of named counters, gauges and fixed-bucket
-// histograms, point-in-time snapshots rendered as JSON or Prometheus
-// text, and an FTDC-style delta-compressed sample series for long soak
-// runs (see series.go).
+// Package telemetry is the repository's lightweight metrics layer: a
+// registry of named counters, gauges and fixed-bucket histograms, and
+// point-in-time snapshots rendered as JSON or Prometheus text.
 //
 // The package carries a hard determinism contract, the same one every
 // transcript and golden file in this repository lives by: every metric

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // fill drives a fixed workload into a registry from `workers`
@@ -90,11 +89,6 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	if n := len(r.Snapshot().Metrics); n != 0 {
 		t.Fatalf("nil registry snapshot has %d metrics", n)
 	}
-	var s *Series
-	s.Sample(0, Snapshot{})
-	if s.Len() != 0 || s.Bytes() != nil {
-		t.Fatal("nil series must no-op")
-	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -140,86 +134,5 @@ func TestPrometheusExposition(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestSeriesRoundTrip delta-encodes a sample sequence and decodes it
-// back to the absolute values.
-func TestSeriesRoundTrip(t *testing.T) {
-	r := New()
-	c := r.Counter("bytes_total")
-	g := r.Gauge("cached")
-	h := r.Histogram("lat_us", 100)
-	var s Series
-	type step struct {
-		add int64
-		set int64
-		obs int64
-		at  time.Duration
-	}
-	steps := []step{{10, 1, 50, 0}, {25, 2, 150, time.Second}, {0, 2, 99, 2 * time.Second}}
-	for _, st := range steps {
-		c.Add(st.add)
-		g.Set(st.set)
-		h.Observe(st.obs)
-		s.Sample(st.at, r.Snapshot())
-	}
-	if s.Len() != len(steps) {
-		t.Fatalf("series length %d, want %d", s.Len(), len(steps))
-	}
-	dec, err := DecodeSeries(s.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) != len(steps) {
-		t.Fatalf("decoded %d samples, want %d", len(dec), len(steps))
-	}
-	if dec[1].At != time.Second || dec[2].At != 2*time.Second {
-		t.Fatalf("decoded times %v %v", dec[1].At, dec[2].At)
-	}
-	if got := dec[1].Values["bytes_total"]; got != 35 {
-		t.Fatalf("sample 1 bytes_total = %d, want 35", got)
-	}
-	if got := dec[2].Values["cached"]; got != 2 {
-		t.Fatalf("sample 2 cached = %d, want 2", got)
-	}
-	if got := dec[2].Values["lat_us_count"]; got != 3 {
-		t.Fatalf("sample 2 lat_us_count = %d, want 3", got)
-	}
-	if got := dec[2].Values["lat_us_bucket1"]; got != 1 {
-		t.Fatalf("sample 2 overflow bucket = %d, want 1", got)
-	}
-}
-
-// TestSeriesCompact confirms the FTDC property the format exists for:
-// a flat series costs roughly a byte per column per sample.
-func TestSeriesCompact(t *testing.T) {
-	r := New()
-	r.Counter("flat_total").Add(1 << 40) // large absolute value
-	var s Series
-	for i := 0; i < 100; i++ {
-		s.Sample(time.Duration(i)*time.Millisecond, r.Snapshot())
-	}
-	perSample := (len(s.Bytes()) - 20) / 100
-	if perSample > 4 {
-		t.Fatalf("flat column costs %d B/sample, want delta-compressed (≤4)", perSample)
-	}
-}
-
-func TestDecodeSeriesMalformed(t *testing.T) {
-	var s Series
-	r := New()
-	r.Counter("a_total").Inc()
-	s.Sample(0, r.Snapshot())
-	valid := s.Bytes()
-	for cut := 0; cut < len(valid); cut++ {
-		if _, err := DecodeSeries(valid[:cut]); err == nil && cut < len(valid) {
-			// A clean prefix ending exactly on a sample boundary is legal;
-			// anything else must error, never panic. Either way: no panic.
-			_ = err
-		}
-	}
-	if _, err := DecodeSeries([]byte("garbage")); err == nil {
-		t.Fatal("garbage decoded without error")
 	}
 }
