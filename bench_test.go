@@ -287,6 +287,46 @@ func BenchmarkFeatureBackendFuseDetect(b *testing.B) {
 }
 func BenchmarkFeatureRawFuseDetectBaseline(b *testing.B) { benchBackendFuse(b, fusion.RawBackend{}) }
 
+// BenchmarkRawFuseICP3 measures the in-loop ICP fuse on its own: one
+// receiver and three senders of a canyon fleet, each sender's GPS state
+// drifted by 0.2 m per axis, through RawBackend{UseICP: true}.Fuse —
+// decode, align, ICP-refine against the receiver and merge.
+func BenchmarkRawFuseICP3(b *testing.B) {
+	sc, err := cooper.GenerateScenario(cooper.GenParams{Family: "canyon", Fleet: 4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	runner := cooper.NewScenarioRunner(sc)
+	frame := func(i int) fusion.SensorFrame {
+		v := runner.Vehicle(i)
+		return fusion.SensorFrame{State: v.State(), Cloud: v.Sense(sc.Scene.Targets(), sc.Scene.GroundZ)}
+	}
+	rx := frame(0)
+	rng := rand.New(rand.NewSource(1))
+	var payloads []fusion.Payload
+	for i := 1; i < 4; i++ {
+		tx := frame(i)
+		tx.State = fusion.ApplyDrift(tx.State, fusion.DriftDouble, rng)
+		p, err := fusion.RawBackend{}.Encode(tx, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloads = append(payloads, p)
+	}
+	backend := fusion.RawBackend{UseICP: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in, err := backend.Fuse(rx, payloads)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(in.ICPCorrections) != len(payloads) {
+			b.Fatalf("%d ICP corrections for %d payloads", len(in.ICPCorrections), len(payloads))
+		}
+	}
+}
+
 // --- Dynamic-world engine: tracking + compensation hot path ---
 //
 // The Track benchmarks are the perf-trajectory numbers for the time

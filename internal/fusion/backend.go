@@ -156,6 +156,9 @@ func (RawBackend) Select(f SensorFrame, budgetBytes int, s *spod.DetectorScratch
 func (b RawBackend) Fuse(receiver SensorFrame, payloads []Payload) (*FusedInput, error) {
 	in := &FusedInput{Cloud: receiver.Cloud, MaxDist: maxSenderDist(receiver, payloads)}
 	var aligned []*pointcloud.Cloud
+	// The receiver's ICP reference (ground removal and index) is the
+	// same for every sender: prepare it once, on the first raw payload.
+	var icp *icpReference
 	for _, p := range payloads {
 		if spod.IsFeaturePayload(p.Data) {
 			r, err := decodeRemote(receiver, p)
@@ -177,7 +180,10 @@ func (b RawBackend) Fuse(receiver SensorFrame, payloads []Payload) (*FusedInput,
 		al := Align(receiver.State, p.State, tmp)
 		pointcloud.PutCloud(tmp)
 		if b.UseICP {
-			corr := RefineAlignment(receiver.Cloud, al, DefaultICPConfig())
+			if icp == nil {
+				icp = newICPReference(receiver.Cloud, DefaultICPConfig())
+			}
+			corr := icp.refine(al)
 			al = al.Transform(corr)
 			in.ICPCorrections = append(in.ICPCorrections, corr.T.Norm())
 		}

@@ -41,29 +41,56 @@ func DefaultICPConfig() ICPConfig {
 // beyond the robustness already shown in Fig. 10; the ablation benchmark
 // quantifies how much of the doubled-drift score loss it recovers.
 func RefineAlignment(reference, source *pointcloud.Cloud, cfg ICPConfig) geom.Transform {
-	correction := geom.IdentityTransform()
-	if reference.Len() == 0 || source.Len() == 0 {
-		return correction
+	return newICPReference(reference, cfg).refine(source)
+}
+
+// icpReference is the receiver side of RefineAlignment, prepared once and
+// reused for every source registered against the same reference: its
+// elevated points and their grid index. A nil index marks a reference
+// with too little structure to register against.
+type icpReference struct {
+	cfg   ICPConfig
+	cloud *pointcloud.Cloud
+	index *pointcloud.GridIndex
+}
+
+func newICPReference(reference *pointcloud.Cloud, cfg ICPConfig) *icpReference {
+	r := &icpReference{cfg: cfg}
+	if reference.Len() == 0 {
+		return r
 	}
 	// Ground returns dominate clouds and carry no lateral constraint;
 	// register on elevated structure only.
-	refZ := reference.EstimateGroundZ()
-	ref := reference.RemoveGroundPlane(refZ, 0.3)
-	srcZ := source.EstimateGroundZ()
-	src := source.RemoveGroundPlane(srcZ, 0.3)
-	if ref.Len() < 10 || src.Len() < 10 {
+	ref := reference.RemoveGroundPlane(reference.EstimateGroundZ(), 0.3)
+	if ref.Len() < 10 {
+		return r
+	}
+	r.cloud = ref
+	r.index = pointcloud.NewGridIndex(ref, cfg.MaxPairDistance)
+	return r
+}
+
+// refine runs the ICP loop for one source cloud against the reference.
+func (r *icpReference) refine(source *pointcloud.Cloud) geom.Transform {
+	correction := geom.IdentityTransform()
+	if r.index == nil || source.Len() == 0 {
 		return correction
 	}
-	index := pointcloud.NewGridIndex(ref, cfg.MaxPairDistance)
+	cfg := r.cfg
+	src := source.RemoveGroundPlane(source.EstimateGroundZ(), 0.3)
+	if src.Len() < 10 {
+		return correction
+	}
 
 	stride := 1
 	if src.Len() > cfg.MaxPoints {
 		stride = src.Len() / cfg.MaxPoints
 	}
 
+	var sxs, sys, rxs, rys []float64
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
 		// Gather correspondences under the current correction.
-		var sxs, sys, rxs, rys []float64
+		sxs, sys, rxs, rys = sxs[:0], sys[:0], rxs[:0], rys[:0]
 		for i := 0; i < src.Len(); i += stride {
 			p := correction.Apply(src.At(i).Pos())
 			// Bounded query: pairs beyond MaxPairDistance are discarded
@@ -71,11 +98,11 @@ func RefineAlignment(reference, source *pointcloud.Cloud, cfg ICPConfig) geom.Tr
 			// crawls the whole grid whenever a source point lands far from
 			// any reference structure (the NLOS families are full of such
 			// points — the occluder hides most of the reference cloud).
-			j, d := index.NearestWithin(p, cfg.MaxPairDistance)
+			j, d := r.index.NearestWithin(p, cfg.MaxPairDistance)
 			if j < 0 || d > cfg.MaxPairDistance {
 				continue
 			}
-			q := ref.At(j)
+			q := r.cloud.At(j)
 			sxs = append(sxs, p.X)
 			sys = append(sys, p.Y)
 			rxs = append(rxs, q.X)

@@ -166,3 +166,77 @@ func TestInLoopICPEmptySender(t *testing.T) {
 	assertFinite(t, corrected)
 	assertIdenticalClouds(t, plain, corrected)
 }
+
+// TestFuseICPSharesReference pins the once-per-Fuse ICP reference to the
+// per-sender RefineAlignment it replaced: three drifted senders must get
+// the same corrections and the same merged cloud, bit for bit, including
+// for an empty receiver and one with fewer than 10 non-ground points.
+func TestFuseICPSharesReference(t *testing.T) {
+	sparse := pointcloud.New(0)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 300; i++ { // ground only, plus a handful of raised returns
+		sparse.AppendXYZR(rng.Float64()*30-15, rng.Float64()*30-15, -1.73+rng.NormFloat64()*0.005, 0.2)
+	}
+	for i := 0; i < 6; i++ {
+		sparse.AppendXYZR(rng.Float64()*10, rng.Float64()*10, 0.5, 0.4)
+	}
+	recvState := VehicleState{MountHeight: 1.7}
+	senders := []VehicleState{
+		{GPS: geom.V3(0.35, -0.2, 0), Yaw: 0.012, MountHeight: 1.7},
+		{GPS: geom.V3(-0.25, 0.3, 0), Yaw: -0.008, MountHeight: 1.7},
+		{GPS: geom.V3(0.1, 0.45, 0), Yaw: 0.02, MountHeight: 1.7},
+	}
+	for _, tc := range []struct {
+		name     string
+		receiver *pointcloud.Cloud
+	}{
+		{"structured", structuredCloud(21)},
+		{"empty", pointcloud.New(0)},
+		{"under 10 non-ground", sparse},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var payloads []Payload
+			for k, st := range senders {
+				// Each sender sees the shared structure from its own pose.
+				world := structuredCloud(int64(22 + k))
+				p, err := RawBackend{}.Encode(SensorFrame{State: st, Cloud: world}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				payloads = append(payloads, Payload{State: st, Data: p.Data})
+			}
+			rx := SensorFrame{State: recvState, Cloud: tc.receiver}
+			in, err := RawBackend{UseICP: true}.Fuse(rx, payloads)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var aligned []*pointcloud.Cloud
+			var corrections []float64
+			for _, p := range payloads {
+				c, err := pointcloud.Decode(p.Data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				al := Align(recvState, p.State, c)
+				corr := RefineAlignment(tc.receiver, al, DefaultICPConfig())
+				aligned = append(aligned, al.Transform(corr))
+				corrections = append(corrections, corr.T.Norm())
+			}
+			want := Merge(tc.receiver, aligned...)
+
+			if len(in.ICPCorrections) != len(corrections) {
+				t.Fatalf("%d corrections, want %d", len(in.ICPCorrections), len(corrections))
+			}
+			for k := range corrections {
+				if math.Float64bits(in.ICPCorrections[k]) != math.Float64bits(corrections[k]) {
+					t.Errorf("sender %d: correction %v, per-sender RefineAlignment %v", k, in.ICPCorrections[k], corrections[k])
+				}
+			}
+			if tc.name == "structured" && corrections[0] == 0 {
+				t.Error("structured receiver: ICP applied no correction; the case tests nothing")
+			}
+			assertIdenticalClouds(t, want, in.Cloud)
+		})
+	}
+}

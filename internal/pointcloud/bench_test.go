@@ -1,7 +1,10 @@
 package pointcloud
 
 import (
+	"math/rand"
 	"testing"
+
+	"cooper/internal/geom"
 )
 
 // The Wire benchmarks compare the v2 per-frame path (self-contained
@@ -91,4 +94,47 @@ func BenchmarkWireDecodeAlloc(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkGridIndexNearestWithin measures the ICP correspondence query:
+// one op is 1024 NearestWithin lookups at r = cell = 1 m (ICPConfig's
+// MaxPairDistance) against a 20k-point cloud of walls over scattered
+// clutter, the queries being cloud points displaced by up to 0.5 m and
+// one in eight a point far from any structure.
+func BenchmarkGridIndexNearestWithin(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	c := New(20000)
+	for i := 0; i < 20000; i++ {
+		switch i % 4 {
+		case 0: // wall along x
+			c.AppendXYZR(rng.Float64()*60-30, 12+rng.NormFloat64()*0.03, rng.Float64()*3-1, 0)
+		case 1: // wall along y
+			c.AppendXYZR(-20+rng.NormFloat64()*0.03, rng.Float64()*60-30, rng.Float64()*3-1, 0)
+		default: // clutter
+			c.AppendXYZR(rng.Float64()*60-30, rng.Float64()*60-30, rng.Float64()*2-1, 0)
+		}
+	}
+	idx := NewGridIndex(c, 1)
+	queries := make([]geom.Vec3, 1024)
+	for i := range queries {
+		if i%8 == 7 {
+			queries[i] = geom.V3(rng.Float64()*200+100, rng.Float64()*60-30, 0)
+			continue
+		}
+		p := c.At(rng.Intn(c.Len())).Pos()
+		queries[i] = geom.V3(p.X+rng.Float64()-0.5, p.Y+rng.Float64()-0.5, p.Z+rng.Float64()-0.5)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		for _, q := range queries {
+			if j, _ := idx.NearestWithin(q, 1); j >= 0 {
+				hits++
+			}
+		}
+	}
+	if hits == 0 {
+		b.Fatal("no query found a neighbour")
+	}
 }

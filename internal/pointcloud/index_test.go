@@ -2,6 +2,8 @@ package pointcloud
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -144,5 +146,126 @@ func TestGridIndexZeroRadius(t *testing.T) {
 	idx := NewGridIndex(c, 1)
 	if got := idx.Radius(geom.V3(0, 0, 0), 0); got != nil {
 		t.Errorf("zero radius returned %v", got)
+	}
+}
+
+// bruteNearest returns the lowest index at the smallest distance from q,
+// with the distance computed the way the index computes it.
+func bruteNearest(c *Cloud, q geom.Vec3) (int, float64) {
+	best, bestD2 := -1, math.Inf(1)
+	for i, p := range c.pts {
+		dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
+		if d2 := dx*dx + dy*dy + dz*dz; d2 < bestD2 {
+			best, bestD2 = i, d2
+		}
+	}
+	return best, math.Sqrt(bestD2)
+}
+
+// A hit in ring k can lie up to (k+1)·√3 cells away while ring k+2 starts
+// (k+1) cells away, so stopping one ring after the first hit misses
+// closer points straight along an axis.
+func TestGridIndexNearestPastFirstHitRing(t *testing.T) {
+	c := FromPoints([]Point{{X: 1.99, Y: 1.99, Z: 1.99}, {X: 0.5, Y: 0.5, Z: 3.0}})
+	idx := NewGridIndex(c, 1)
+	q := geom.V3(0.5, 0.5, 0.5)
+	if i, d := idx.Nearest(q); i != 1 || d != 2.5 {
+		t.Errorf("Nearest = (%d, %v), want (1, 2.5)", i, d)
+	}
+	if i, d := idx.NearestWithin(q, 3); i != 1 || d != 2.5 {
+		t.Errorf("NearestWithin(q, 3) = (%d, %v), want (1, 2.5)", i, d)
+	}
+}
+
+func TestGridIndexNearestExactRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for trial := 0; trial < 20; trial++ {
+		// Sparse clouds, small cells: the nearest point is typically
+		// several rings out, where the old early stop went wrong.
+		c := New(0)
+		n := 1 + rng.Intn(200)
+		for i := 0; i < n; i++ {
+			c.AppendXYZR(rng.Float64()*40-20, rng.Float64()*40-20, rng.Float64()*10-5, 0)
+		}
+		cell := []float64{0.3, 0.5, 1, 2.5}[trial%4]
+		idx := NewGridIndex(c, cell)
+		for k := 0; k < 200; k++ {
+			q := geom.V3(rng.Float64()*50-25, rng.Float64()*50-25, rng.Float64()*14-7)
+			bi, bd := bruteNearest(c, q)
+			if gi, gd := idx.Nearest(q); gd != bd || !sameDist(c, gi, q, bd) {
+				t.Fatalf("cell %v: Nearest(%v) = (%d, %v), brute force (%d, %v)", cell, q, gi, gd, bi, bd)
+			}
+			r := rng.Float64() * 6
+			gi, gd := idx.NearestWithin(q, r)
+			if bd <= r && (gd != bd || !sameDist(c, gi, q, bd)) {
+				t.Fatalf("cell %v: NearestWithin(%v, %v) = (%d, %v), brute force (%d, %v)", cell, q, r, gi, gd, bi, bd)
+			}
+			if bd > r && gi >= 0 && gd <= r {
+				t.Fatalf("cell %v: NearestWithin(%v, %v) = (%d, %v) inside an empty radius", cell, q, r, gi, gd)
+			}
+		}
+	}
+}
+
+// sameDist reports whether point i lies exactly d from q.
+func sameDist(c *Cloud, i int, q geom.Vec3, d float64) bool {
+	if i < 0 {
+		return false
+	}
+	p := c.pts[i]
+	dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
+	return math.Sqrt(dx*dx+dy*dy+dz*dz) == d
+}
+
+// TestGridIndexMatchesMapIndex pins the column layout to the per-cell map
+// layout it replaced: same Radius indices in the same order, and the same
+// NearestWithin answer bit for bit wherever the map layout was exact.
+// Coordinates on a 0.25 m lattice share cells and produce exact ties.
+func TestGridIndexMatchesMapIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	coord := func(quantized bool, span float64) float64 {
+		v := rng.Float64()*2*span - span
+		if quantized {
+			v = math.Round(v*4) / 4
+		}
+		return v
+	}
+	for trial := 0; trial < 24; trial++ {
+		quantized := trial%2 == 0
+		n := 50 + rng.Intn(400)
+		switch {
+		case trial < 2:
+			n = 0
+		case trial < 4:
+			n = 1
+		}
+		c := New(n)
+		for i := 0; i < n; i++ {
+			c.AppendXYZR(coord(quantized, 6), coord(quantized, 6), coord(quantized, 2), 0)
+		}
+		for _, cell := range []float64{0.3, 1, 2.5} {
+			got, want := NewGridIndex(c, cell), newMapGridIndex(c, cell)
+			for k := 0; k < 100; k++ {
+				var q geom.Vec3
+				if n > 0 && k%4 == 0 {
+					q = c.At(rng.Intn(n)).Pos() // exact hit, distance 0
+				} else {
+					q = geom.V3(coord(quantized, 7), coord(quantized, 7), coord(quantized, 3))
+				}
+				for _, r := range []float64{0.25 * cell, 0.5, cell, 2 * cell, 3.7} {
+					g, w := got.Radius(q, r), want.Radius(q, r)
+					if !slices.Equal(g, w) {
+						t.Fatalf("n=%d cell %v: Radius(%v, %v) = %v, map index %v", n, cell, q, r, g, w)
+					}
+				}
+				for _, r := range []float64{0.01 * cell, 0.5 * cell, cell} {
+					gi, gd := got.NearestWithin(q, r)
+					wi, wd := want.NearestWithin(q, r)
+					if gi != wi || math.Float64bits(gd) != math.Float64bits(wd) {
+						t.Fatalf("n=%d cell %v: NearestWithin(%v, %v) = (%d, %v), map index (%d, %v)", n, cell, q, r, gi, gd, wi, wd)
+					}
+				}
+			}
+		}
 	}
 }

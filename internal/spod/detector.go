@@ -249,7 +249,7 @@ func (d *Detector) backHalf(tensor *SparseTensor, grid *VoxelGrid, nonGround *po
 				continue
 			}
 			st.CandidateCount++
-			pool = append(pool, scored{cand: best.cand, points: sub, comp: ci, score: best.score})
+			pool = append(pool, scored{cand: best.cand, points: sub.clusterPoints, comp: ci, score: best.score})
 		}
 	}
 
@@ -277,7 +277,7 @@ func (d *Detector) backHalf(tensor *SparseTensor, grid *VoxelGrid, nonGround *po
 				continue
 			}
 			union := concatClusters(pool[i].points, pool[j].points)
-			best, ok := d.bestCandidate(union, groundZ)
+			best, ok := d.bestCandidate(union.withYaw(), groundZ)
 			if !ok {
 				continue
 			}
@@ -326,9 +326,9 @@ type scoredCandidate struct {
 
 // bestCandidate fits anchors to a cluster and returns the highest-scoring
 // plausible one.
-func (d *Detector) bestCandidate(cp clusterPoints, groundZ float64) (scoredCandidate, bool) {
+func (d *Detector) bestCandidate(part clusterPart, groundZ float64) (scoredCandidate, bool) {
 	best := scoredCandidate{score: -1}
-	for _, cand := range fitCandidates(cp, groundZ, geom.Vec2{}) {
+	for _, cand := range fitCandidates(part, groundZ, geom.Vec2{}) {
 		if cand.stats.rangeXY > d.cfg.MaxDetectionRange {
 			continue
 		}

@@ -70,6 +70,16 @@ func gatherCluster[I int | int32](c *pointcloud.Cloud, idxs []I) clusterPoints {
 
 func (cp clusterPoints) len() int { return len(cp.xs) }
 
+// clusterPart is a cluster ready for anchor fitting: its points and
+// their L-shape yaw (minAreaYaw), searched once per point set.
+type clusterPart struct {
+	clusterPoints
+	yaw float64
+}
+
+// withYaw pairs the cluster with its L-shape yaw.
+func (cp clusterPoints) withYaw() clusterPart { return clusterPart{cp, cp.minAreaYaw()} }
+
 // pcaYaw returns the orientation of the cluster's principal BEV axis.
 func (cp clusterPoints) pcaYaw() float64 {
 	n := float64(cp.len())
@@ -112,6 +122,12 @@ func (cp clusterPoints) minAreaYaw() float64 {
 		stride = n / 512
 	}
 	const steps = 60 // 1.5° resolution
+	// The builtin min/max inline where math.Min/Max are calls. The two
+	// differ only in NaN bits and on a fold holding a NaN and an infinity
+	// of the fold's sign (math.Min(NaN, -Inf) is -Inf, the builtin's NaN).
+	// Neither reaches the yaw: a sampled NaN projection makes that point's
+	// d NaN under both rules (no term of d can be -Inf), so the step's
+	// score is NaN either way and never wins.
 	bestYaw, bestScore := 0.0, math.Inf(-1)
 	for i := 0; i < steps; i++ {
 		yaw := float64(i) * (math.Pi / 2) / steps
@@ -123,8 +139,8 @@ func (cp clusterPoints) minAreaYaw() float64 {
 		for j := 0; j < n; j += stride {
 			u := c1*cp.xs[j] + s1*cp.ys[j]
 			v := -s1*cp.xs[j] + c1*cp.ys[j]
-			lo1, hi1 = math.Min(lo1, u), math.Max(hi1, u)
-			lo2, hi2 = math.Min(lo2, v), math.Max(hi2, v)
+			lo1, hi1 = min(lo1, u), max(hi1, u)
+			lo2, hi2 = min(lo2, v), max(hi2, v)
 		}
 		// Second pass: closeness — reward points hugging an edge.
 		const d0 = 0.05 // saturation distance, metres
@@ -132,11 +148,8 @@ func (cp clusterPoints) minAreaYaw() float64 {
 		for j := 0; j < n; j += stride {
 			u := c1*cp.xs[j] + s1*cp.ys[j]
 			v := -s1*cp.xs[j] + c1*cp.ys[j]
-			d := math.Min(
-				math.Min(u-lo1, hi1-u),
-				math.Min(v-lo2, hi2-v),
-			)
-			score += 1 / math.Max(d, d0)
+			d := min(u-lo1, hi1-u, v-lo2, hi2-v)
+			score += 1 / max(d, d0)
 		}
 		if score > bestScore {
 			bestScore = score
@@ -147,7 +160,9 @@ func (cp clusterPoints) minAreaYaw() float64 {
 }
 
 // extents projects the cluster on the axis at the given yaw and returns
-// (min, max) along it.
+// (min, max) along it. It folds with math.Min/Max, not the builtins: the
+// extents reach the candidate stats, and on a fold holding a NaN and +Inf
+// math.Max returns +Inf where the builtin max returns NaN (zStats too).
 func (cp clusterPoints) extents(yaw float64) (float64, float64) {
 	c, s := math.Cos(yaw), math.Sin(yaw)
 	lo, hi := math.Inf(1), math.Inf(-1)
@@ -170,7 +185,7 @@ func (cp clusterPoints) zStats() (float64, float64) {
 }
 
 // fitCandidates fits car-anchor boxes to a cluster. It returns up to two
-// candidates (anchor length along the cluster's principal axis and
+// candidates (anchor length along the cluster's L-shape yaw and
 // perpendicular to it) — the RPN's two anchor orientations — each with an
 // L-shape occlusion shift: when a face is only partially observed, the
 // anchor is pushed away from the sensor so the observed points sit on its
@@ -179,14 +194,14 @@ func (cp clusterPoints) zStats() (float64, float64) {
 //
 // groundZ anchors heights; sensorXY is the observing sensor's ground
 // position (the merge receiver's origin for cooperative clouds).
-func fitCandidates(cp clusterPoints, groundZ float64, sensorXY geom.Vec2) []candidate {
+func fitCandidates(part clusterPart, groundZ float64, sensorXY geom.Vec2) []candidate {
+	cp := part.clusterPoints
 	if cp.len() < 3 {
 		return nil
 	}
-	base := cp.minAreaYaw()
 	zMin, zMax := cp.zStats()
 	out := make([]candidate, 0, 2)
-	for _, yaw := range []float64{base, base + math.Pi/2} {
+	for _, yaw := range []float64{part.yaw, part.yaw + math.Pi/2} {
 		cand, ok := fitAtYaw(cp, yaw, groundZ, zMin, zMax, sensorXY)
 		if ok {
 			out = append(out, cand)
@@ -288,11 +303,13 @@ func fitAtYaw(cp clusterPoints, yaw, groundZ, zMin, zMax float64, sensorXY geom.
 }
 
 // splitCluster tiles an oversized cluster along its principal axis into
-// car-length bins and returns the per-bin point subsets. Queued or
-// bumper-to-bumper vehicles form one connected proposal; tiling lets the
-// anchors separate them.
-func splitCluster(cp clusterPoints) []clusterPoints {
-	yaw := cp.minAreaYaw()
+// car-length bins and returns the per-bin point subsets, each with its
+// L-shape yaw. Queued or bumper-to-bumper vehicles form one connected
+// proposal; tiling lets the anchors separate them. A cluster that stays
+// whole keeps the yaw the split test searched for.
+func splitCluster(cp clusterPoints) []clusterPart {
+	whole := cp.withYaw()
+	yaw := whole.yaw
 	if loA, hiA := cp.extents(yaw); true {
 		// Split along whichever fitted axis is longer.
 		if loB, hiB := cp.extents(yaw + math.Pi/2); (hiB - loB) > (hiA - loA) {
@@ -302,11 +319,11 @@ func splitCluster(cp clusterPoints) []clusterPoints {
 	lo, hi := cp.extents(yaw)
 	extent := hi - lo
 	if extent <= anchorLength*1.3 {
-		return []clusterPoints{cp}
+		return []clusterPart{whole}
 	}
 	bins := int(math.Ceil(extent / (anchorLength * 1.15)))
 	if bins < 2 {
-		return []clusterPoints{cp}
+		return []clusterPart{whole}
 	}
 	binW := extent / float64(bins)
 	out := make([]clusterPoints, bins)
@@ -321,10 +338,10 @@ func splitCluster(cp clusterPoints) []clusterPoints {
 		out[b].ys = append(out[b].ys, cp.ys[i])
 		out[b].zs = append(out[b].zs, cp.zs[i])
 	}
-	kept := out[:0]
+	kept := make([]clusterPart, 0, bins)
 	for _, b := range out {
 		if b.len() >= 3 {
-			kept = append(kept, b)
+			kept = append(kept, b.withYaw())
 		}
 	}
 	return kept
