@@ -176,7 +176,7 @@ func benchHubAssemble(b *testing.B, vehicles int, budgetBps uint64) {
 	h := hubFleet(b, vehicles, 20_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 0, budgetBps); err != nil {
+		if _, err := h.AssembleRound("rx", geom.V3(0, 0, 0), hub.RoundSpec{BudgetBps: budgetBps}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -458,7 +458,7 @@ func BenchmarkSPODSingleShot16Beam(b *testing.B) {
 	det := spod.NewDefault()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Detect(single)
+		det.Detect(single, nil, nil)
 	}
 }
 
@@ -467,7 +467,7 @@ func BenchmarkSPODCooperative16Beam(b *testing.B) {
 	det := spod.New(spod.CoopConfig(spod.DefaultConfig(), 15))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Detect(merged)
+		det.Detect(merged, nil, nil)
 	}
 }
 
@@ -478,7 +478,7 @@ func BenchmarkSPODSingleShot64Beam(b *testing.B) {
 	det := spod.New(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Detect(single)
+		det.Detect(single, nil, nil)
 	}
 }
 
@@ -489,7 +489,7 @@ func BenchmarkSPODCooperative64Beam(b *testing.B) {
 	det := spod.New(spod.CoopConfig(cfg, 15))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Detect(merged)
+		det.Detect(merged, nil, nil)
 	}
 }
 
@@ -500,7 +500,7 @@ func BenchmarkDetectorComparisonSPOD(b *testing.B) {
 	det := spod.NewDefault()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Detect(single)
+		det.Detect(single, nil, nil)
 	}
 }
 
@@ -522,7 +522,7 @@ func middleTensor(b *testing.B) (*spod.SparseTensor, geom.AABB) {
 	single = single.CropRange(0, 40)
 	ground := single.EstimateGroundZ()
 	nonGround := single.RemoveGroundPlane(ground, 0.25)
-	grid := spod.Voxelize(nonGround, 0.2, 0.25, ground)
+	grid := spod.Voxelize(nonGround, 0.2, 0.25, ground, 1)
 	bounds, _ := nonGround.Bounds()
 	return spod.NewSparseTensor(grid), bounds
 }
@@ -588,7 +588,7 @@ func benchVoxelSize(b *testing.B, size float64) {
 	det := spod.New(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Detect(single)
+		det.Detect(single, nil, nil)
 	}
 }
 

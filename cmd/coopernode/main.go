@@ -309,7 +309,7 @@ func joinHub(v *core.Vehicle, sc *scene.Scenario, addr string, k int, bwMbps flo
 		len(frames), strings.Join(senders, "+"), total/1024,
 		plan.Completion().Round(1e5), plan.MbitPerSecond(), plan.Fits())
 
-	singles, _, err := v.Detect()
+	singles, _, err := v.Detect(nil)
 	if err != nil {
 		return err
 	}

@@ -98,8 +98,8 @@ type (
 	// DetectorStats is per-stage instrumentation of one detection pass.
 	DetectorStats = spod.Stats
 	// DetectorScratch owns a detection pass's reusable buffers; hold one
-	// per goroutine and thread it through DetectWithScratch for
-	// allocation-free steady-state detection.
+	// per goroutine and pass it to Detector.Detect for allocation-free
+	// steady-state detection.
 	DetectorScratch = spod.DetectorScratch
 	// DriftMode selects a Fig. 10 GPS skew regime.
 	DriftMode = fusion.DriftMode

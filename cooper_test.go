@@ -23,7 +23,7 @@ func TestFacadeCooperativeLoop(t *testing.T) {
 	rx.Sense(world.Targets(), world.GroundZ)
 	tx.Sense(world.Targets(), world.GroundZ)
 
-	single, _, err := rx.Detect()
+	single, _, err := rx.Detect(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFacadeDetectorConfig(t *testing.T) {
 	}
 	det := cooper.NewDetector(cfg)
 	var empty cooper.Cloud
-	if dets := det.Detect(&empty); len(dets) != 0 {
+	if dets, _ := det.Detect(&empty, nil, nil); len(dets) != 0 {
 		t.Error("empty cloud produced detections")
 	}
 }

@@ -29,7 +29,7 @@ func main() {
 	tx.Sense(world.Targets(), world.GroundZ)
 
 	// Single-shot perception: the receiver alone.
-	single, _, err := rx.Detect()
+	single, _, err := rx.Detect(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

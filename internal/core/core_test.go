@@ -34,7 +34,7 @@ func TestVehicleSenseAndDetect(t *testing.T) {
 	if cloud.Len() == 0 {
 		t.Fatal("empty scan")
 	}
-	dets, stats, err := v.Detect()
+	dets, stats, err := v.Detect(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestVehicleSenseAndDetect(t *testing.T) {
 
 func TestDetectBeforeSenseFails(t *testing.T) {
 	v := testVehicle("rx", 0, 0, 0, 1)
-	if _, _, err := v.Detect(); !errors.Is(err, ErrNoScan) {
+	if _, _, err := v.Detect(nil); !errors.Is(err, ErrNoScan) {
 		t.Errorf("err = %v, want ErrNoScan", err)
 	}
 	if _, err := v.PreparePackage(nil); !errors.Is(err, ErrNoScan) {
@@ -130,7 +130,7 @@ func TestCooperativeDetectRecoversHiddenCar(t *testing.T) {
 	car, _ := w.ObjectByID(hidden)
 	gt := car.Box.Transformed(rx.SensorTransform())
 
-	singles, _, err := rx.Detect()
+	singles, _, err := rx.Detect(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

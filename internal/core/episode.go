@@ -271,7 +271,7 @@ func (l *EpisodeLab) capture(i int, t time.Duration) *labEntry {
 // the winner's identity never shows in the output.
 func (l *EpisodeLab) singleDetect(e *labEntry, s *spod.DetectorScratch) []spod.Detection {
 	e.detOnce.Do(func() {
-		e.dets, _ = spod.New(l.detectorConfig()).DetectWithStatsScratch(l.cropFOV(e.scan.Cloud), s)
+		e.dets, _ = spod.New(l.detectorConfig()).Detect(l.cropFOV(e.scan.Cloud), nil, s)
 	})
 	return e.dets
 }
@@ -307,18 +307,6 @@ func (l *EpisodeLab) poseLabel(i int) string {
 		return l.sc.PoseLabels[i]
 	}
 	return fmt.Sprintf("p%d", i)
-}
-
-// stateAt builds the GPS/IMU state a vehicle at the given world pose
-// reports.
-func (l *EpisodeLab) stateAt(pose geom.Transform) fusion.VehicleState {
-	return fusion.VehicleState{
-		GPS:         pose.T,
-		Yaw:         pose.R.Yaw(),
-		Pitch:       pose.R.Pitch(),
-		Roll:        pose.R.Roll(),
-		MountHeight: l.sc.LiDAR.MountHeight,
-	}
 }
 
 // Run plays one episode: Frames fused frames at Hz. Per frame, every
@@ -395,14 +383,7 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 	// stateFor is the GPS/IMU state pose p reports at frame k: the true
 	// pose's state plus that frame's drift error, if any.
 	stateFor := func(pose geom.Transform, p, k int) fusion.VehicleState {
-		st := l.stateAt(pose)
-		if walks != nil {
-			e := walks[p][k]
-			st.GPS.X += e.X
-			st.GPS.Y += e.Y
-			st.Yaw += e.Yaw
-		}
-		return st
+		return DriftedState(PoseState(pose, sc.LiDAR.MountHeight), walks[p], k)
 	}
 	type capJob struct {
 		pose int
@@ -524,7 +505,7 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 				continue
 			}
 			e := l.capture(s, at(j))
-			payload, err := l.payloadFor(e, backend, det, l.stateAt(e.pose), nil)
+			payload, err := l.payloadFor(e, backend, det, PoseState(e.pose, sc.LiDAR.MountHeight), nil)
 			if err != nil {
 				return nil, err
 			}

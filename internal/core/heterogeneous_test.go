@@ -69,7 +69,7 @@ func TestHeterogeneousFusion16to64(t *testing.T) {
 	rx.Sense(w.Targets(), w.GroundZ)
 	tx.Sense(w.Targets(), w.GroundZ)
 
-	single, _, err := rx.Detect()
+	single, _, err := rx.Detect(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,8 +238,8 @@ func (r *ScenarioRunner) runCase(c scene.CoopCase, opts RunOptions, scratch *spo
 		CloudPointsJ: cloudJ.Len(),
 	}
 
-	out.DetsI, out.StatsI = vi.DetectOnWith(scratch, cloudI)
-	out.DetsJ, out.StatsJ = vj.DetectOnWith(scratch, cloudJ)
+	out.DetsI, out.StatsI = vi.detector.Detect(cloudI, nil, scratch)
+	out.DetsJ, out.StatsJ = vj.detector.Detect(cloudJ, nil, scratch)
 
 	// Exchange: every sender transmits its (optionally ROI-filtered)
 	// cloud to the receiver i.

@@ -142,17 +142,30 @@ func lidarSensorTransform(sc *scene.Scenario, poseIdx int) geom.Transform {
 	return lidar.SensorTransform(sc.Poses[poseIdx], sc.LiDAR.MountHeight)
 }
 
-// PoseState builds the GPS/IMU state a vehicle at the given scenario pose
-// reports.
-func PoseState(sc *scene.Scenario, poseIdx int) fusion.VehicleState {
-	pose := sc.Poses[poseIdx]
+// PoseState builds the GPS/IMU state a vehicle at the given world pose
+// reports, its LiDAR mounted mountHeight above the ground.
+func PoseState(pose geom.Transform, mountHeight float64) fusion.VehicleState {
 	return fusion.VehicleState{
 		GPS:         pose.T,
 		Yaw:         pose.R.Yaw(),
 		Pitch:       pose.R.Pitch(),
 		Roll:        pose.R.Roll(),
-		MountHeight: sc.LiDAR.MountHeight,
+		MountHeight: mountHeight,
 	}
+}
+
+// DriftedState is st as reported at frame k of a localization-error walk
+// (scene.DriftWalk): the planar position and yaw carry that frame's
+// error; true poses, and so sensing and ground truth, stay untouched. A
+// nil walk (no drift) returns st unchanged.
+func DriftedState(st fusion.VehicleState, walk []scene.PoseError, k int) fusion.VehicleState {
+	if walk != nil {
+		e := walk[k]
+		st.GPS.X += e.X
+		st.GPS.Y += e.Y
+		st.Yaw += e.Yaw
+	}
+	return st
 }
 
 // PoseVehicle builds the vehicle embodying a scenario pose, seeded and
@@ -167,7 +180,7 @@ func PoseVehicle(sc *scene.Scenario, poseIdx int) *Vehicle {
 // noise stream while keeping everything else identical to the runner's
 // vehicles.
 func PoseVehicleSeeded(sc *scene.Scenario, poseIdx int, seed int64) *Vehicle {
-	v := NewVehicle(sc.PoseLabels[poseIdx], sc.LiDAR, PoseState(sc, poseIdx), seed)
+	v := NewVehicle(sc.PoseLabels[poseIdx], sc.LiDAR, PoseState(sc.Poses[poseIdx], sc.LiDAR.MountHeight), seed)
 	cfg := spod.DefaultConfig()
 	cfg.VerticalFOVTop = sc.LiDAR.MaxElevation()
 	cfg.MaxDetectionRange = AreaRange(sc.Dataset)

@@ -91,32 +91,15 @@ func (v *Vehicle) Cloud() *pointcloud.Cloud { return v.lastScan.Cloud }
 func (v *Vehicle) LastScan() lidar.Scan { return v.lastScan }
 
 // Detect runs SPOD on the vehicle's own latest scan — the paper's
-// "single shot" perception.
-func (v *Vehicle) Detect() ([]spod.Detection, spod.Stats, error) {
-	return v.DetectWith(nil)
-}
-
-// DetectWith is Detect reusing the caller's detector scratch (nil draws
-// from the shared pool). Callers detecting in a loop — the case runner,
-// the episode engine, the hub selftest — hold one scratch per worker.
-func (v *Vehicle) DetectWith(s *spod.DetectorScratch) ([]spod.Detection, spod.Stats, error) {
+// "single shot" perception — inside the caller's detector scratch (nil
+// draws from the shared pool). Callers detecting in a loop, such as the
+// hub selftest, hold one scratch per worker.
+func (v *Vehicle) Detect(s *spod.DetectorScratch) ([]spod.Detection, spod.Stats, error) {
 	if v.lastScan.Cloud == nil {
 		return nil, spod.Stats{}, fmt.Errorf("vehicle %s: %w", v.ID, ErrNoScan)
 	}
-	dets, stats := v.detector.DetectWithStatsScratch(v.lastScan.Cloud, s)
+	dets, stats := v.detector.Detect(v.lastScan.Cloud, nil, s)
 	return dets, stats, nil
-}
-
-// DetectOn runs SPOD on an arbitrary sensor-frame cloud (e.g. a
-// cooperative merge).
-func (v *Vehicle) DetectOn(cloud *pointcloud.Cloud) ([]spod.Detection, spod.Stats) {
-	return v.DetectOnWith(nil, cloud)
-}
-
-// DetectOnWith is DetectOn reusing the caller's detector scratch (nil
-// draws from the shared pool).
-func (v *Vehicle) DetectOnWith(s *spod.DetectorScratch, cloud *pointcloud.Cloud) ([]spod.Detection, spod.Stats) {
-	return v.detector.DetectWithStatsScratch(cloud, s)
 }
 
 // SensorTransform returns the world→sensor transform of this vehicle.

@@ -23,36 +23,38 @@ func goldenPath(fig int) string {
 }
 
 // TestFigureGoldens locks every deterministic figure report byte for
-// byte against testdata/. A legitimate report change is re-blessed with
+// byte against testdata/, as both the one-worker sequential loop and the
+// eight-worker RunAllFigures fan-out produce it. A legitimate report
+// change is re-blessed (from the sequential run) with
 //
 //	go test ./internal/experiments -run TestFigureGoldens -update
 func TestFigureGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure suite")
 	}
-	s := NewSuite()
+	r := suiteRuns(t)
 	for _, fig := range goldenFigures {
 		t.Run(fmt.Sprintf("fig%02d", fig), func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := Run(s, fig, &buf); err != nil {
-				t.Fatal(err)
-			}
 			path := goldenPath(fig)
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, r.seq[fig], 0o644); err != nil {
 					t.Fatal(err)
 				}
-				return
 			}
 			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatalf("missing golden (bless with -update): %v", err)
 			}
-			if !bytes.Equal(want, buf.Bytes()) {
-				t.Errorf("figure %d report drifted from golden:\n%s", fig, firstDiff(string(want), buf.String()))
+			for _, run := range []struct {
+				name string
+				got  []byte
+			}{{"workers=1", r.seq[fig]}, {"workers=8", r.par[fig]}} {
+				if !bytes.Equal(want, run.got) {
+					t.Errorf("figure %d report (%s) drifted from golden:\n%s", fig, run.name, firstDiff(string(want), string(run.got)))
+				}
 			}
 		})
 	}

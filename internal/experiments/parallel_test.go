@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"io"
+	"fmt"
 	"regexp"
 	"strings"
 	"sync"
@@ -92,6 +92,78 @@ func stripTimingLines(s string) string {
 	return strings.Join(out, "\n")
 }
 
+// figureRuns is the full figure suite, computed once per test binary and
+// shared by TestFigureGoldens and TestRunAllFiguresMatchesSequential:
+// every report from a sequential loop on a one-worker suite, and the
+// concurrent RunAllFigures output of an eight-worker suite split back
+// into its per-figure reports.
+type figureRuns struct {
+	seq, par       map[int][]byte
+	seqAll, parAll string
+	err            error
+}
+
+var (
+	sharedRunsOnce sync.Once
+	sharedRuns     figureRuns
+)
+
+// suiteRuns returns the shared runs, computing them on first use.
+func suiteRuns(t *testing.T) *figureRuns {
+	t.Helper()
+	sharedRunsOnce.Do(func() { sharedRuns = runFigures() })
+	if sharedRuns.err != nil {
+		t.Fatal(sharedRuns.err)
+	}
+	return &sharedRuns
+}
+
+// chunkWriter keeps each Write as its own chunk. RunAllFigures writes
+// every report with one Write followed by a one-line separator, so the
+// chunks recover the per-figure reports.
+type chunkWriter struct{ chunks [][]byte }
+
+func (w *chunkWriter) Write(p []byte) (int, error) {
+	w.chunks = append(w.chunks, bytes.Clone(p))
+	return len(p), nil
+}
+
+func runFigures() (r figureRuns) {
+	figs := Figures()
+	r.seq = make(map[int][]byte, len(figs))
+	var seqAll bytes.Buffer
+	s1 := NewSuite().SetWorkers(1)
+	for _, f := range figs {
+		var buf bytes.Buffer
+		if r.err = Run(s1, f, &buf); r.err != nil {
+			return r
+		}
+		r.seq[f] = buf.Bytes()
+		seqAll.Write(buf.Bytes())
+		seqAll.WriteString("\n")
+	}
+	r.seqAll = seqAll.String()
+
+	var par chunkWriter
+	if r.err = NewSuite().SetWorkers(8).RunAllFigures(&par); r.err != nil {
+		return r
+	}
+	if len(par.chunks) != 2*len(figs) {
+		r.err = fmt.Errorf("RunAllFigures made %d writes, want a report and a separator for each of %d figures", len(par.chunks), len(figs))
+		return r
+	}
+	r.par = make(map[int][]byte, len(figs))
+	for i, f := range figs {
+		if sep := string(par.chunks[2*i+1]); sep != "\n" {
+			r.err = fmt.Errorf("RunAllFigures separated figure %d with %q, want a newline", f, sep)
+			return r
+		}
+		r.par[f] = par.chunks[2*i]
+	}
+	r.parAll = string(bytes.Join(par.chunks, nil))
+	return r
+}
+
 // TestRunAllFiguresMatchesSequential: the concurrent figure fan-out must
 // emit the same report bytes, in the same figure order, as a sequential
 // loop — timing lines excepted.
@@ -99,21 +171,8 @@ func TestRunAllFiguresMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 8-scenario suite")
 	}
-	var seq bytes.Buffer
-	s1 := NewSuite().SetWorkers(1)
-	for _, f := range Figures() {
-		if err := Run(s1, f, &seq); err != nil {
-			t.Fatal(err)
-		}
-		io.WriteString(&seq, "\n")
-	}
-
-	var par bytes.Buffer
-	if err := NewSuite().SetWorkers(8).RunAllFigures(&par); err != nil {
-		t.Fatal(err)
-	}
-
-	a, b := stripTimingLines(seq.String()), stripTimingLines(par.String())
+	r := suiteRuns(t)
+	a, b := stripTimingLines(r.seqAll), stripTimingLines(r.parAll)
 	if a != b {
 		t.Errorf("concurrent figure output differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s", a, b)
 	}

@@ -116,11 +116,7 @@ func (in *FusedInput) Detect(base spod.Config, s *spod.DetectorScratch) ([]spod.
 	} else {
 		cfg = spod.FeatureCoopConfig(base, in.MaxDist)
 	}
-	d := spod.New(cfg)
-	if len(in.Remotes) > 0 {
-		return d.DetectWithFeaturesScratch(in.Cloud, in.Remotes, s)
-	}
-	return d.DetectWithStatsScratch(in.Cloud, s)
+	return spod.New(cfg).Detect(in.Cloud, in.Remotes, s)
 }
 
 // RawBackend is the paper's original strategy, extracted unchanged from

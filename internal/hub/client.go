@@ -54,20 +54,7 @@ func (c *Client) Close() error { return c.conn.Close() }
 // hub's latest-frame cache always converges on the newest frame.
 func (c *Client) Publish(state fusion.VehicleState, payload []byte) (cached int, err error) {
 	c.seq++
-	if err := c.conn.Send(network.Message{
-		Type:    network.MsgFrame,
-		Sender:  c.id,
-		State:   state,
-		Payload: payload,
-		Seq:     c.seq,
-	}); err != nil {
-		return 0, err
-	}
-	ack, err := c.receive(network.MsgFrame)
-	if err != nil {
-		return 0, err
-	}
-	return int(ack.Count), nil
+	return c.sendFrame(network.MsgFrame, state, payload)
 }
 
 // SetKeyframeInterval tunes the client's CPD1 publish stream: at most n
@@ -90,7 +77,7 @@ func (c *Client) PublishDelta(state fusion.VehicleState, cloud *pointcloud.Cloud
 	if err != nil {
 		return 0, 0, err
 	}
-	cached, err = c.sendDeltaFrame(state, payload)
+	cached, err = c.sendFrame(network.MsgDeltaFrame, state, payload)
 	if err != nil && strings.Contains(err.Error(), "keyframe") {
 		// The hub could not apply the delta; recover with a keyframe.
 		c.retries++
@@ -98,7 +85,7 @@ func (c *Client) PublishDelta(state fusion.VehicleState, cloud *pointcloud.Cloud
 		if payload, _, err = c.denc.Encode(cloud, c.seq); err != nil {
 			return 0, 0, err
 		}
-		cached, err = c.sendDeltaFrame(state, payload)
+		cached, err = c.sendFrame(network.MsgDeltaFrame, state, payload)
 	}
 	if err != nil {
 		return 0, 0, err
@@ -117,9 +104,12 @@ func (c *Client) LastWirePayload() []byte { return c.lastWire }
 // report's and telemetry's keyframe-retry signal.
 func (c *Client) KeyframeRetries() uint64 { return c.retries }
 
-func (c *Client) sendDeltaFrame(state fusion.VehicleState, payload []byte) (cached int, err error) {
+// sendFrame sends one frame of the given message type under the current
+// sequence number and waits for the hub's ack, returning how many
+// vehicles the hub now has cached.
+func (c *Client) sendFrame(typ network.MsgType, state fusion.VehicleState, payload []byte) (cached int, err error) {
 	if err := c.conn.Send(network.Message{
-		Type:    network.MsgDeltaFrame,
+		Type:    typ,
 		Sender:  c.id,
 		State:   state,
 		Payload: payload,
@@ -127,11 +117,8 @@ func (c *Client) sendDeltaFrame(state fusion.VehicleState, payload []byte) (cach
 	}); err != nil {
 		return 0, err
 	}
-	ack, err := c.receive(network.MsgDeltaFrame)
-	if err != nil {
-		return 0, err
-	}
-	return int(ack.Count), nil
+	ack, err := c.receive(typ)
+	return int(ack.Count), err
 }
 
 // RequestRound asks the hub for a fusion round of up to k senders under a
@@ -145,20 +132,7 @@ func (c *Client) RequestRound(state fusion.VehicleState, k int, budgetBps uint64
 // hub's ack, mirroring Publish's sequence discipline.
 func (c *Client) PublishFeatures(state fusion.VehicleState, payload []byte) (cached int, err error) {
 	c.seq++
-	if err := c.conn.Send(network.Message{
-		Type:    network.MsgFeatureFrame,
-		Sender:  c.id,
-		State:   state,
-		Payload: payload,
-		Seq:     c.seq,
-	}); err != nil {
-		return 0, err
-	}
-	ack, err := c.receive(network.MsgFeatureFrame)
-	if err != nil {
-		return 0, err
-	}
-	return int(ack.Count), nil
+	return c.sendFrame(network.MsgFeatureFrame, state, payload)
 }
 
 // RequestFeatureRound is RequestRound at the feature level: every frame
@@ -189,7 +163,7 @@ func (c *Client) requestRound(state fusion.VehicleState, k int, budgetBps uint64
 	// comma-joined. Hubs predating the marker send none.
 	stale := make(map[string]bool)
 	if len(reply.Payload) > 0 {
-		for _, id := range strings.Split(string(reply.Payload), ",") {
+		for _, id := range strings.Split(string(reply.Payload), staleSep) {
 			stale[id] = true
 		}
 	}

@@ -118,7 +118,7 @@ func TestPublishDeltaKeyframeRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	canonical, _ := pointcloud.EncodeQuantized(frames[3])
-	r, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 1, 0)
+	r, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{K: 1})
 	if err != nil || len(r.Frames) != 1 || !bytes.Equal(r.Frames[0].Payload, canonical) {
 		t.Error("cached frame after recovery is not the canonical latest frame")
 	}
@@ -153,7 +153,7 @@ func TestPublishDeltaRejectsGarbage(t *testing.T) {
 		t.Fatalf("delta after rejected garbage: %v", err)
 	}
 	canonical, _ := pointcloud.EncodeQuantized(frames[1])
-	r, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 1, 0)
+	r, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{K: 1})
 	if err != nil || len(r.Frames) != 1 || !bytes.Equal(r.Frames[0].Payload, canonical) {
 		t.Error("cached frame is not the canonical reconstruction")
 	}
@@ -205,11 +205,11 @@ func TestConcurrentDeltaPublishWhileDerive(t *testing.T) {
 			id := fmt.Sprintf("rx%d", i+1)
 			at := geom.V3(float64(5*i), 5, 0)
 			for r := 0; r < rounds; r++ {
-				if _, err := h.AssembleRound(id, at, 0, 0); err != nil {
+				if _, err := h.AssembleRound(id, at, RoundSpec{}); err != nil {
 					errs[publishers+i] = err
 					return
 				}
-				if _, err := h.AssembleFeatureRound(id, at, 0, 2_000_000); err != nil {
+				if _, err := h.AssembleRound(id, at, RoundSpec{BudgetBps: 2_000_000, Feature: true}); err != nil {
 					errs[publishers+i] = err
 					return
 				}

@@ -90,7 +90,7 @@ func TestAssembleFeatureRound(t *testing.T) {
 		}
 	}
 
-	uncapped, err := h.AssembleFeatureRound("rx", geom.V3(0, 0, 0), 0, 0)
+	uncapped, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{Feature: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestAssembleFeatureRound(t *testing.T) {
 	}
 	perSender := maxFrame / 2
 	budgetBps := uint64(float64(perSender*2*8) * h.cfg.Scheduler.RateHz)
-	capped, err := h.AssembleFeatureRound("rx", geom.V3(0, 0, 0), 0, budgetBps)
+	capped, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{BudgetBps: budgetBps, Feature: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestAssembleFeatureRound(t *testing.T) {
 
 	// Determinism: identical requests assemble identical rounds — the
 	// lazily derived feature frames are cached, not re-derived differently.
-	again, err := h.AssembleFeatureRound("rx", geom.V3(0, 0, 0), 0, budgetBps)
+	again, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{BudgetBps: budgetBps, Feature: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestFeatureOnlyPublisherDegradation(t *testing.T) {
 	}
 
 	// Uncapped raw round: the cached CPF3 bytes are served verbatim.
-	round, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 0, 0)
+	round, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{})
 	if err != nil {
 		t.Fatalf("raw round over a feature-only publisher: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestFeatureOnlyPublisherDegradation(t *testing.T) {
 
 	// A budget too small for anything must degrade, not error: the feature
 	// rung always succeeds, down to a header-only frame.
-	tiny, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 0, 8)
+	tiny, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{BudgetBps: 8})
 	if err != nil {
 		t.Fatalf("tiny-budget round over a feature-only publisher: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestFeatureOnlyPublisherDegradation(t *testing.T) {
 	}
 
 	// An uncapped one-sender round (the 1:1 exchange) degrades the same way.
-	one, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 1, 0)
+	one, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{K: 1})
 	if err != nil || len(one.Frames) != 1 || !spod.IsFeaturePayload(one.Frames[0].Payload) {
 		t.Errorf("one-sender round over a feature-only publisher: %+v, err=%v", one.Frames, err)
 	}
@@ -210,7 +210,7 @@ func TestMixedFleetRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 0, 0)
+	raw, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestMixedFleetRounds(t *testing.T) {
 		}
 	}
 
-	feat, err := h.AssembleFeatureRound("rx", geom.V3(0, 0, 0), 0, 0)
+	feat, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{Feature: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,7 @@ package hub
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -191,8 +192,10 @@ type deltaState struct {
 
 // Hub is the fleet server. All methods are safe for concurrent use; the
 // session loops in session.go are thin wrappers over Publish and
-// AssembleRound, so in-process callers (tests, benchmarks, the selftest
-// harness) exercise the same logic as TCP clients.
+// AssembleRound, so in-process callers (tests, benchmarks) exercise the
+// same logic as TCP clients. The selftest harness publishes and requests
+// over TCP sessions like any vehicle; it reads the cache only for its
+// rung accounting.
 type Hub struct {
 	cfg Config
 
@@ -265,11 +268,17 @@ func (h *Hub) logf(format string, args ...any) {
 // rely on every cached frame being fusable. A CPD1 publish is
 // reconstructed and re-encoded to the canonical CPQ1 form before caching:
 // fusion rounds always serve self-contained full frames, byte-identical
-// to what a v2 publish of the same cloud would have cached. Returns the
+// to what a v2 publish of the same cloud would have cached. A sender ID
+// may not contain a comma, the stale marker's separator. Returns the
 // number of vehicles cached after the publish.
 func (h *Hub) Publish(sender string, state fusion.VehicleState, payload []byte, seq uint64) (int, error) {
 	if sender == "" {
 		return 0, fmt.Errorf("hub: publish with empty sender")
+	}
+	if strings.Contains(sender, staleSep) {
+		// The name could not be told apart inside the comma-joined stale
+		// marker a fuse reply carries.
+		return 0, fmt.Errorf("hub: sender %q contains %q", sender, staleSep)
 	}
 	if h.cfg.Loss.DropPublish(sender, seq) {
 		// Lost in transit: the cache keeps whatever it had. The drop
@@ -401,38 +410,35 @@ type Round struct {
 // Partial reports whether the round served any stale sender.
 func (r Round) Partial() bool { return len(r.Stale) > 0 }
 
+// RoundSpec is what a requester asks of one fusion round.
+type RoundSpec struct {
+	// K caps the senders served; K <= 0 selects the hub's MaxSenders.
+	K int
+	// BudgetBps is the requester's sustained-rate cap in bits per second
+	// (0 = uncapped), split evenly across the selected senders at the
+	// scheduler's exchange rate.
+	BudgetBps uint64
+	// Floor is the requester's freshness floor: senders whose cached
+	// frame's sequence number is below it are still served — their
+	// newest delivered frame beats nothing at all — but named in the
+	// round's Stale list so the requester fuses the partial round
+	// knowingly. Zero (what pre-floor clients send) flags nothing.
+	Floor uint64
+	// Feature serves every selected frame as a CPF3 feature payload —
+	// derived once from raw publishes, trimmed by column salience under
+	// the budget — so the round fuses past the convolution seam
+	// regardless of how each sender published.
+	Feature bool
+}
+
 // AssembleRound builds a fusion round for a requester at the given
-// position: the k nearest cached senders (excluding the requester
+// position: the spec.K nearest cached senders (excluding the requester
 // itself), each payload fitted under the advertised bandwidth cap.
-// k <= 0 selects the hub's MaxSenders default; budgetBps is the
-// requester's sustained-rate cap in bits per second (0 = uncapped), split
-// evenly across the selected senders at the scheduler's exchange rate.
-// Assembly is deterministic: cache contents, requester position, k and
-// budget fully determine the round, including slot order (nearest first,
-// sender ID breaking distance ties).
-func (h *Hub) AssembleRound(requester string, at geom.Vec3, k int, budgetBps uint64) (Round, error) {
-	return h.assembleRound(requester, at, k, budgetBps, 0, false)
-}
-
-// AssembleRoundSince is AssembleRound with a freshness floor: senders
-// whose cached frame's sequence number is below floor are still served —
-// their newest delivered frame beats nothing at all — but named in the
-// round's Stale list so the requester fuses the partial round knowingly.
-// A floor of zero (what pre-floor clients send) flags nothing.
-func (h *Hub) AssembleRoundSince(requester string, at geom.Vec3, k int, budgetBps uint64, floor uint64) (Round, error) {
-	return h.assembleRound(requester, at, k, budgetBps, floor, false)
-}
-
-// AssembleFeatureRound is AssembleRound for a feature-level requester:
-// every selected frame is served as a CPF3 feature payload — derived once
-// from raw publishes, trimmed by column salience under the budget — so
-// the round fuses past the convolution seam regardless of how each sender
-// published.
-func (h *Hub) AssembleFeatureRound(requester string, at geom.Vec3, k int, budgetBps uint64) (Round, error) {
-	return h.assembleRound(requester, at, k, budgetBps, 0, true)
-}
-
-func (h *Hub) assembleRound(requester string, at geom.Vec3, k int, budgetBps uint64, floor uint64, feature bool) (Round, error) {
+// Assembly is deterministic: cache contents, requester position and spec
+// fully determine the round, including slot order (nearest first, sender
+// ID breaking distance ties).
+func (h *Hub) AssembleRound(requester string, at geom.Vec3, spec RoundSpec) (Round, error) {
+	k := spec.K
 	if k <= 0 {
 		k = h.cfg.MaxSenders
 	}
@@ -463,16 +469,16 @@ func (h *Hub) assembleRound(requester string, at geom.Vec3, k int, budgetBps uin
 		cands = cands[:k]
 	}
 
-	perSender := h.perSender(budgetBps, len(cands))
+	perSender := h.perSender(spec.BudgetBps, len(cands))
 	r := Round{Frames: make([]RoundFrame, 0, len(cands))}
 	sizes := make([]int, 0, len(cands))
 	for _, c := range cands {
 		rf := RoundFrame{Sender: c.id, State: c.frame.state}
-		if floor > 0 && c.frame.seq < floor {
+		if spec.Floor > 0 && c.frame.seq < spec.Floor {
 			rf.Stale = true
 			r.Stale = append(r.Stale, c.id)
 		}
-		sel, err := c.frame.selection(perSender, feature)
+		sel, err := c.frame.selection(perSender, spec.Feature)
 		if err != nil {
 			return Round{}, fmt.Errorf("hub: fitting %s's frame: %w", c.id, err)
 		}
@@ -485,7 +491,7 @@ func (h *Hub) assembleRound(requester string, at geom.Vec3, k int, budgetBps uin
 	}
 	r.Plan = h.cfg.Scheduler.Plan(sizes)
 	r.Seq = h.rounds.Add(1)
-	h.observeRound(requester, r, feature)
+	h.observeRound(requester, r, spec.Feature)
 	return r, nil
 }
 

@@ -60,7 +60,7 @@ func TestPublishAndAssembleRound(t *testing.T) {
 	}
 
 	// Requester at the origin: nearest-first order is v2 (10), v3 (20), v1 (30).
-	round, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 0, 0)
+	round, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPublishAndAssembleRound(t *testing.T) {
 	}
 
 	// k caps the senders.
-	round, err = h.AssembleRound("rx", geom.V3(0, 0, 0), 2, 0)
+	round, err = h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPublishAndAssembleRound(t *testing.T) {
 	if _, err := h.Publish("rx", stateAt(0, 0), payloadFor(t, 100, 9), 1); err != nil {
 		t.Fatal(err)
 	}
-	round, err = h.AssembleRound("rx", geom.V3(0, 0, 0), 0, 0)
+	round, err = h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +108,14 @@ func TestAssembleRoundBudget(t *testing.T) {
 		}
 	}
 
-	uncapped, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 0, 0)
+	uncapped, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cap well below the uncapped round: at 1 Hz a cap of B bits/s buys
 	// B/8 bytes per round, split across 3 senders.
 	budgetBps := uint64(uncapped.Plan.TotalBytes()) // 1/8th of uncapped volume
-	capped, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 0, budgetBps)
+	capped, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{BudgetBps: budgetBps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestAssembleRoundBudget(t *testing.T) {
 	}
 
 	// Determinism: the same request assembles the same round.
-	again, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 0, budgetBps)
+	again, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{BudgetBps: budgetBps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +156,9 @@ func TestPublishValidation(t *testing.T) {
 	if _, err := h.Publish("v1", stateAt(0, 0), []byte("not a cloud"), 1); err == nil {
 		t.Error("undecodable payload accepted")
 	}
+	if _, err := h.Publish("a,b", stateAt(0, 0), payloadFor(t, 10, 1), 1); err == nil {
+		t.Error("sender containing the stale-marker separator accepted")
+	}
 
 	// Latest frame wins; stale sequence numbers do not regress the cache.
 	newer := payloadFor(t, 200, 2)
@@ -166,7 +169,7 @@ func TestPublishValidation(t *testing.T) {
 	if _, err := h.Publish("v1", stateAt(0, 0), older, 3); err != nil {
 		t.Fatal(err)
 	}
-	r, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 1, 0)
+	r, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{K: 1})
 	if err != nil || len(r.Frames) != 1 || !bytes.Equal(r.Frames[0].Payload, newer) {
 		t.Error("stale publish replaced a newer cached frame")
 	}
@@ -241,6 +244,49 @@ func TestSessionsOverTCP(t *testing.T) {
 	}
 	if cached, err := c2.Publish(stateAt(15, 0), p2); err != nil || cached != h.Cached() {
 		t.Errorf("session did not survive a rejected publish: %v", err)
+	}
+}
+
+// TestCommaSenderCannotForgeStaleMarker: a fuse reply names its stale
+// senders comma-joined, so a sender called "a,b" would read back as "a"
+// and "b" — flagging a fresh "a" stale and hiding its own staleness. The
+// hub must refuse that name in-band and keep the session serving.
+func TestCommaSenderCannotForgeStaleMarker(t *testing.T) {
+	_, addr := startHub(t, Config{})
+	connect := func(id string, x float64) *Client {
+		t.Helper()
+		c, _, err := Connect(addr, id, stateAt(x, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	rx, fresh, comma := connect("rx", 0), connect("a", 10), connect("a,b", 20)
+
+	// rx and "a" publish twice, so rx's freshness floor is 2 and "a" is
+	// fresh; "a,b" publishes once and would be served stale.
+	for seq := 1; seq <= 2; seq++ {
+		if _, err := rx.Publish(stateAt(0, 0), payloadFor(t, 100, int64(seq))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Publish(stateAt(10, 0), payloadFor(t, 100, int64(seq))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := comma.Publish(stateAt(20, 0), payloadFor(t, 100, 3)); err == nil {
+		t.Fatal(`publish from sender "a,b" accepted`)
+	}
+	frames, err := rx.RequestRound(stateAt(0, 0), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) != 1 || frames[0].Sender != "a" || frames[0].Stale {
+		t.Fatalf("round = %+v, want only a fresh frame from a", frames)
+	}
+	// The rejection is in-band: the refused session still serves rounds.
+	if frames, err := comma.RequestRound(stateAt(20, 0), 0, 0); err != nil || len(frames) != 2 {
+		t.Fatalf("refused session's round = %d frames, %v; want 2", len(frames), err)
 	}
 }
 
@@ -440,7 +486,7 @@ func TestConcurrentCappedRequesters(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 3*len(budgets); n++ {
 				b := (r + n) % len(budgets)
-				round, err := h.AssembleRound(fmt.Sprintf("rx%d", r), geom.V3(0, 0, 0), 0, budgets[b])
+				round, err := h.AssembleRound(fmt.Sprintf("rx%d", r), geom.V3(0, 0, 0), RoundSpec{BudgetBps: budgets[b]})
 				if err != nil {
 					errs[r] = err
 					return
@@ -477,7 +523,7 @@ func TestNonCanonicalPublishServedCanonically(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := uint64(float64(8*(len(payload)+100)) * h.cfg.Scheduler.RateHz)
-	round, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 0, budget)
+	round, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{BudgetBps: budget})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestAssembleRoundStaleness(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			round, err := h.AssembleRoundSince("rx", geom.V3(0, 0, 0), 0, 0, 2)
+			round, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{Floor: 2})
 			if err != nil {
 				t.Fatalf("partial round errored: %v", err)
 			}
@@ -70,7 +70,7 @@ func TestAssembleRoundStaleness(t *testing.T) {
 				t.Errorf("Partial() = %v with %d dropped", round.Partial(), len(tc.dropped))
 			}
 			// A zero floor (pre-floor client) flags nothing.
-			round, err = h.AssembleRound("rx", geom.V3(0, 0, 0), 0, 0)
+			round, err = h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -90,7 +90,7 @@ func TestCached(t *testing.T) {
 		{
 			name: "feature round derives features without touching the cache",
 			run: func(t *testing.T) {
-				if _, err := h.AssembleFeatureRound("rx", geom.V3(0, 0, 0), 0, 0); err != nil {
+				if _, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{Feature: true}); err != nil {
 					t.Fatal(err)
 				}
 				// A raw publish's feature frame is derived at most once.
@@ -168,7 +168,7 @@ func TestHTTPEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 0, 0); err != nil {
+	if _, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -166,21 +166,11 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 	// sequentially; the fan-out phases only index into it. The walks come
 	// from the scenario, as core's episode engine takes them, so the
 	// selftest and an episode drift the same vehicle the same way.
-	var walks [][]scene.PoseError
+	walks := make([][]scene.PoseError, opts.Fleet)
 	if opts.Drift > 0 {
-		walks = make([][]scene.PoseError, opts.Fleet)
 		for i := range walks {
 			walks[i] = sc.DriftWalk(i, opts.Drift, frames)
 		}
-	}
-	driftState := func(st fusion.VehicleState, i, f int) fusion.VehicleState {
-		if walks != nil {
-			e := walks[i][f]
-			st.GPS.X += e.X
-			st.GPS.Y += e.Y
-			st.Yaw += e.Yaw
-		}
-		return st
 	}
 	l, err := network.Listen("127.0.0.1:0")
 	if err != nil {
@@ -201,7 +191,7 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 	// One long-lived session per vehicle; frames republish through it.
 	clients := make([]*Client, opts.Fleet)
 	for i := 0; i < opts.Fleet; i++ {
-		cl, _, err := Connect(l.Addr(), sc.PoseLabels[i], core.PoseState(sc, i))
+		cl, _, err := Connect(l.Addr(), sc.PoseLabels[i], core.PoseState(sc.Poses[i], sc.LiDAR.MountHeight))
 		if err != nil {
 			return err
 		}
@@ -260,7 +250,7 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 			if err != nil {
 				return nil, err
 			}
-			state := driftState(v.State(), i, f)
+			state := core.DriftedState(v.State(), walks[i], f)
 			if wireV3 {
 				_, sent, err := clients[i].PublishDelta(state, frame.Cloud)
 				if err != nil {
@@ -321,7 +311,7 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 			v := vehicles[i]
 			var rframes []RoundFrame
 			var err error
-			reqState := driftState(v.State(), i, f)
+			reqState := core.DriftedState(v.State(), walks[i], f)
 			if feature {
 				rframes, err = clients[i].RequestFeatureRound(reqState, k, budgetBps)
 			} else {
@@ -332,7 +322,7 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 			}
 			rep := selfReport{id: v.ID, categories: make(map[roi.Category]int)}
 
-			singles, _, err := v.DetectWith(scratch)
+			singles, _, err := v.Detect(scratch)
 			if err != nil {
 				return selfReport{}, err
 			}

@@ -13,6 +13,10 @@ import (
 // hubID is the sender name the hub signs its own messages with.
 const hubID = "hub"
 
+// staleSep joins the stale senders' names in a fuse reply's partial-round
+// marker; Publish rejects sender IDs that contain it.
+const staleSep = ","
+
 // Serve accepts vehicle sessions on the listener until Close (or a fatal
 // accept error). Each session runs on its own goroutine; Serve itself
 // blocks, so callers usually run it on a goroutine of their own. After
@@ -160,7 +164,9 @@ func (h *Hub) handle(conn *network.Transport, msg network.Message) error {
 		feature := msg.Type == network.MsgFeatureFuseRequest
 		// msg.Seq is the requester's freshness floor (its own publish
 		// sequence); pre-floor clients send 0, which flags nothing.
-		round, err := h.assembleRound(msg.Sender, msg.State.GPS, int(msg.Count), msg.Budget, msg.Seq, feature)
+		round, err := h.AssembleRound(msg.Sender, msg.State.GPS, RoundSpec{
+			K: int(msg.Count), BudgetBps: msg.Budget, Floor: msg.Seq, Feature: feature,
+		})
 		if err != nil {
 			return h.sendError(conn, err)
 		}
@@ -175,7 +181,7 @@ func (h *Hub) handle(conn *network.Transport, msg network.Message) error {
 			// The partial-round marker travels in-band on the reply: the
 			// stale senders' names, comma-joined in slot order. Empty for
 			// a fully fresh round; older clients ignore the field.
-			Payload: []byte(strings.Join(round.Stale, ",")),
+			Payload: []byte(strings.Join(round.Stale, staleSep)),
 		}); err != nil {
 			return err
 		}

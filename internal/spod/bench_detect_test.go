@@ -18,7 +18,7 @@ func BenchmarkDetectFrame(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if dets := det.Detect(cloud); len(dets) == 0 {
+		if dets, _ := det.Detect(cloud, nil, nil); len(dets) == 0 {
 			b.Fatal("benchmark frame produced no detections")
 		}
 	}
@@ -34,6 +34,6 @@ func BenchmarkDetectFrameCoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Detect(merged)
+		det.Detect(merged, nil, nil)
 	}
 }

@@ -120,40 +120,39 @@ func CoopConfig(base Config, interVehicleDist float64) Config {
 // Config returns the detector's configuration.
 func (d *Detector) Config() Config { return d.cfg }
 
-// Detect runs the pipeline on a sensor-frame cloud and returns the
-// detected cars, drawing working memory from a shared pool.
-func (d *Detector) Detect(cloud *pointcloud.Cloud) []Detection {
-	dets, _ := d.DetectWithStats(cloud)
-	return dets
-}
-
-// DetectWithStats runs the pipeline and reports stage instrumentation,
-// drawing working memory from a shared pool.
-func (d *Detector) DetectWithStats(cloud *pointcloud.Cloud) ([]Detection, Stats) {
-	s := scratchPool.Get().(*DetectorScratch)
-	defer scratchPool.Put(s)
-	return d.DetectWithStatsScratch(cloud, s)
-}
-
-// DetectWithScratch is Detect reusing the caller's scratch buffers.
-func (d *Detector) DetectWithScratch(cloud *pointcloud.Cloud, s *DetectorScratch) []Detection {
-	dets, _ := d.DetectWithStatsScratch(cloud, s)
-	return dets
-}
-
-// DetectWithStatsScratch runs the pipeline inside the caller's scratch
-// buffers (nil falls back to the shared pool): zero steady-state
-// allocation outside the returned detections, which are fresh and safe
-// to retain. The scratch must not be used concurrently.
-func (d *Detector) DetectWithStatsScratch(cloud *pointcloud.Cloud, s *DetectorScratch) ([]Detection, Stats) {
+// Detect runs the pipeline on a sensor-frame cloud and reports stage
+// instrumentation. A nil scratch borrows working memory from a shared
+// pool; a caller detecting in a loop holds one scratch per goroutine
+// (the scratch must not be used concurrently) and the pass then
+// allocates nothing in steady state outside the returned detections,
+// which are fresh and safe to retain.
+//
+// A non-empty remotes makes the pass the receive half of feature-level
+// fusion: stages 1–3 run on the receiver's own cloud, every remote site
+// is re-binned into the receiver's voxel coordinates through its
+// sender's alignment transform, and all tensors fuse by element-wise max
+// — the F-Cooper fusion rule, chosen because max is insensitive to
+// accumulation order and so keeps the pipeline byte-identical at any
+// worker count — before the proposal and fit stages. Remote sites also
+// contribute pseudo-points (one per site, at the transformed voxel
+// centre) so the anchor-fitting stage has geometry for cars only a
+// sender saw.
+func (d *Detector) Detect(cloud *pointcloud.Cloud, remotes []RemoteFeatures, s *DetectorScratch) ([]Detection, Stats) {
 	if s == nil {
-		return d.DetectWithStats(cloud)
+		s = scratchPool.Get().(*DetectorScratch)
+		defer scratchPool.Put(s)
 	}
 	var st Stats
 	st.InputPoints = cloud.Len()
 	start := nowWall()
 	tensor, grid, nonGround, groundZ := d.frontHalf(cloud, s, &st)
-	dets := d.backHalf(tensor, grid, nonGround, groundZ, nil, s, &st)
+	var ps *pseudoSet
+	if len(remotes) > 0 {
+		t0 := nowWall()
+		tensor, ps = fuseFeatureTensors(tensor, grid, groundZ, remotes, s)
+		st.ConvTime += sinceWall(t0)
+	}
+	dets := d.backHalf(tensor, grid, nonGround, groundZ, ps, s, &st)
 	st.Total = sinceWall(start)
 	return dets, st
 }

@@ -115,7 +115,7 @@ func TestDetectByteIdentical50x(t *testing.T) {
 	cloud := generatedFrameCloud(t)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	ref := New(cfg).Detect(cloud)
+	ref, _ := New(cfg).Detect(cloud, nil, nil)
 	if len(ref) == 0 {
 		t.Fatal("reference run found no cars; scenario too sparse for the stress test")
 	}
@@ -127,9 +127,9 @@ func TestDetectByteIdentical50x(t *testing.T) {
 		}
 		var got []Detection
 		if run%3 == 0 {
-			got = New(runCfg).DetectWithScratch(cloud, reused)
+			got, _ = New(runCfg).Detect(cloud, nil, reused)
 		} else {
-			got = New(runCfg).Detect(cloud)
+			got, _ = New(runCfg).Detect(cloud, nil, nil)
 		}
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("run %d (workers=%d, reused=%v): detections differ\n got: %v\nwant: %v",
@@ -144,14 +144,14 @@ func TestCoopDetectByteIdentical(t *testing.T) {
 	cloud := generatedFrameCloud(t)
 	cfg := CoopConfig(DefaultConfig(), 15)
 	cfg.Workers = 1
-	ref := New(cfg).Detect(cloud)
+	ref, _ := New(cfg).Detect(cloud, nil, nil)
 	reused := NewScratch()
 	for run := 0; run < 10; run++ {
 		runCfg := cfg
 		if run%2 == 1 {
 			runCfg.Workers = 3
 		}
-		got := New(runCfg).DetectWithScratch(cloud, reused)
+		got, _ := New(runCfg).Detect(cloud, nil, reused)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("run %d: cooperative detections differ", run)
 		}

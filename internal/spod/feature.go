@@ -138,49 +138,6 @@ func FeatureCoopConfig(base Config, interVehicleDist float64) Config {
 	return base
 }
 
-// DetectWithFeatures runs feature-level cooperative detection, drawing
-// working memory from the shared pool.
-func (d *Detector) DetectWithFeatures(cloud *pointcloud.Cloud, remotes []RemoteFeatures) []Detection {
-	dets, _ := d.DetectWithFeaturesStats(cloud, remotes)
-	return dets
-}
-
-// DetectWithFeaturesStats is DetectWithFeatures reporting stage
-// instrumentation.
-func (d *Detector) DetectWithFeaturesStats(cloud *pointcloud.Cloud, remotes []RemoteFeatures) ([]Detection, Stats) {
-	s := scratchPool.Get().(*DetectorScratch)
-	defer scratchPool.Put(s)
-	return d.DetectWithFeaturesScratch(cloud, remotes, s)
-}
-
-// DetectWithFeaturesScratch is the receive half of feature-level fusion:
-// the receiver runs stages 1–3 on its own cloud, re-bins every remote
-// site into its own voxel coordinates through the sender's alignment
-// transform, fuses all tensors by element-wise max — the F-Cooper fusion
-// rule, chosen because max is insensitive to accumulation order and so
-// keeps the pipeline byte-identical at any worker count — and feeds the
-// fused tensor through the proposal and fit stages. Remote sites also
-// contribute pseudo-points (one per site, at the transformed voxel
-// centre) so the anchor-fitting stage has geometry for cars only the
-// sender saw. Detections are fresh and safe to retain.
-func (d *Detector) DetectWithFeaturesScratch(cloud *pointcloud.Cloud, remotes []RemoteFeatures, s *DetectorScratch) ([]Detection, Stats) {
-	if s == nil {
-		return d.DetectWithFeaturesStats(cloud, remotes)
-	}
-	var st Stats
-	st.InputPoints = cloud.Len()
-	start := nowWall()
-	tensor, grid, nonGround, groundZ := d.frontHalf(cloud, s, &st)
-
-	t0 := nowWall()
-	fused, ps := fuseFeatureTensors(tensor, grid, groundZ, remotes, s)
-	st.ConvTime += sinceWall(t0)
-
-	dets := d.backHalf(fused, grid, nonGround, groundZ, ps, s, &st)
-	st.Total = sinceWall(start)
-	return dets, st
-}
-
 // fuseEntry stages one voxel site for the max-merge: its receiver-frame
 // column and z layer, its feature vector, and — for remote sites — the
 // aligned centre position that becomes a pseudo-point. seq is the
@@ -221,9 +178,6 @@ func (ps *pseudoSet) column(key colKey) (lo, hi int32) {
 // is identical however the payloads were produced. The returned tensor
 // and pseudo set alias the scratch.
 func fuseFeatureTensors(own *SparseTensor, grid *VoxelGrid, groundZ float64, remotes []RemoteFeatures, s *DetectorScratch) (*SparseTensor, *pseudoSet) {
-	if len(remotes) == 0 {
-		return own, nil
-	}
 	entries := s.fuseEntries[:0]
 	for ci := range own.Cols {
 		for site := own.ColOff[ci]; site < own.ColOff[ci+1]; site++ {

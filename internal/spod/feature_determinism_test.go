@@ -55,8 +55,8 @@ func TestFeatureFuseByteIdentical50x(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference wire frame does not decode: %v", err)
 	}
-	refDets, _ := New(coopCfg).DetectWithFeaturesStats(receiverCloud,
-		[]RemoteFeatures{{Frame: refFrame, Transform: tr}})
+	refDets, _ := New(coopCfg).Detect(receiverCloud,
+		[]RemoteFeatures{{Frame: refFrame, Transform: tr}}, nil)
 	if len(refDets) == 0 {
 		t.Fatal("reference fusion found no cars; scenario too sparse for the stress test")
 	}
@@ -82,7 +82,7 @@ func TestFeatureFuseByteIdentical50x(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: wire frame does not decode: %v", run, err)
 		}
-		dets, _ := New(rxCfg).DetectWithFeaturesScratch(receiverCloud,
+		dets, _ := New(rxCfg).Detect(receiverCloud,
 			[]RemoteFeatures{{Frame: frame, Transform: tr}}, rxScratch)
 		if !reflect.DeepEqual(dets, refDets) {
 			t.Fatalf("run %d (workers=%d, reused=%v): fused detections differ\n got: %v\nwant: %v",
@@ -111,8 +111,8 @@ func TestFeatureFusePayloadOrderInsensitive(t *testing.T) {
 	a := RemoteFeatures{Frame: frame, Transform: tr}
 	b := RemoteFeatures{Frame: trimmed, Transform: tr}
 
-	ab := New(coopCfg).DetectWithFeatures(receiverCloud, []RemoteFeatures{a, b})
-	ba := New(coopCfg).DetectWithFeatures(receiverCloud, []RemoteFeatures{b, a})
+	ab, _ := New(coopCfg).Detect(receiverCloud, []RemoteFeatures{a, b}, nil)
+	ba, _ := New(coopCfg).Detect(receiverCloud, []RemoteFeatures{b, a}, nil)
 	if !reflect.DeepEqual(ab, ba) {
 		t.Fatalf("payload order changed fused detections\n ab: %v\n ba: %v", ab, ba)
 	}

@@ -54,7 +54,7 @@ func sceneWithCars(seed int64, density int, cars ...[3]float64) *pointcloud.Clou
 
 func TestDetectSingleCar(t *testing.T) {
 	cloud := sceneWithCars(1, 120, [3]float64{12, 3, 0.4})
-	dets := NewDefault().Detect(cloud)
+	dets, _ := NewDefault().Detect(cloud, nil, nil)
 	if len(dets) != 1 {
 		t.Fatalf("detections = %d, want 1", len(dets))
 	}
@@ -74,7 +74,7 @@ func TestDetectMultipleCars(t *testing.T) {
 		[3]float64{15, -8, 1.2},
 		[3]float64{25, 2, -0.5},
 	)
-	dets := NewDefault().Detect(cloud)
+	dets, _ := NewDefault().Detect(cloud, nil, nil)
 	if len(dets) != 3 {
 		t.Fatalf("detections = %d, want 3", len(dets))
 	}
@@ -86,7 +86,7 @@ func TestScoreMonotoneInDensity(t *testing.T) {
 	var prev float64
 	for i, density := range []int{15, 40, 120, 300} {
 		cloud := sceneWithCars(3, density, [3]float64{14, 0, 0.2})
-		dets := NewDefault().Detect(cloud)
+		dets, _ := NewDefault().Detect(cloud, nil, nil)
 		if len(dets) == 0 {
 			if density >= 40 {
 				t.Fatalf("density %d: no detection", density)
@@ -104,7 +104,7 @@ func TestSparseCarMissed(t *testing.T) {
 	// A car with almost no returns (heavy occlusion) must be missed —
 	// the "X" cells of the paper's matrices.
 	cloud := sceneWithCars(4, 2, [3]float64{30, 0, 0})
-	dets := NewDefault().Detect(cloud)
+	dets, _ := NewDefault().Detect(cloud, nil, nil)
 	for _, d := range dets {
 		if d.Box.Center.DistXY(geom.V3(30, 0, 0)) < 3 {
 			t.Errorf("3-point car detected with score %.2f", d.Score)
@@ -122,9 +122,10 @@ func TestMergedCloudsRecoverCar(t *testing.T) {
 	mergedCfg := CoopConfig(DefaultConfig(), 0)
 	merged := New(mergedCfg)
 
-	nA := len(det.Detect(viewA))
-	nB := len(det.Detect(viewB))
-	nM := len(merged.Detect(viewA.Merge(viewB)))
+	detsA, _ := det.Detect(viewA, nil, nil)
+	detsB, _ := det.Detect(viewB, nil, nil)
+	detsM, _ := merged.Detect(viewA.Merge(viewB), nil, nil)
+	nA, nB, nM := len(detsA), len(detsB), len(detsM)
 	if nM < nA || nM < nB {
 		t.Errorf("merged detections %d < singles (%d, %d)", nM, nA, nB)
 	}
@@ -142,7 +143,7 @@ func TestTruckRejected(t *testing.T) {
 		c.AppendXYZR(12+rng.Float64()*0.05, rng.Float64()*2.6-1.3, -1.7+rng.Float64()*3.0, 0.5)
 		c.AppendXYZR(12+rng.Float64()*8.5, 1.3, -1.7+rng.Float64()*3.0, 0.5)
 	}
-	dets := NewDefault().Detect(c)
+	dets, _ := NewDefault().Detect(c, nil, nil)
 	if len(dets) != 0 {
 		t.Errorf("truck produced %d car detections", len(dets))
 	}
@@ -155,14 +156,14 @@ func TestPedestrianRejected(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		c.AppendXYZR(8+rng.Float64()*0.4, rng.Float64()*0.4, -1.73+rng.Float64()*1.75, 0.4)
 	}
-	dets := NewDefault().Detect(c)
+	dets, _ := NewDefault().Detect(c, nil, nil)
 	if len(dets) != 0 {
 		t.Errorf("pedestrian produced %d car detections", len(dets))
 	}
 }
 
 func TestEmptyCloudNoDetections(t *testing.T) {
-	dets, stats := NewDefault().DetectWithStats(&pointcloud.Cloud{})
+	dets, stats := NewDefault().Detect(&pointcloud.Cloud{}, nil, nil)
 	if len(dets) != 0 {
 		t.Errorf("empty cloud produced detections")
 	}
@@ -175,15 +176,15 @@ func TestGroundOnlyNoDetections(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := pointcloud.New(8000)
 	syntheticGround(c, rng, 50, 8000)
-	if dets := NewDefault().Detect(c); len(dets) != 0 {
+	if dets, _ := NewDefault().Detect(c, nil, nil); len(dets) != 0 {
 		t.Errorf("bare ground produced %d detections", len(dets))
 	}
 }
 
 func TestDetectDeterministic(t *testing.T) {
 	cloud := sceneWithCars(10, 80, [3]float64{10, -4, 0.9}, [3]float64{22, 6, 0})
-	a := NewDefault().Detect(cloud)
-	b := NewDefault().Detect(cloud)
+	a, _ := NewDefault().Detect(cloud, nil, nil)
+	b, _ := NewDefault().Detect(cloud, nil, nil)
 	if len(a) != len(b) {
 		t.Fatalf("non-deterministic count: %d vs %d", len(a), len(b))
 	}
@@ -196,7 +197,7 @@ func TestDetectDeterministic(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	cloud := sceneWithCars(11, 100, [3]float64{12, 0, 0})
-	_, st := NewDefault().DetectWithStats(cloud)
+	_, st := NewDefault().Detect(cloud, nil, nil)
 	if st.InputPoints == 0 || st.VoxelCount == 0 || st.ProposalCount == 0 {
 		t.Errorf("stats incomplete: %+v", st)
 	}
@@ -223,7 +224,7 @@ func TestVerticalFOVTruncationGate(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.VerticalFOVTop = fovTop
-	if dets := New(cfg).Detect(c); len(dets) != 0 {
+	if dets, _ := New(cfg).Detect(c, nil, nil); len(dets) != 0 {
 		t.Errorf("FOV-truncated tall object detected as car (%d dets)", len(dets))
 	}
 }
@@ -259,7 +260,7 @@ func TestClusterBaselineWorseOnPartialViews(t *testing.T) {
 		// Only the rear face: 1.6 m wide, no side.
 		c.AppendXYZR(15+rng.NormFloat64()*0.02, rng.Float64()*1.6-0.8, -1.7+rng.Float64()*1.45, 0.5)
 	}
-	spodDets := NewDefault().Detect(c)
+	spodDets, _ := NewDefault().Detect(c, nil, nil)
 	baseDets := NewClusterDetector().Detect(c)
 	if len(spodDets) == 0 {
 		t.Error("SPOD missed the partial view")

@@ -15,9 +15,9 @@ import (
 // allocation-free.
 //
 // Callers that detect in a loop (the case runner, the episode engine, the
-// hub's selftest rounds) hold one scratch per worker goroutine and thread
-// it through DetectWithScratch. Plain Detect/DetectWithStats draw from a
-// package-level sync.Pool, so one-shot callers are allocation-lean too.
+// hub's selftest rounds) hold one scratch per worker goroutine and pass
+// it to Detect. A nil scratch draws from a package-level sync.Pool, so
+// one-shot callers are allocation-lean too.
 //
 // Scratch contents never escape a detection: returned detections are
 // freshly allocated copies, safe to retain.
@@ -50,7 +50,7 @@ type DetectorScratch struct {
 	pool  []scored
 	dets  []Detection
 
-	// Feature-level fusion (DetectWithFeaturesScratch): staged merge
+	// Feature-level fusion (Detect with remotes): staged merge
 	// entries, the fused tensor's storage and the remote pseudo-point CSR.
 	fuseEntries []fuseEntry
 	fuseCols    []colKey
@@ -107,5 +107,6 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// scratchPool backs the scratch-less Detect entry points.
+// scratchPool backs Detect and EncodeFeatureFrame calls made without a
+// scratch.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}

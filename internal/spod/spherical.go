@@ -85,11 +85,6 @@ type binnedEcho struct {
 	idx int32
 }
 
-// ProjectSpherical builds the range image of a cloud.
-func ProjectSpherical(c *pointcloud.Cloud, cfg SphericalConfig) *RangeImage {
-	return projectSpherical(c, cfg, nil)
-}
-
 // projectSpherical builds the range image inside the scratch's buffers
 // when s is non-nil (the returned image is &s.img, valid until the
 // scratch's next frame); with a nil scratch it allocates a caller-owned

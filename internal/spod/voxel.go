@@ -88,17 +88,13 @@ type voxAcc struct {
 }
 
 // Voxelize encodes a cloud into the sparse voxel grid. Points are assumed
-// ground-removed; groundZ anchors the height features.
-func Voxelize(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64) *VoxelGrid {
-	return VoxelizeWorkers(c, sizeXY, sizeZ, groundZ, 1)
-}
-
-// VoxelizeWorkers is Voxelize with the per-point voxel-key computation
-// fanned out over at most workers goroutines (< 1 selects one per CPU).
-// Points are then sorted by (column, point index), so every voxel
-// accumulates its features in cloud point order — floating-point sums are
-// order-sensitive — and the grid is identical at any worker count.
-func VoxelizeWorkers(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64, workers int) *VoxelGrid {
+// ground-removed; groundZ anchors the height features. The per-point
+// voxel-key computation fans out over at most workers goroutines (< 1
+// selects one per CPU). Points are then sorted by (column, point index),
+// so every voxel accumulates its features in cloud point order —
+// floating-point sums are order-sensitive — and the grid is identical at
+// any worker count.
+func Voxelize(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64, workers int) *VoxelGrid {
 	return voxelize(c, sizeXY, sizeZ, groundZ, workers, NewScratch())
 }
 

@@ -29,10 +29,10 @@ func TestProjectSphericalWorkersIdentical(t *testing.T) {
 	cloud := noisyCloud(20000)
 	cfg := DefaultSphericalConfig()
 	cfg.Workers = 1
-	ref := ProjectSpherical(cloud, cfg)
+	ref := projectSpherical(cloud, cfg, nil)
 	for _, workers := range []int{0, 3, 16} {
 		cfg.Workers = workers
-		got := ProjectSpherical(cloud, cfg)
+		got := projectSpherical(cloud, cfg, nil)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: range image differs from sequential", workers)
 		}
@@ -45,15 +45,19 @@ func TestProjectSphericalWorkersIdentical(t *testing.T) {
 // so DeepEqual compares the whole structure byte for byte.
 func TestVoxelizeWorkersIdentical(t *testing.T) {
 	cloud := noisyCloud(30000)
-	ref := VoxelizeWorkers(cloud, 0.2, 0.25, 0, 1)
+	ref := Voxelize(cloud, 0.2, 0.25, 0, 1)
 	for _, workers := range []int{0, 5} {
-		got := VoxelizeWorkers(cloud, 0.2, 0.25, 0, workers)
+		got := Voxelize(cloud, 0.2, 0.25, 0, workers)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: voxel grid differs from sequential", workers)
 		}
 	}
-	if !reflect.DeepEqual(Voxelize(cloud, 0.2, 0.25, 0), ref) {
-		t.Fatal("Voxelize and VoxelizeWorkers(…, 1) disagree")
+	// The detector's in-scratch build must match too, on a scratch a
+	// different cloud has already grown.
+	s := NewScratch()
+	voxelize(noisyCloud(5000), 0.2, 0.25, 0, 1, s)
+	if !reflect.DeepEqual(voxelize(cloud, 0.2, 0.25, 0, 1, s), ref) {
+		t.Fatal("voxelize on a reused scratch and Voxelize disagree")
 	}
 }
 
@@ -63,10 +67,10 @@ func TestDetectorWorkersIdentical(t *testing.T) {
 	cloud := noisyCloud(15000)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	ref := New(cfg).Detect(cloud)
+	ref, _ := New(cfg).Detect(cloud, nil, nil)
 	for _, workers := range []int{0, 4} {
 		cfg.Workers = workers
-		got := New(cfg).Detect(cloud)
+		got, _ := New(cfg).Detect(cloud, nil, nil)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: detections differ from sequential", workers)
 		}

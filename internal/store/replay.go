@@ -76,7 +76,7 @@ func detectorFor(r Round) spod.Config {
 func ReplayRound(backend fusion.Backend, r Round, scratch *spod.DetectorScratch) ([]spod.Detection, error) {
 	cfg := detectorFor(r)
 	if r.Warmup {
-		dets, _ := spod.New(cfg).DetectWithStatsScratch(r.Own, scratch)
+		dets, _ := spod.New(cfg).Detect(r.Own, nil, scratch)
 		return dets, nil
 	}
 	payloads := make([]fusion.Payload, len(r.Payloads))

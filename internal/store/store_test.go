@@ -72,7 +72,7 @@ func synthEpisode(t *testing.T) []byte {
 	// Warmup round: single-shot detection.
 	warm := Round{Frame: 0, Receiver: "v0", State: recvState, Own: recvCloud, Warmup: true,
 		FOVTop: cfg.VerticalFOVTop, MaxRange: cfg.MaxDetectionRange}
-	dets0, _ := spod.New(detectorFor(warm)).DetectWithStatsScratch(recvCloud, scratch)
+	dets0, _ := spod.New(detectorFor(warm)).Detect(recvCloud, nil, scratch)
 	if err := ew.WriteRound(warm); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	scratch := spod.NewScratch()
-	dets, _ := spod.New(cfg).DetectWithStatsScratch(synthCloud(3, 64), scratch)
+	dets, _ := spod.New(cfg).Detect(synthCloud(3, 64), nil, scratch)
 	if err := ew.WriteDetections(Detections{Frame: 0, Receiver: "v0", Dets: dets}); err != nil {
 		t.Fatal(err)
 	}
