@@ -14,7 +14,6 @@ import (
 	"cooper/internal/parallel"
 	"cooper/internal/pointcloud"
 	"cooper/internal/scene"
-	"cooper/internal/sim"
 	"cooper/internal/spod"
 	"cooper/internal/store"
 	"cooper/internal/telemetry"
@@ -60,8 +59,8 @@ type EpisodeOptions struct {
 	// episodes and bounded reordering (see network.LossModel). A dropped
 	// slot loses that sender's frame for the round; the receiver falls
 	// back to the sender's newest delivered frame instead. The zero
-	// value is the lossless channel and reproduces the clean timeline
-	// byte for byte.
+	// value is the lossless channel: every slot arrives at its round's
+	// scheduled Ready.
 	Loss network.LossModel
 	// Drift is the bound, in metres, of each vehicle's seeded
 	// localization-error walk (scene.DriftWalk): reported GPS/IMU states
@@ -106,16 +105,17 @@ type EpisodeFrame struct {
 	// SenderFrame is then the newest among them.
 	SenderFrame int
 	// Staleness is the age of the oldest fused sender cloud (zero in
-	// warm-up). On a lossless channel every fused cloud shares one age;
-	// under loss a sender whose recent slots dropped contributes an
-	// older frame and stretches this.
+	// warm-up). On a lossless v2 channel every fused cloud shares one
+	// age. A sender contributes an older frame, stretching this, when its
+	// recent slots dropped, or on wire v3 when its newest delivered delta
+	// still waits for the keyframe it decodes from (even without loss).
 	Staleness time.Duration
 	// Senders is the number of fused sender clouds. Lost counts senders
 	// with no usable frame by At — every broadcast of theirs so far was
-	// dropped (or, on wire v3, undecodable for want of its keyframe) —
-	// so the frame fused without them. Lost is always zero on a lossless
-	// channel, including warm-up (nothing was lost; nothing had arrived
-	// for anyone).
+	// dropped, or on wire v3 is still undecodable for want of its
+	// keyframe — so the frame fused without them. Lost is always zero on
+	// a lossless v2 channel, including warm-up (nothing was lost; nothing
+	// had arrived for anyone); on v3 the keyframe wait alone can raise it.
 	Senders int
 	Lost    int
 	// PayloadBytes totals the round's transmitted (post-compensation)
@@ -287,14 +287,14 @@ func (l *EpisodeLab) cropFOV(c *pointcloud.Cloud) *pointcloud.Cloud {
 // payloadFor returns the backend's broadcast encode of a capture: the
 // cached quantized encode for the raw backend (computed at capture
 // time), the cached feature encode otherwise. Both are pure functions of
-// the capture, so whichever frame job computes one first never shows in
-// the output.
-func (l *EpisodeLab) payloadFor(e *labEntry, backend fusion.Backend, det *spod.Detector, state fusion.VehicleState, s *spod.DetectorScratch) ([]byte, error) {
+// the capture — neither backend's bytes depend on the sender state — so
+// whichever frame job computes one first never shows in the output.
+func (l *EpisodeLab) payloadFor(e *labEntry, backend fusion.Backend, det *spod.Detector, s *spod.DetectorScratch) ([]byte, error) {
 	if _, raw := backend.(fusion.RawBackend); raw {
 		return e.payload, nil
 	}
 	e.featOnce.Do(func() {
-		p, err := backend.Encode(fusion.SensorFrame{State: state, Cloud: l.cropFOV(e.scan.Cloud), Detector: det}, s)
+		p, err := backend.Encode(fusion.SensorFrame{Cloud: l.cropFOV(e.scan.Cloud), Detector: det}, s)
 		e.featPayload, e.featErr = p.Data, err
 	})
 	return e.featPayload, e.featErr
@@ -312,16 +312,18 @@ func (l *EpisodeLab) poseLabel(i int) string {
 // Run plays one episode: Frames fused frames at Hz. Per frame, every
 // vehicle senses the moving world; the senders' frames are broadcast as
 // one DSRC round per frame on the shared channel; and the receiver fuses
-// the newest fully delivered round — stale by the round's transmission
-// time plus Delay, quantised up to its frame grid — with its own fresh
-// cloud, motion-compensating the stale clouds when enabled. Fused
-// detections feed the track layer; ground truth is evaluated at each
-// frame's timestamp.
+// each sender's newest usable frame — delivered by the loss model (on a
+// clean channel, at the round's transmission time plus Delay) and, on
+// wire v3, decodable because its keyframe arrived too — with its own
+// fresh cloud, motion-compensating the stale clouds when enabled. Each
+// frame builds its store.Round and detects through Round.Detect, the
+// function replay runs. Fused detections feed the track layer; ground
+// truth is evaluated at each frame's timestamp.
 //
-// The timeline is driven on a sim.Clock (broadcast-ready events racing
-// frame-fusion events); per-frame sensing, fusion and detection then fan
-// out over Workers goroutines. Both the per-frame rows and the track
-// metrics are byte-identical at any worker count.
+// The delivery timeline is computed up front from the loss model's
+// per-slot delivery times; per-frame sensing, fusion and detection then
+// fan out over Workers goroutines. Both the per-frame rows and the
+// track metrics are byte-identical at any worker count.
 func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 	sc := l.sc
 	if opts.Frames < 1 {
@@ -414,9 +416,7 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 		}
 		encScratches := spod.NewScratches(parallel.WorkerCount(opts.Workers, len(encJobs)))
 		if _, err := parallel.MapErrWorker(opts.Workers, len(encJobs), func(w, i int) (struct{}, error) {
-			e := l.capture(encJobs[i].pose, encJobs[i].t)
-			state := stateFor(e.pose, encJobs[i].pose, int(encJobs[i].t/period))
-			_, err := l.payloadFor(e, backend, det, state, encScratches[w])
+			_, err := l.payloadFor(l.capture(encJobs[i].pose, encJobs[i].t), backend, det, encScratches[w])
 			return struct{}{}, err
 		}); err != nil {
 			return nil, err
@@ -487,104 +487,66 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 		}
 	}
 
-	// Phase 2 — the broadcast timeline on the sim clock. Round j (the
-	// senders' frames captured at t_j) becomes fusable at
-	// t_j + Plan.Ready(); each frame k fuses the newest round ready by
-	// t_k. Ready events are scheduled before fusion events, so a round
-	// landing exactly on a frame boundary is fused that frame. Slots are
-	// planned from the capture encodes: compensation preserves the
-	// point count, and the warp target depends on this very schedule, so
-	// planning from compensated sizes would be circular.
+	// Phase 2 — the broadcast timeline. Round j (the senders' frames
+	// captured at t_j) is planned on the shared channel, and the loss
+	// model gives every slot its own fate. Sender slot si's frame j is
+	// usable at frame k when its slot was delivered (and, on wire v3, so
+	// was the keyframe its delta decodes from) by t_k; each frame fuses
+	// every sender's newest usable frame, however stale. The zero model
+	// delivers every slot at the plan's Ready, so a clean channel is the
+	// same timeline with nothing dropped. Slots are planned from the
+	// capture encodes: compensation preserves the point count, and the
+	// warp target depends on this very schedule, so planning from
+	// compensated sizes would be circular.
 	sched := episodeScheduler(opts.Hz, opts.Delay)
-	plans := make([]network.Plan, opts.Frames)
-	for j := 0; j < opts.Frames; j++ {
+	lps := make([]network.LossyPlan, opts.Frames)
+	for j := range lps {
 		sizes := make([]int, len(senders))
 		for si, s := range senders {
 			if wireV3 {
 				sizes[si] = v3sizes[j][si]
 				continue
 			}
-			e := l.capture(s, at(j))
-			payload, err := l.payloadFor(e, backend, det, PoseState(e.pose, sc.LiDAR.MountHeight), nil)
+			payload, err := l.payloadFor(l.capture(s, at(j)), backend, det, nil)
 			if err != nil {
 				return nil, err
 			}
 			sizes[si] = len(payload)
 		}
-		plans[j] = sched.Plan(sizes)
+		lps[j] = opts.Loss.Round(int64(j), sched.Plan(sizes))
 	}
-	clock := &sim.Clock{}
-	available := -1
-	rounds := make([]int, opts.Frames) // frame k → fused round index
-	for j := 0; j < opts.Frames; j++ {
-		j := j
-		clock.Schedule(at(j)+plans[j].Ready(), func(time.Duration) {
-			if j > available {
-				available = j
+	usableAt := func(j, si int) (time.Duration, bool) {
+		d, ok := lps[j].AvailableAt(si)
+		if !ok {
+			return 0, false
+		}
+		t := at(j) + d
+		if wireV3 {
+			if kj := v3key[si][j]; kj != j {
+				kd, ok := lps[kj].AvailableAt(si)
+				if !ok {
+					// The keyframe this delta decodes from was lost: the
+					// frame arrived but cannot be reconstructed.
+					return 0, false
+				}
+				if kt := at(kj) + kd; kt > t {
+					t = kt
+				}
 			}
-		})
+		}
+		return t, true
 	}
-	for k := 0; k < opts.Frames; k++ {
-		k := k
-		clock.Schedule(at(k), func(time.Duration) { rounds[k] = available })
-	}
-	for clock.Step() {
-	}
-
-	// Phase 2.5 — the channel has its say. A lossy channel breaks the
-	// round granularity: every slot has its own fate, so availability is
-	// tracked per sender. Sender slot si's frame j is usable at frame k
-	// when its slot was delivered (and, on wire v3, so was the keyframe
-	// its delta decodes from) by t_k; each frame fuses every sender's
-	// newest usable frame, however stale. The lossless path keeps the
-	// round timeline above — which the zero-rate model reproduces
-	// exactly, every DeliveredAt equalling the plan's Ready.
-	lossy := opts.Loss.Enabled()
 	sround := make([][]int, opts.Frames) // frame k → per-sender fused frame (-1 = none)
-	if lossy {
-		lps := make([]network.LossyPlan, opts.Frames)
-		for j := range lps {
-			lps[j] = opts.Loss.Round(int64(j), plans[j])
-		}
-		usableAt := func(j, si int) (time.Duration, bool) {
-			d, ok := lps[j].AvailableAt(si)
-			if !ok {
-				return 0, false
-			}
-			t := at(j) + d
-			if wireV3 {
-				if kj := v3key[si][j]; kj != j {
-					kd, ok := lps[kj].AvailableAt(si)
-					if !ok {
-						// The keyframe this delta decodes from was lost:
-						// the frame arrived but cannot be reconstructed.
-						return 0, false
-					}
-					if kt := at(kj) + kd; kt > t {
-						t = kt
-					}
+	for k := range sround {
+		sround[k] = make([]int, len(senders))
+		for si := range senders {
+			best := -1
+			for j := 0; j <= k; j++ {
+				if t, ok := usableAt(j, si); ok && t <= at(k) {
+					best = j
 				}
 			}
-			return t, true
-		}
-		for k := range sround {
-			sround[k] = make([]int, len(senders))
-			for si := range senders {
-				best := -1
-				for j := 0; j <= k; j++ {
-					if t, ok := usableAt(j, si); ok && t <= at(k) {
-						best = j
-					}
-				}
-				sround[k][si] = best
-			}
-		}
-	} else {
-		for k := range sround {
-			sround[k] = make([]int, len(senders))
-			for si := range senders {
-				sround[k][si] = rounds[k]
-			}
+			sround[k][si] = best
 		}
 	}
 
@@ -598,7 +560,7 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 		worldDets []spod.Detection
 		dets      []spod.Detection // fused (or warm-up single) detections
 		icp       []float64        // ICP correction residuals, metres
-		round     store.Round      // populated when opts.Sink != nil
+		round     store.Round      // the fused (or warm-up) round detected on
 	}
 	detCfg := l.detectorConfig()
 	scratches := spod.NewScratches(parallel.WorkerCount(opts.Workers, opts.Frames))
@@ -616,30 +578,28 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 				newest = j
 			}
 		}
-		fe := frameEval{frame: EpisodeFrame{Index: k, At: tk, SenderFrame: newest}}
+		fe := frameEval{
+			frame: EpisodeFrame{Index: k, At: tk, SenderFrame: newest},
+			round: store.Round{
+				Frame: k, Receiver: l.poseLabel(receiver), State: recvState, Own: ownCloud,
+				FOVTop: detCfg.VerticalFOVTop, MaxRange: detCfg.MaxDetectionRange,
+			},
+		}
 		singles := l.singleDetect(own, scratch)
 
-		var coopDets []spod.Detection
 		if newest < 0 {
-			// Warm-up — or, under loss, a frame where every sender's every
-			// broadcast so far was dropped. The receiver is on its own; the
-			// track layer still consumes the frames — one truth match
-			// scores both columns.
-			coopDets = singles
+			// Warm-up — or a frame where no sender's broadcast is usable
+			// yet. The receiver is on its own; the track layer still
+			// consumes the frames — one truth match scores both columns.
+			fe.round.Warmup = true
+			fe.dets = singles
 			fe.assoc = EvaluateDetectionsAssoc(snapEval, receiver, nil, singles)
 			fe.frame.Single = fe.assoc.Stats
 			fe.frame.Coop = fe.assoc.Stats
-			if opts.Sink != nil {
-				fe.round = store.Round{
-					Frame: k, Receiver: l.poseLabel(receiver), State: recvState,
-					Own: ownCloud, Warmup: true,
-					FOVTop: detCfg.VerticalFOVTop, MaxRange: detCfg.MaxDetectionRange,
-				}
-			}
 		} else {
 			fe.frame.Single = EvaluateDetections(snapEval, receiver, nil, singles)
-			fe.frame.RoundLatency = plans[newest].Ready()
-			payloads := make([]fusion.Payload, 0, len(senders))
+			fe.frame.RoundLatency = lps[newest].Plan.Ready()
+			payloads := make([]store.RoundPayload, 0, len(senders))
 			deltaD := 0.0
 			for si, s := range senders {
 				j := sround[k][si]
@@ -656,7 +616,7 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 				// Compensation warps the cloud to this frame's consumption
 				// time, so it must re-encode; the uncompensated broadcast
 				// is exactly the capture's cached encode.
-				payload, err := l.payloadFor(cap, backend, det, stateFor(cap.pose, s, j), scratch)
+				payload, err := l.payloadFor(cap, backend, det, scratch)
 				if err != nil {
 					return frameEval{}, fmt.Errorf("core: frame %d sender %d: %w", k, s, err)
 				}
@@ -677,42 +637,29 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 				} else {
 					fe.frame.PayloadBytes += len(payload)
 				}
-				payloads = append(payloads, fusion.Payload{SenderID: l.poseLabel(s), State: stateFor(cap.pose, s, j), Data: payload})
+				payloads = append(payloads, store.RoundPayload{Sender: l.poseLabel(s), State: stateFor(cap.pose, s, j), Data: payload})
 				if d := cap.pose.T.DistXY(own.pose.T); d > deltaD {
 					deltaD = d
 				}
 			}
 			fe.frame.Senders = len(payloads)
 			fe.frame.Lost = len(senders) - len(payloads)
-			in, err := backend.Fuse(fusion.SensorFrame{State: recvState, Cloud: ownCloud, Detector: det}, payloads)
+			r := &fe.round
+			r.OverrideMaxDist, r.MaxDist, r.Payloads = true, deltaD, payloads
+			r.LatencyUS = fe.frame.RoundLatency.Microseconds()
+			r.StalenessUS = fe.frame.Staleness.Microseconds()
+			r.PayloadBytes = int64(fe.frame.PayloadBytes)
+			r.Lost = fe.frame.Lost
+			dets, in, err := r.Detect(backend, scratch)
 			if err != nil {
-				return frameEval{}, fmt.Errorf("core: frame %d: %w", k, err)
+				return frameEval{}, fmt.Errorf("core: %w", err)
 			}
-			in.MaxDist = deltaD
-			coopDets, _ = in.Detect(l.detectorConfig(), scratch)
-			fe.assoc = EvaluateDetectionsAssoc(snapEval, receiver, participants, coopDets)
+			fe.dets = dets
+			fe.assoc = EvaluateDetectionsAssoc(snapEval, receiver, participants, dets)
 			fe.frame.Coop = fe.assoc.Stats
 			fe.icp = in.ICPCorrections
-			if opts.Sink != nil {
-				rp := make([]store.RoundPayload, len(payloads))
-				for i, p := range payloads {
-					rp[i] = store.RoundPayload{Sender: p.SenderID, State: p.State, Data: p.Data}
-				}
-				fe.round = store.Round{
-					Frame: k, Receiver: l.poseLabel(receiver), State: recvState,
-					Own: ownCloud, OverrideMaxDist: true, MaxDist: deltaD,
-					FOVTop: detCfg.VerticalFOVTop, MaxRange: detCfg.MaxDetectionRange,
-					LatencyUS:    fe.frame.RoundLatency.Microseconds(),
-					StalenessUS:  fe.frame.Staleness.Microseconds(),
-					PayloadBytes: int64(fe.frame.PayloadBytes),
-					Lost:         fe.frame.Lost,
-					Payloads:     rp,
-				}
-			}
 		}
-
-		fe.dets = coopDets
-		fe.worldDets = WorldDetections(coopDets, own.pose, sc.LiDAR.MountHeight)
+		fe.worldDets = WorldDetections(fe.dets, own.pose, sc.LiDAR.MountHeight)
 		return fe, nil
 	})
 	if err != nil {
@@ -774,7 +721,7 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 					wire = v3wire[si][k]
 				} else if !rawBackend {
 					var err error
-					if wire, err = l.payloadFor(e, backend, det, stateFor(e.pose, s, k), nil); err != nil {
+					if wire, err = l.payloadFor(e, backend, det, nil); err != nil {
 						return nil, err
 					}
 				}
@@ -785,15 +732,9 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 					return nil, err
 				}
 			}
-			if err := opts.Sink.WriteRound(fe.round); err != nil {
-				return nil, err
-			}
-			if err := opts.Sink.WriteDetections(store.Detections{Frame: k, Receiver: fe.round.Receiver, Dets: fe.dets}); err != nil {
-				return nil, err
-			}
-			if err := opts.Sink.WriteTracks(store.Tracks{Frame: k, Receiver: fe.round.Receiver, Tracks: store.TrackStates(tracker.Tracks())}); err != nil {
-				return nil, err
-			}
+		}
+		if err := opts.Sink.WriteFused(fe.round, fe.dets, tracker.Tracks()); err != nil {
+			return nil, err
 		}
 	}
 	res.Temporal = eval.Temporal(assocFrames)

@@ -31,8 +31,9 @@ func renderEpisode(t *testing.T, lab *EpisodeLab, opts EpisodeOptions) string {
 
 // TestEpisodeZeroLossIsLossless locks the degraded-world layer's no-op:
 // a zero-rate loss model (and zero drift) must reproduce the clean
-// episode byte for byte, because the per-sender delivery path only
-// engages when the model can actually perturb a round.
+// episode byte for byte. Every episode reads its timeline from the loss
+// model, and a zero-rate model delivers every slot at its round's Ready
+// whatever its seed.
 func TestEpisodeZeroLossIsLossless(t *testing.T) {
 	sc, err := scene.Generate(scene.GenParams{Family: scene.FamilyPlatoon, Fleet: 3, Seed: 5})
 	if err != nil {

@@ -301,6 +301,28 @@ func TestEpisodeWireV3FresherRounds(t *testing.T) {
 	}
 }
 
+// TestEpisodeWireV3WaitsForKeyframe pins the v3 decode rule on a clean
+// channel: a delta frame is usable only once the keyframe it decodes
+// from has arrived too. At 20 Hz the keyframe round 0 clears at about
+// 257 ms, after the small delta round 1 (captured at 50 ms) lands, so
+// frame 5 (250 ms) has nothing decodable and must stay in warm-up.
+func TestEpisodeWireV3WaitsForKeyframe(t *testing.T) {
+	sc, err := scene.Generate(scene.GenParams{Family: scene.FamilyIntersection, Fleet: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunEpisode(sc, EpisodeOptions{Frames: 12, Hz: 20, Wire: "v3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f5 := res.Frames[5]; f5.SenderFrame != -1 || f5.Senders != 0 || f5.Lost != 0 {
+		t.Errorf("frame 5 fused before its keyframe cleared the channel: %+v", f5)
+	}
+	if f6 := res.Frames[6]; f6.SenderFrame < 0 {
+		t.Errorf("frame 6 (300 ms) should fuse once keyframe round 0 has cleared, got %+v", f6)
+	}
+}
+
 // TestEpisodeWireValidation pins the v3 option conflicts: compensation,
 // non-raw backends and unknown wire names are rejected up front.
 func TestEpisodeWireValidation(t *testing.T) {

@@ -139,7 +139,7 @@ func storedEpisodeFor(t *testing.T, dir *store.Dir, id string) {
 	if err := ew.WriteRound(round); err != nil {
 		t.Fatal(err)
 	}
-	dets, err := store.ReplayRound(nil, round, spod.NewScratch())
+	dets, _, err := round.Detect(nil, spod.NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,29 +88,22 @@ type SelfTestOptions struct {
 
 // selfReport is one client's deterministic round outcome.
 type selfReport struct {
-	id          string
 	senders     []string
-	stale       int
-	payloadSum  int
 	plan        network.Plan
 	single      core.TruthStats
 	coop        core.TruthStats
 	categories  map[roi.Category]int
 	downsampled int
 
+	// round is the client's fusion round exactly as Round.Detect
+	// consumed it (its Receiver, Lost stale senders and PayloadBytes
+	// feed the report), and dets is what it detected. Both are written
+	// to the episode store sequentially after the parallel phase, so
+	// the log's record order is deterministic.
+	round     store.Round
+	dets      []spod.Detection
 	assoc     core.TruthAssoc
 	worldDets []spod.Detection
-
-	// Episode-store capture, populated only when the run carries a
-	// store sink: the fusion inputs and outputs of this client's round,
-	// written sequentially after the parallel phase so the log's record
-	// order is deterministic.
-	storeCloud    *pointcloud.Cloud
-	storeState    fusion.VehicleState
-	storePayloads []fusion.Payload
-	storeDets     []spod.Detection
-	storeFOVTop   float64
-	storeMaxRange float64
 }
 
 // SelfTest spins up a hub plus an in-process fleet of TCP clients from a
@@ -320,7 +313,15 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 			if err != nil {
 				return selfReport{}, err
 			}
-			rep := selfReport{id: v.ID, categories: make(map[roi.Category]int)}
+			recv, err := v.SensorFrame(nil)
+			if err != nil {
+				return selfReport{}, err
+			}
+			cfg := recv.Detector.Config()
+			rep := selfReport{categories: make(map[roi.Category]int), round: store.Round{
+				Frame: f, Receiver: v.ID, State: reqState, Own: recv.Cloud,
+				FOVTop: cfg.VerticalFOVTop, MaxRange: cfg.MaxDetectionRange,
+			}}
 
 			singles, _, err := v.Detect(scratch)
 			if err != nil {
@@ -328,17 +329,16 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 			}
 			rep.single = core.EvaluateDetections(snap, i, nil, singles)
 
-			payloads := make([]fusion.Payload, 0, len(rframes))
 			sizes := make([]int, 0, len(rframes))
 			participants := []int{i}
 			for _, rf := range rframes {
 				rep.senders = append(rep.senders, rf.Sender)
 				if rf.Stale {
-					rep.stale++
+					rep.round.Lost++
 				}
-				rep.payloadSum += len(rf.Payload)
+				rep.round.PayloadBytes += int64(len(rf.Payload))
 				sizes = append(sizes, len(rf.Payload))
-				payloads = append(payloads, fusion.Payload{SenderID: rf.Sender, State: rf.State, Data: rf.Payload})
+				rep.round.Payloads = append(rep.round.Payloads, store.RoundPayload{Sender: rf.Sender, State: rf.State, Data: rf.Payload})
 				p, ok := poseOf[rf.Sender]
 				if !ok {
 					return selfReport{}, fmt.Errorf("hub: round frame from unknown vehicle %q", rf.Sender)
@@ -350,31 +350,16 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 					rep.downsampled++
 				}
 			}
-			recv, err := v.SensorFrame(nil)
-			if err != nil {
-				return selfReport{}, err
-			}
-			recv.State = reqState
-			in, err := backend.Fuse(recv, payloads)
-			if err != nil {
-				return selfReport{}, err
-			}
-			coopDets, _ := in.Detect(recv.Detector.Config(), scratch)
-			rep.assoc = core.EvaluateDetectionsAssoc(snap, i, participants, coopDets)
-			rep.coop = rep.assoc.Stats
 			rep.plan = h.cfg.Scheduler.Plan(sizes)
-			if opts.Store != nil {
-				cfg := recv.Detector.Config()
-				rep.storeCloud = recv.Cloud
-				rep.storeState = reqState
-				rep.storePayloads = payloads
-				rep.storeDets = coopDets
-				rep.storeFOVTop = cfg.VerticalFOVTop
-				rep.storeMaxRange = cfg.MaxDetectionRange
+			rep.round.LatencyUS = rep.plan.Completion().Microseconds()
+			if rep.dets, _, err = rep.round.Detect(backend, scratch); err != nil {
+				return selfReport{}, err
 			}
+			rep.assoc = core.EvaluateDetectionsAssoc(snap, i, participants, rep.dets)
+			rep.coop = rep.assoc.Stats
 
 			// Track in the world frame: receivers move between frames.
-			rep.worldDets = core.WorldDetections(coopDets, snap.Poses[i], sc.LiDAR.MountHeight)
+			rep.worldDets = core.WorldDetections(rep.dets, snap.Poses[i], sc.LiDAR.MountHeight)
 			return rep, nil
 		})
 		if err != nil {
@@ -395,10 +380,8 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 			rep := &reports[i]
 			ids := trackers[i].Step(at, rep.worldDets)
 			assocs[i] = append(assocs[i], rep.assoc.FrameAssoc(ids))
-			if opts.Store != nil {
-				if err := writeSelfTestRound(opts.Store, f, rep, trackers[i]); err != nil {
-					return err
-				}
+			if err := opts.Store.WriteFused(rep.round, rep.dets, trackers[i].Tracks()); err != nil {
+				return err
 			}
 		}
 		allReports[f] = reports
@@ -437,36 +420,6 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 		time.Sleep(opts.Linger)
 	}
 	return nil
-}
-
-// writeSelfTestRound appends one client's round, fused detections and
-// track state to the episode store. The round record carries the exact
-// fusion inputs — the receiver's lossless cloud, the served payloads
-// and the detector scalars — so store.ReplayEpisode reproduces the
-// detections byte for byte through the same Fuse+Detect path.
-func writeSelfTestRound(ew *store.EpisodeWriter, f int, rep *selfReport, tr *track.Tracker) error {
-	rp := make([]store.RoundPayload, len(rep.storePayloads))
-	for j, p := range rep.storePayloads {
-		rp[j] = store.RoundPayload{Sender: p.SenderID, State: p.State, Data: p.Data}
-	}
-	if err := ew.WriteRound(store.Round{
-		Frame:        f,
-		Receiver:     rep.id,
-		State:        rep.storeState,
-		Own:          rep.storeCloud,
-		FOVTop:       rep.storeFOVTop,
-		MaxRange:     rep.storeMaxRange,
-		LatencyUS:    rep.plan.Completion().Microseconds(),
-		PayloadBytes: int64(rep.payloadSum),
-		Lost:         rep.stale,
-		Payloads:     rp,
-	}); err != nil {
-		return err
-	}
-	if err := ew.WriteDetections(store.Detections{Frame: f, Receiver: rep.id, Dets: rep.storeDets}); err != nil {
-		return err
-	}
-	return ew.WriteTracks(store.Tracks{Frame: f, Receiver: rep.id, Tracks: store.TrackStates(tr.Tracks())})
 }
 
 // selectionFor reports the payload-selection rung the hub used for one
@@ -530,10 +483,10 @@ func printSelfTest(w io.Writer, sc *scene.Scenario, opts SelfTestOptions, k int,
 			catNote += fmt.Sprintf(" (%d downsampled)", r.downsampled)
 		}
 		if opts.Loss.Enabled() {
-			catNote += fmt.Sprintf(" | %d stale", r.stale)
+			catNote += fmt.Sprintf(" | %d stale", r.round.Lost)
 		}
 		fmt.Fprintf(w, "\nround %s: fuses %s | %d KB | latency %v | load %.2f Mbit/s (util %.0f%%, fits %v) | %s\n",
-			r.id, strings.Join(r.senders, "+"), r.payloadSum/1024,
+			r.round.Receiver, strings.Join(r.senders, "+"), r.round.PayloadBytes/1024,
 			r.plan.Completion(), r.plan.MbitPerSecond(), 100*r.plan.Utilization(), r.plan.Fits(), catNote)
 		fmt.Fprintf(w, "  single-shot P=%s R=%s   cooper P=%s R=%s\n",
 			pct(r.single.Precision()), pct(r.single.Recall()),
@@ -578,7 +531,7 @@ func printStreaming(w io.Writer, sc *scene.Scenario, opts SelfTestOptions, frame
 			if r.plan.Fits() {
 				fits++
 			}
-			stale += r.stale
+			stale += r.round.Lost
 			if c := r.plan.Completion(); c > worst {
 				worst = c
 			}

@@ -3,11 +3,13 @@ package hub
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"cooper/internal/fusion"
 	"cooper/internal/network"
+	"cooper/internal/store"
 )
 
 // TestSelfTestDeterministic is the acceptance property behind
@@ -169,5 +171,44 @@ func TestSelfTestDegraded(t *testing.T) {
 	}
 	if !strings.Contains(run(1, 0, 0.6), "drift=0.6m") {
 		t.Error("drift-only report missing its header clause")
+	}
+}
+
+// TestSelfTestStoreReplays records degraded selftests into an episode
+// log and replays it: every client round must reproduce its recorded
+// detections byte for byte, on the v3 delta wire and on the feature
+// backend alike.
+func TestSelfTestStoreReplays(t *testing.T) {
+	for _, tc := range []struct{ backend, wire string }{{"raw", "v3"}, {"feature", "v2"}} {
+		t.Run(tc.backend, func(t *testing.T) {
+			backend, err := fusion.ParseBackend(tc.backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var log bytes.Buffer
+			ew, err := store.NewEpisodeWriter(&log, store.Header{Label: "selftest", Backend: tc.backend, Wire: tc.wire})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := SelfTestOptions{Fleet: 3, Seed: 5, Frames: 3, Wire: tc.wire, Backend: backend,
+				Loss: network.DefaultLoss(0.3, 5), Drift: 0.5, Store: ew}
+			if err := SelfTest(io.Discard, opts); err != nil {
+				t.Fatal(err)
+			}
+			if err := ew.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ep, err := store.ReadEpisode(&log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, stats, err := store.ReplayEpisode(ep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !stats.Identical() || stats.Rounds != opts.Fleet*opts.Frames {
+				t.Errorf("replay of %d client rounds: %v", opts.Fleet*opts.Frames, stats)
+			}
+		})
 	}
 }

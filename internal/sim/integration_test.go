@@ -12,10 +12,11 @@ import (
 	"cooper/internal/sim"
 )
 
-// TestDrivenCooperativeTimeline plays a Cooper timeline through the
-// discrete-event clock: an ego vehicle drives past a truck while a parked
-// connected vehicle periodically shares its view; the hidden car behind
-// the truck must appear in the ego's cooperative detections at some tick.
+// TestDrivenCooperativeTimeline plays a Cooper timeline: an ego vehicle
+// drives past a truck while a parked connected vehicle shares its view
+// once per simulated second (the paper's 1 Hz cooperative exchange
+// rate); the hidden car behind the truck must appear in the ego's
+// cooperative detections at some tick.
 func TestDrivenCooperativeTimeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-scan timeline")
@@ -32,24 +33,19 @@ func TestDrivenCooperativeTimeline(t *testing.T) {
 
 	traj := sim.NewTrajectory(8, geom.V3(0, 0, 0), geom.V3(12, 0, 0))
 
-	var clock sim.Clock
 	recovered := false
-	// Ego senses and fuses once per simulated second (the paper's 1 Hz
-	// cooperative exchange rate).
-	clock.Every(0, time.Second, func(now time.Duration) bool {
+	for now := time.Duration(0); now <= 2*time.Second; now += time.Second {
 		pose := traj.At(now)
 		ego.SetState(fusion.VehicleState{GPS: pose.T, Yaw: pose.R.Yaw()})
 		ego.Sense(world.Targets(), world.GroundZ)
 
 		pkg, err := parked.PreparePackage(nil)
 		if err != nil {
-			t.Errorf("prepare: %v", err)
-			return false
+			t.Fatalf("prepare: %v", err)
 		}
 		dets, _, err := ego.CooperativeDetect(pkg)
 		if err != nil {
-			t.Errorf("detect: %v", err)
-			return false
+			t.Fatalf("detect: %v", err)
 		}
 		car, _ := world.ObjectByID(hidden)
 		gt := car.Box.Transformed(ego.SensorTransform())
@@ -58,9 +54,7 @@ func TestDrivenCooperativeTimeline(t *testing.T) {
 				recovered = true
 			}
 		}
-		return now < 2*time.Second
-	})
-	clock.RunUntil(5 * time.Second)
+	}
 
 	if !recovered {
 		t.Error("hidden car never appeared in cooperative detections along the drive")

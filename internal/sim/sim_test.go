@@ -8,92 +8,6 @@ import (
 	"cooper/internal/geom"
 )
 
-func TestClockOrdersEvents(t *testing.T) {
-	var c Clock
-	var order []int
-	c.Schedule(3*time.Second, func(time.Duration) { order = append(order, 3) })
-	c.Schedule(1*time.Second, func(time.Duration) { order = append(order, 1) })
-	c.Schedule(2*time.Second, func(time.Duration) { order = append(order, 2) })
-	c.RunUntil(10 * time.Second)
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order = %v", order)
-	}
-	if c.Now() != 10*time.Second {
-		t.Errorf("clock finished at %v", c.Now())
-	}
-}
-
-func TestClockTieBreakPreservesScheduleOrder(t *testing.T) {
-	var c Clock
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		c.Schedule(time.Second, func(time.Duration) { order = append(order, i) })
-	}
-	c.RunUntil(2 * time.Second)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events ran out of order: %v", order)
-		}
-	}
-}
-
-func TestClockAfterAndNesting(t *testing.T) {
-	var c Clock
-	var times []time.Duration
-	c.After(time.Second, func(now time.Duration) {
-		times = append(times, now)
-		c.After(2*time.Second, func(now time.Duration) {
-			times = append(times, now)
-		})
-	})
-	c.RunUntil(time.Minute)
-	if len(times) != 2 || times[0] != time.Second || times[1] != 3*time.Second {
-		t.Errorf("times = %v", times)
-	}
-}
-
-func TestClockEvery(t *testing.T) {
-	var c Clock
-	count := 0
-	c.Every(0, time.Second, func(now time.Duration) bool {
-		count++
-		return count < 5
-	})
-	c.RunUntil(time.Minute)
-	if count != 5 {
-		t.Errorf("recurring event ran %d times, want 5", count)
-	}
-}
-
-func TestRunUntilStopsAtDeadline(t *testing.T) {
-	var c Clock
-	ran := false
-	c.Schedule(10*time.Second, func(time.Duration) { ran = true })
-	c.RunUntil(5 * time.Second)
-	if ran {
-		t.Error("event past deadline ran")
-	}
-	if c.Now() != 5*time.Second {
-		t.Errorf("clock at %v, want deadline", c.Now())
-	}
-	if c.Pending() != 1 {
-		t.Errorf("pending = %d", c.Pending())
-	}
-}
-
-func TestSchedulePastClampsToNow(t *testing.T) {
-	var c Clock
-	c.Schedule(5*time.Second, func(time.Duration) {})
-	c.RunUntil(5 * time.Second)
-	fired := time.Duration(-1)
-	c.Schedule(time.Second, func(now time.Duration) { fired = now })
-	c.RunUntil(6 * time.Second)
-	if fired != 5*time.Second {
-		t.Errorf("past event fired at %v, want clamped to 5s", fired)
-	}
-}
-
 func TestTrajectoryInterpolation(t *testing.T) {
 	tr := NewTrajectory(10, geom.V3(0, 0, 0), geom.V3(100, 0, 0))
 	if got := tr.Duration(); got != 10*time.Second {

@@ -1,3 +1,6 @@
+// Package sim plays out multi-vehicle Cooper timelines: vehicles drive
+// along waypoint trajectories, sense at their LiDAR rate and exchange
+// data at the paper's 1 Hz cooperative rate.
 package sim
 
 import (

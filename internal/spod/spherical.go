@@ -85,22 +85,15 @@ type binnedEcho struct {
 	idx int32
 }
 
-// projectSpherical builds the range image inside the scratch's buffers
-// when s is non-nil (the returned image is &s.img, valid until the
-// scratch's next frame); with a nil scratch it allocates a caller-owned
-// image.
+// projectSpherical builds the range image inside the scratch's buffers:
+// the returned image is &s.img, valid until the scratch's next frame.
 func projectSpherical(c *pointcloud.Cloud, cfg SphericalConfig, s *DetectorScratch) *RangeImage {
 	cells := cfg.Rows * cfg.Cols
-	var img *RangeImage
-	if s != nil {
-		img = &s.img
-		img.near = grow(img.near, cells)
-		img.far = grow(img.far, cells)
-		clear(img.near)
-		clear(img.far)
-	} else {
-		img = &RangeImage{near: make([]echo, cells), far: make([]echo, cells)}
-	}
+	img := &s.img
+	img.near = grow(img.near, cells)
+	img.far = grow(img.far, cells)
+	clear(img.near)
+	clear(img.far)
 	img.Rows, img.Cols = cfg.Rows, cfg.Cols
 	img.MinEl, img.MaxEl = cfg.MinEl, cfg.MaxEl
 	img.elStep = (cfg.MaxEl - cfg.MinEl) / float64(cfg.Rows)
@@ -118,13 +111,8 @@ func projectSpherical(c *pointcloud.Cloud, cfg SphericalConfig, s *DetectorScrat
 		// Phase 1 — the per-point trigonometry (range, elevation, azimuth,
 		// cell binning) is pure, so it fans out across point chunks; slot i
 		// holds point i's binned echo.
-		var binned []binnedEcho
-		if s != nil {
-			s.binned = grow(s.binned, c.Len())
-			binned = s.binned
-		} else {
-			binned = make([]binnedEcho, c.Len())
-		}
+		s.binned = grow(s.binned, c.Len())
+		binned := s.binned
 		const chunk = 4096
 		nChunks := (c.Len() + chunk - 1) / chunk
 		parallel.For(cfg.Workers, nChunks, func(ci int) {

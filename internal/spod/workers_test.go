@@ -29,10 +29,10 @@ func TestProjectSphericalWorkersIdentical(t *testing.T) {
 	cloud := noisyCloud(20000)
 	cfg := DefaultSphericalConfig()
 	cfg.Workers = 1
-	ref := projectSpherical(cloud, cfg, nil)
+	ref := projectSpherical(cloud, cfg, NewScratch())
 	for _, workers := range []int{0, 3, 16} {
 		cfg.Workers = workers
-		got := projectSpherical(cloud, cfg, nil)
+		got := projectSpherical(cloud, cfg, NewScratch())
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: range image differs from sequential", workers)
 		}

@@ -565,6 +565,23 @@ func (ew *EpisodeWriter) WriteTracks(t Tracks) error {
 	return ew.append(RecTracks, EncodeTracks(t))
 }
 
+// WriteFused appends one receiver's fused frame in the order it
+// happened: the round, the detections Round.Detect produced from it,
+// and the tracker state after consuming them. A nil writer records
+// nothing, so producers call it unconditionally.
+func (ew *EpisodeWriter) WriteFused(r Round, dets []spod.Detection, tracks []*track.Track) error {
+	if ew == nil {
+		return nil
+	}
+	if err := ew.WriteRound(r); err != nil {
+		return err
+	}
+	if err := ew.WriteDetections(Detections{Frame: r.Frame, Receiver: r.Receiver, Dets: dets}); err != nil {
+		return err
+	}
+	return ew.WriteTracks(Tracks{Frame: r.Frame, Receiver: r.Receiver, Tracks: TrackStates(tracks)})
+}
+
 // Close writes the End record, flushes, and closes the file if the
 // writer owns one.
 func (ew *EpisodeWriter) Close() error {

@@ -61,37 +61,38 @@ func detectorFor(r Round) spod.Config {
 	if r.MaxRange != 0 {
 		cfg.MaxDetectionRange = r.MaxRange
 	}
-	// Replay is sequential; pinning the detector to one goroutine also
-	// removes any dependence on the replaying host's core count.
+	// Pinning the detector to one goroutine removes any dependence on
+	// the host's core count; producers fan out across rounds instead.
 	cfg.Workers = 1
 	return cfg
 }
 
-// ReplayRound pushes one stored round back through the live fusion
-// path and returns the recomputed fused detections. Warmup rounds
-// replay the single-shot detector; cooperative rounds replay
-// Backend.Fuse plus the recorded MaxDist override. The code paths are
-// the production ones, not reimplementations — that is the point: a
-// divergence means the fusion path changed, not the replayer.
-func ReplayRound(backend fusion.Backend, r Round, scratch *spod.DetectorScratch) ([]spod.Detection, error) {
+// Detect runs the round's fusion step: Backend.Fuse over the stored
+// payloads plus the recorded MaxDist override, then the cooperative
+// detector. A warm-up round runs the single-shot detector on Own and
+// returns a nil fused input. Live producers build their Round first and
+// detect through this method, so replaying a stored round runs the very
+// function that produced its detections: a divergence means the fusion
+// path changed, not the replayer.
+func (r Round) Detect(backend fusion.Backend, s *spod.DetectorScratch) ([]spod.Detection, *fusion.FusedInput, error) {
 	cfg := detectorFor(r)
 	if r.Warmup {
-		dets, _ := spod.New(cfg).Detect(r.Own, nil, scratch)
-		return dets, nil
+		dets, _ := spod.New(cfg).Detect(r.Own, nil, s)
+		return dets, nil, nil
 	}
 	payloads := make([]fusion.Payload, len(r.Payloads))
 	for i, p := range r.Payloads {
-		payloads[i] = fusion.Payload{SenderID: p.Sender, State: p.State, Data: p.Data, Points: len(p.Data)}
+		payloads[i] = fusion.Payload{SenderID: p.Sender, State: p.State, Data: p.Data}
 	}
 	in, err := backend.Fuse(fusion.SensorFrame{State: r.State, Cloud: r.Own}, payloads)
 	if err != nil {
-		return nil, fmt.Errorf("store: replaying frame %d receiver %s: %w", r.Frame, r.Receiver, err)
+		return nil, nil, fmt.Errorf("store: frame %d receiver %s: %w", r.Frame, r.Receiver, err)
 	}
 	if r.OverrideMaxDist {
 		in.MaxDist = r.MaxDist
 	}
-	dets, _ := in.Detect(cfg, scratch)
-	return dets, nil
+	dets, _ := in.Detect(cfg, s)
+	return dets, in, nil
 }
 
 // ReplayEpisode recomputes every round of a decoded episode and
@@ -111,7 +112,7 @@ func ReplayEpisode(ep *Episode) ([]Detections, ReplayStats, error) {
 	var stats ReplayStats
 	out := make([]Detections, 0, len(ep.Rounds))
 	for _, r := range ep.Rounds {
-		dets, err := ReplayRound(backend, r, scratch)
+		dets, _, err := r.Detect(backend, scratch)
 		if err != nil {
 			return nil, stats, err
 		}
