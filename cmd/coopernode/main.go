@@ -151,7 +151,7 @@ func run() error {
 	case *hubAddr != "":
 		return runHub(*hubAddr, *httpAddr, *storePath)
 	case *join != "":
-		sc, err := resolve(*scenarioName, *fleet, *seed, *traffic)
+		sc, err := scene.Resolve(*scenarioName, *fleet, *seed, *traffic)
 		if err != nil {
 			return err
 		}
@@ -177,19 +177,6 @@ func familyOf(name string) (string, error) {
 		return "", nil // hub.SelfTest defaults to platoon
 	}
 	return "", fmt.Errorf("-selftest needs a generated family (%v), got %q", scene.Families(), name)
-}
-
-// resolve finds the named paper scenario or generates the named family.
-func resolve(name string, fleet int, seed int64, traffic int) (*scene.Scenario, error) {
-	if fam, ok := scene.ParseFamily(name); ok {
-		return scene.Generate(scene.GenParams{Family: fam, Fleet: fleet, Seed: seed, Traffic: traffic})
-	}
-	for _, sc := range scene.AllScenarios() {
-		if sc.Name == name {
-			return sc, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown scenario %q", name)
 }
 
 func makeVehicle(sc *scene.Scenario, pose int) (*core.Vehicle, error) {

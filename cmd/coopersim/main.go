@@ -66,19 +66,6 @@ func main() {
 	}
 }
 
-// resolve finds the paper scenario or generates the named family.
-func resolve(name string, fleet int, seed int64, traffic int) (*scene.Scenario, error) {
-	if fam, ok := scene.ParseFamily(name); ok {
-		return scene.Generate(scene.GenParams{Family: fam, Fleet: fleet, Seed: seed, Traffic: traffic})
-	}
-	for _, sc := range scene.AllScenarios() {
-		if sc.Name == name {
-			return sc, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown scenario %q (use -list)", name)
-}
-
 func run() error {
 	name := flag.String("scenario", "T-junction", "scenario name or generated family (see -list)")
 	list := flag.Bool("list", false, "list scenarios and generated families")
@@ -118,8 +105,11 @@ func run() error {
 		return nil
 	}
 
-	target, err := resolve(*name, *fleet, *seed, *traffic)
+	target, err := scene.Resolve(*name, *fleet, *seed, *traffic)
 	if err != nil {
+		if _, family := scene.ParseFamily(*name); !family {
+			err = fmt.Errorf("%w (use -list)", err)
+		}
 		return err
 	}
 
@@ -272,11 +262,7 @@ func runEpisode(target *scene.Scenario, frames int, hz float64, delay time.Durat
 	}
 
 	if loss > 0 {
-		lostFrames := 0
-		for _, f := range res.Frames {
-			lostFrames += f.Lost
-		}
-		fmt.Printf("channel: %d sender frame(s) lost in transit; each lossy round fused the newest delivered fallback\n", lostFrames)
+		fmt.Printf("channel: %d sender frame(s) lost in transit; each lossy round fused the newest delivered fallback\n", res.DroppedSlots)
 	}
 	t := res.Temporal
 	fmt.Printf("tracks: %d live, %d distinct on truth; continuity %.1f%% (%d/%d truth-frames), ID switches %d, fragments %d\n",
@@ -300,7 +286,7 @@ func printCase(target *scene.Scenario, o *core.CaseOutcome, sched network.Schedu
 		fmt.Printf("  %-6d %-7s %-7s %-7s %s\n", row.CarID, row.I, row.J, row.Coop, row.Band)
 	}
 
-	ci, cj, cc := cells(o, 0), cells(o, 1), cells(o, 2)
+	ci, cj, cc := o.Column(0), o.Column(1), o.Column(2)
 	fmt.Printf("  detected: %s=%d  %s=%d  Cooper=%d   accuracy: %.0f%% / %.0f%% / %.0f%%\n",
 		labelI, eval.CountDetected(ci), labelJ, eval.CountDetected(cj), eval.CountDetected(cc),
 		eval.Accuracy(ci), eval.Accuracy(cj), eval.Accuracy(cc))
@@ -350,19 +336,4 @@ func runReplay(path string) error {
 	}
 	fmt.Println("replay byte-identical: the stored episode reproduces exactly")
 	return nil
-}
-
-func cells(o *core.CaseOutcome, col int) []eval.Cell {
-	out := make([]eval.Cell, 0, len(o.Rows))
-	for _, r := range o.Rows {
-		switch col {
-		case 0:
-			out = append(out, r.I)
-		case 1:
-			out = append(out, r.J)
-		default:
-			out = append(out, r.Coop)
-		}
-	}
-	return out
 }

@@ -30,19 +30,6 @@ func main() {
 	}
 }
 
-// resolve finds the named paper scenario or generates the named family.
-func resolve(name string, fleet int, seed int64, traffic int) (*scene.Scenario, error) {
-	if fam, ok := scene.ParseFamily(name); ok {
-		return scene.Generate(scene.GenParams{Family: fam, Fleet: fleet, Seed: seed, Traffic: traffic})
-	}
-	for _, sc := range scene.AllScenarios() {
-		if sc.Name == name {
-			return sc, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown scenario %q", name)
-}
-
 func run() error {
 	out := flag.String("out", "./data", "output directory")
 	which := flag.String("dataset", "all", `dataset to render: "KITTI", "T&J" or "all"`)
@@ -56,7 +43,7 @@ func run() error {
 
 	var scenarios []*scene.Scenario
 	if *name != "" {
-		sc, err := resolve(*name, *fleet, *seed, *traffic)
+		sc, err := scene.Resolve(*name, *fleet, *seed, *traffic)
 		if err != nil {
 			return err
 		}

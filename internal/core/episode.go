@@ -37,8 +37,6 @@ type EpisodeOptions struct {
 	// Workers bounds the per-frame fan-out goroutines (< 1 = one per
 	// CPU). Results are byte-identical at any value.
 	Workers int
-	// Case indexes Scenario.Cases (default 0, the N-way fleet case).
-	Case int
 	// Backend selects the fusion strategy senders broadcast with; nil
 	// means raw-cloud fusion.
 	Backend fusion.Backend
@@ -63,9 +61,9 @@ type EpisodeOptions struct {
 	// scheduled Ready.
 	Loss network.LossModel
 	// Drift is the bound, in metres, of each vehicle's seeded
-	// localization-error walk (scene.DriftWalk): reported GPS/IMU states
-	// drift off the true poses while sensing, occlusion and ground truth
-	// stay exact. Zero means exact localization.
+	// localization-error walk (scene.Scenario.DriftWalks): reported
+	// GPS/IMU states drift off the true poses while sensing, occlusion
+	// and ground truth stay exact. Zero means exact localization.
 	Drift float64
 	// Correct runs the ICP alignment-correction stage on every fused
 	// round — fusion.RawBackend's in-loop refinement — recovering what
@@ -140,6 +138,10 @@ type EpisodeResult struct {
 	Temporal eval.TemporalStats
 	// Tracks is the number of live tracks when the episode ended.
 	Tracks int
+	// DroppedSlots counts the broadcast slots the channel lost over the
+	// episode, summed over every round's LossyPlan — zero on a clean
+	// channel.
+	DroppedSlots int
 }
 
 // MeanSingleRecall averages the single-shot recall over all frames.
@@ -252,7 +254,7 @@ func (l *EpisodeLab) capture(i int, t time.Duration) *labEntry {
 	e.once.Do(func() {
 		snap := l.sc.At(t)
 		e.pose = snap.Poses[i]
-		seed := l.sc.Seed + int64(i)*997 + int64(t/time.Millisecond)*1000003
+		seed := l.sc.SensingSeed(i, int64(t/time.Millisecond)*1000003)
 		scanner := lidar.NewScanner(l.sc.LiDAR, seed).SetWorkers(1)
 		e.scan = scanner.ScanFrom(e.pose, snap.Scene.Targets(), snap.Scene.GroundZ)
 		payload, err := pointcloud.EncodeQuantized(l.cropFOV(e.scan.Cloud))
@@ -288,13 +290,13 @@ func (l *EpisodeLab) cropFOV(c *pointcloud.Cloud) *pointcloud.Cloud {
 // cached quantized encode for the raw backend (computed at capture
 // time), the cached feature encode otherwise. Both are pure functions of
 // the capture — neither backend's bytes depend on the sender state — so
-// whichever frame job computes one first never shows in the output.
-func (l *EpisodeLab) payloadFor(e *labEntry, backend fusion.Backend, det *spod.Detector, s *spod.DetectorScratch) ([]byte, error) {
+// whichever run computes one first never shows in the output.
+func (l *EpisodeLab) payloadFor(e *labEntry, backend fusion.Backend, det *spod.Detector) ([]byte, error) {
 	if _, raw := backend.(fusion.RawBackend); raw {
 		return e.payload, nil
 	}
 	e.featOnce.Do(func() {
-		p, err := backend.Encode(fusion.SensorFrame{Cloud: l.cropFOV(e.scan.Cloud), Detector: det}, s)
+		p, err := backend.Encode(fusion.SensorFrame{Cloud: l.cropFOV(e.scan.Cloud), Detector: det}, nil)
 		e.featPayload, e.featErr = p.Data, err
 	})
 	return e.featPayload, e.featErr
@@ -309,16 +311,17 @@ func (l *EpisodeLab) poseLabel(i int) string {
 	return fmt.Sprintf("p%d", i)
 }
 
-// Run plays one episode: Frames fused frames at Hz. Per frame, every
-// vehicle senses the moving world; the senders' frames are broadcast as
-// one DSRC round per frame on the shared channel; and the receiver fuses
-// each sender's newest usable frame — delivered by the loss model (on a
-// clean channel, at the round's transmission time plus Delay) and, on
-// wire v3, decodable because its keyframe arrived too — with its own
-// fresh cloud, motion-compensating the stale clouds when enabled. Each
-// frame builds its store.Round and detects through Round.Detect, the
-// function replay runs. Fused detections feed the track layer; ground
-// truth is evaluated at each frame's timestamp.
+// Run plays one episode of the scenario's N-way case (case 0): Frames
+// fused frames at Hz. Per frame, every vehicle senses the moving world;
+// the senders' frames are broadcast as one DSRC round per frame on the
+// shared channel; and the receiver fuses each sender's newest usable
+// frame — delivered by the loss model (on a clean channel, at the
+// round's transmission time plus Delay) and, on wire v3, decodable
+// because its keyframe arrived too — with its own fresh cloud,
+// motion-compensating the stale clouds when enabled. Each frame builds
+// its store.Round and runs it through DetectFrame, whose Round.Detect is
+// the function replay runs. Fused detections feed the track layer;
+// ground truth is evaluated at each frame's timestamp.
 //
 // The delivery timeline is computed up front from the loss model's
 // per-slot delivery times; per-frame sensing, fusion and detection then
@@ -332,10 +335,10 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 	if opts.Hz <= 0 {
 		opts.Hz = 10
 	}
-	if opts.Case < 0 || opts.Case >= len(sc.Cases) {
-		return nil, fmt.Errorf("core: scenario %s has no cooperative case %d", sc.Name, opts.Case)
+	if len(sc.Cases) == 0 {
+		return nil, fmt.Errorf("core: scenario %s has no cooperative case", sc.Name)
 	}
-	c := sc.Cases[opts.Case]
+	c := sc.Cases[0]
 	receiver := c.Receiver()
 	senders := c.Senders()
 	period := time.Duration(float64(time.Second) / opts.Hz)
@@ -370,18 +373,11 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 	// in parallel. Each capture owns its seeded noise stream.
 	participants := append([]int{receiver}, senders...)
 
-	// Localization drift: each participant owns a seeded bounded error
-	// walk over the episode. Only reported GPS/IMU states drift — true
-	// poses keep driving sensing, occlusion, compensation and ground
-	// truth. Walks are precomputed sequentially in participant order, so
-	// frame workers only ever index into them.
-	var walks map[int][]scene.PoseError
-	if opts.Drift > 0 {
-		walks = make(map[int][]scene.PoseError, len(participants))
-		for _, p := range participants {
-			walks[p] = sc.DriftWalk(p, opts.Drift, opts.Frames)
-		}
-	}
+	// Localization drift: each pose owns a seeded bounded error walk over
+	// the episode. Only reported GPS/IMU states drift — true poses keep
+	// driving sensing, occlusion, compensation and ground truth. Frame
+	// workers only ever index into the precomputed walks.
+	walks := sc.DriftWalks(opts.Drift, opts.Frames)
 	// stateFor is the GPS/IMU state pose p reports at frame k: the true
 	// pose's state plus that frame's drift error, if any.
 	stateFor := func(pose geom.Transform, p, k int) fusion.VehicleState {
@@ -403,138 +399,97 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 		return nil, err
 	}
 
-	// Phase 1.5 — non-raw backends pre-encode every sender capture's
-	// broadcast in parallel: the channel plan below needs the sizes, and
-	// the frame fan-out reuses the cached bytes.
-	det := spod.New(l.detectorConfig())
-	if !rawBackend {
-		var encJobs []capJob
-		for k := 0; k < opts.Frames; k++ {
-			for _, s := range senders {
-				encJobs = append(encJobs, capJob{s, at(k)})
-			}
-		}
-		encScratches := spod.NewScratches(parallel.WorkerCount(opts.Workers, len(encJobs)))
-		if _, err := parallel.MapErrWorker(opts.Workers, len(encJobs), func(w, i int) (struct{}, error) {
-			_, err := l.payloadFor(l.capture(encJobs[i].pose, encJobs[i].t), backend, det, encScratches[w])
-			return struct{}{}, err
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Phase 1.6 — wire v3: each sender's captures delta-code as one CPD1
-	// stream in timeline order, keyframes at the interval and deltas
-	// between. Streams are independent per sender, so senders fan out in
-	// parallel; within a stream the encoder state makes frame order
-	// load-bearing, so the inner loop is sequential. Every frame is
+	// Phase 1.5 — the broadcast table: what each sender put on the air at
+	// every frame, and the frame whose keyframe it decodes from. On v2
+	// that is the capture's backend encode, decodable alone. On v3 each
+	// sender's captures delta-code as one CPD1 stream in timeline order,
+	// keyframes at the interval and deltas between; every frame is
 	// decoded back and re-encoded to prove the reconstruction is
 	// byte-identical to the canonical capture encode the fusion phase
 	// consumes: v3 changes payload sizes (and therefore the delivery
-	// timeline), never the fused bytes.
-	var v3sizes [][]int   // [frame][sender slot] broadcast bytes
-	var v3key [][]int     // [sender slot][frame] → keyframe the delta decodes from
-	var v3wire [][][]byte // [sender slot][frame] wire bytes, kept only for the store
-	if wireV3 {
-		v3sizes = make([][]int, opts.Frames)
-		for k := range v3sizes {
-			v3sizes[k] = make([]int, len(senders))
-		}
-		v3key = make([][]int, len(senders))
-		for si := range v3key {
-			v3key[si] = make([]int, opts.Frames)
-		}
-		if opts.Sink != nil {
-			v3wire = make([][][]byte, len(senders))
-			for si := range v3wire {
-				v3wire[si] = make([][]byte, opts.Frames)
-			}
-		}
-		if err := parallel.ForErr(opts.Workers, len(senders), func(si int) error {
-			enc := pointcloud.DeltaEncoder{Interval: opts.KeyframeInterval}
-			var dec pointcloud.DeltaDecoder
-			recon := pointcloud.GetCloud()
-			defer pointcloud.PutCloud(recon)
-			lastKey := 0
-			for k := 0; k < opts.Frames; k++ {
-				e := l.capture(senders[si], at(k))
-				data, key, err := enc.Encode(l.cropFOV(e.scan.Cloud), uint64(k+1))
+	// timeline), never the fused bytes. Senders fan out in parallel;
+	// within a stream the encoder state makes frame order load-bearing.
+	type broadcast struct {
+		wire []byte
+		key  int
+	}
+	det := spod.New(l.detectorConfig())
+	air := make([][]broadcast, len(senders)) // [sender slot][frame]
+	if err := parallel.ForErr(opts.Workers, len(senders), func(si int) error {
+		air[si] = make([]broadcast, opts.Frames)
+		if !wireV3 {
+			for k := range air[si] {
+				wire, err := l.payloadFor(l.capture(senders[si], at(k)), backend, det)
 				if err != nil {
-					return fmt.Errorf("core: delta-encoding pose %d frame %d: %w", senders[si], k, err)
+					return err
 				}
-				if key {
-					lastKey = k
-				}
-				v3key[si][k] = lastKey
-				if err := dec.DecodeInto(data, recon); err != nil {
-					return fmt.Errorf("core: reconstructing pose %d frame %d: %w", senders[si], k, err)
-				}
-				canonical, err := pointcloud.EncodeQuantized(recon)
-				if err != nil {
-					return fmt.Errorf("core: re-encoding pose %d frame %d: %w", senders[si], k, err)
-				}
-				if !bytes.Equal(canonical, e.payload) {
-					return fmt.Errorf("core: pose %d frame %d: delta reconstruction diverged from the canonical encode", senders[si], k)
-				}
-				v3sizes[k][si] = len(data)
-				if v3wire != nil {
-					v3wire[si][k] = append([]byte(nil), data...)
-				}
+				air[si][k] = broadcast{wire, k}
 			}
 			return nil
-		}); err != nil {
-			return nil, err
 		}
+		enc := pointcloud.DeltaEncoder{Interval: opts.KeyframeInterval}
+		var dec pointcloud.DeltaDecoder
+		recon := pointcloud.GetCloud()
+		defer pointcloud.PutCloud(recon)
+		lastKey := 0
+		for k := range air[si] {
+			e := l.capture(senders[si], at(k))
+			data, key, err := enc.Encode(l.cropFOV(e.scan.Cloud), uint64(k+1))
+			if err != nil {
+				return fmt.Errorf("core: delta-encoding pose %d frame %d: %w", senders[si], k, err)
+			}
+			if key {
+				lastKey = k
+			}
+			if err := dec.DecodeInto(data, recon); err != nil {
+				return fmt.Errorf("core: reconstructing pose %d frame %d: %w", senders[si], k, err)
+			}
+			canonical, err := pointcloud.EncodeQuantized(recon)
+			if err != nil {
+				return fmt.Errorf("core: re-encoding pose %d frame %d: %w", senders[si], k, err)
+			}
+			if !bytes.Equal(canonical, e.payload) {
+				return fmt.Errorf("core: pose %d frame %d: delta reconstruction diverged from the canonical encode", senders[si], k)
+			}
+			air[si][k] = broadcast{append([]byte(nil), data...), lastKey}
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
-	// Phase 2 — the broadcast timeline. Round j (the senders' frames
+	// Phase 2 — the delivery timeline. Round j (the senders' frames
 	// captured at t_j) is planned on the shared channel, and the loss
 	// model gives every slot its own fate. Sender slot si's frame j is
-	// usable at frame k when its slot was delivered (and, on wire v3, so
-	// was the keyframe its delta decodes from) by t_k; each frame fuses
-	// every sender's newest usable frame, however stale. The zero model
-	// delivers every slot at the plan's Ready, so a clean channel is the
-	// same timeline with nothing dropped. Slots are planned from the
-	// capture encodes: compensation preserves the point count, and the
-	// warp target depends on this very schedule, so planning from
-	// compensated sizes would be circular.
+	// usable at frame k when its slot was delivered, and so was the
+	// keyframe it decodes from, by t_k; each frame fuses every sender's
+	// newest usable frame, however stale. The zero model delivers every
+	// slot at the plan's Ready, so a clean channel is the same timeline
+	// with nothing dropped. Slots are planned from the broadcast table:
+	// compensation preserves the point count, and the warp target
+	// depends on this very schedule, so planning from compensated sizes
+	// would be circular.
 	sched := episodeScheduler(opts.Hz, opts.Delay)
 	lps := make([]network.LossyPlan, opts.Frames)
+	dropped := 0
 	for j := range lps {
 		sizes := make([]int, len(senders))
-		for si, s := range senders {
-			if wireV3 {
-				sizes[si] = v3sizes[j][si]
-				continue
-			}
-			payload, err := l.payloadFor(l.capture(s, at(j)), backend, det, nil)
-			if err != nil {
-				return nil, err
-			}
-			sizes[si] = len(payload)
+		for si := range senders {
+			sizes[si] = len(air[si][j].wire)
 		}
 		lps[j] = opts.Loss.Round(int64(j), sched.Plan(sizes))
+		dropped += len(senders) - lps[j].DeliveredCount()
 	}
 	usableAt := func(j, si int) (time.Duration, bool) {
+		kj := air[si][j].key
 		d, ok := lps[j].AvailableAt(si)
-		if !ok {
+		kd, keyOK := lps[kj].AvailableAt(si)
+		if !ok || !keyOK {
+			// Dropped — or its keyframe was, so it arrived but cannot be
+			// reconstructed.
 			return 0, false
 		}
-		t := at(j) + d
-		if wireV3 {
-			if kj := v3key[si][j]; kj != j {
-				kd, ok := lps[kj].AvailableAt(si)
-				if !ok {
-					// The keyframe this delta decodes from was lost: the
-					// frame arrived but cannot be reconstructed.
-					return 0, false
-				}
-				if kt := at(kj) + kd; kt > t {
-					t = kt
-				}
-			}
-		}
-		return t, true
+		return max(at(j)+d, at(kj)+kd), true
 	}
 	sround := make([][]int, opts.Frames) // frame k → per-sender fused frame (-1 = none)
 	for k := range sround {
@@ -555,51 +510,32 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 	// one detector scratch shared by its frames' single-shot and fused
 	// passes.
 	type frameEval struct {
-		frame     EpisodeFrame
-		assoc     TruthAssoc
-		worldDets []spod.Detection
-		dets      []spod.Detection // fused (or warm-up single) detections
-		icp       []float64        // ICP correction residuals, metres
-		round     store.Round      // the fused (or warm-up) round detected on
+		frame EpisodeFrame
+		FusedFrame
 	}
 	detCfg := l.detectorConfig()
 	scratches := spod.NewScratches(parallel.WorkerCount(opts.Workers, opts.Frames))
 	evals, err := parallel.MapErrWorker(opts.Workers, opts.Frames, func(w, k int) (frameEval, error) {
 		scratch := scratches[w]
 		tk := at(k)
-		snapEval := sc.At(tk)
 		own := l.capture(receiver, tk)
-		ownCloud := l.cropFOV(own.scan.Cloud)
-		recvState := stateFor(own.pose, receiver, k)
-
+		singles := l.singleDetect(own, scratch)
 		newest := -1
 		for _, j := range sround[k] {
 			if j > newest {
 				newest = j
 			}
 		}
-		fe := frameEval{
-			frame: EpisodeFrame{Index: k, At: tk, SenderFrame: newest},
-			round: store.Round{
-				Frame: k, Receiver: l.poseLabel(receiver), State: recvState, Own: ownCloud,
-				FOVTop: detCfg.VerticalFOVTop, MaxRange: detCfg.MaxDetectionRange,
-			},
-		}
-		singles := l.singleDetect(own, scratch)
-
-		if newest < 0 {
+		frame := EpisodeFrame{Index: k, At: tk, SenderFrame: newest}
+		round := store.Round{
+			Frame: k, Receiver: l.poseLabel(receiver), State: stateFor(own.pose, receiver, k),
+			Own: l.cropFOV(own.scan.Cloud), FOVTop: detCfg.VerticalFOVTop, MaxRange: detCfg.MaxDetectionRange,
 			// Warm-up — or a frame where no sender's broadcast is usable
-			// yet. The receiver is on its own; the track layer still
-			// consumes the frames — one truth match scores both columns.
-			fe.round.Warmup = true
-			fe.dets = singles
-			fe.assoc = EvaluateDetectionsAssoc(snapEval, receiver, nil, singles)
-			fe.frame.Single = fe.assoc.Stats
-			fe.frame.Coop = fe.assoc.Stats
-		} else {
-			fe.frame.Single = EvaluateDetections(snapEval, receiver, nil, singles)
-			fe.frame.RoundLatency = lps[newest].Plan.Ready()
-			payloads := make([]store.RoundPayload, 0, len(senders))
+			// yet: the receiver is on its own.
+			Warmup: newest < 0,
+		}
+		if !round.Warmup {
+			frame.RoundLatency = lps[newest].Plan.Ready()
 			deltaD := 0.0
 			for si, s := range senders {
 				j := sround[k][si]
@@ -609,17 +545,19 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 					continue
 				}
 				tj := at(j)
-				if age := tk - tj; age > fe.frame.Staleness {
-					fe.frame.Staleness = age
+				if age := tk - tj; age > frame.Staleness {
+					frame.Staleness = age
 				}
 				cap := l.capture(s, tj)
-				// Compensation warps the cloud to this frame's consumption
-				// time, so it must re-encode; the uncompensated broadcast
-				// is exactly the capture's cached encode.
-				payload, err := l.payloadFor(cap, backend, det, scratch)
+				// Fusion consumes the capture's canonical encode; the wire
+				// carried it (v2) or its delta stream (v3). Compensation
+				// warps the cloud to this frame's consumption time, so it
+				// re-encodes and transmits that.
+				payload, err := l.payloadFor(cap, backend, det)
 				if err != nil {
 					return frameEval{}, fmt.Errorf("core: frame %d sender %d: %w", k, s, err)
 				}
+				sent := len(air[si][j].wire)
 				if opts.Compensate {
 					cloud := CompensateScan(sc, cap.scan, cap.pose, tj, tk)
 					p, err := backend.Encode(fusion.SensorFrame{
@@ -628,39 +566,28 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 					if err != nil {
 						return frameEval{}, fmt.Errorf("core: frame %d sender %d: %w", k, s, err)
 					}
-					payload = p.Data
+					payload, sent = p.Data, len(p.Data)
 				}
-				if wireV3 {
-					// The wire carried the delta stream; fusion consumes the
-					// canonical reconstruction (verified byte-identical above).
-					fe.frame.PayloadBytes += v3sizes[j][si]
-				} else {
-					fe.frame.PayloadBytes += len(payload)
-				}
-				payloads = append(payloads, store.RoundPayload{Sender: l.poseLabel(s), State: stateFor(cap.pose, s, j), Data: payload})
+				frame.PayloadBytes += sent
+				round.Payloads = append(round.Payloads, store.RoundPayload{Sender: l.poseLabel(s), State: stateFor(cap.pose, s, j), Data: payload})
 				if d := cap.pose.T.DistXY(own.pose.T); d > deltaD {
 					deltaD = d
 				}
 			}
-			fe.frame.Senders = len(payloads)
-			fe.frame.Lost = len(senders) - len(payloads)
-			r := &fe.round
-			r.OverrideMaxDist, r.MaxDist, r.Payloads = true, deltaD, payloads
-			r.LatencyUS = fe.frame.RoundLatency.Microseconds()
-			r.StalenessUS = fe.frame.Staleness.Microseconds()
-			r.PayloadBytes = int64(fe.frame.PayloadBytes)
-			r.Lost = fe.frame.Lost
-			dets, in, err := r.Detect(backend, scratch)
-			if err != nil {
-				return frameEval{}, fmt.Errorf("core: %w", err)
-			}
-			fe.dets = dets
-			fe.assoc = EvaluateDetectionsAssoc(snapEval, receiver, participants, dets)
-			fe.frame.Coop = fe.assoc.Stats
-			fe.icp = in.ICPCorrections
+			frame.Senders = len(round.Payloads)
+			frame.Lost = len(senders) - len(round.Payloads)
+			round.OverrideMaxDist, round.MaxDist = true, deltaD
+			round.LatencyUS = frame.RoundLatency.Microseconds()
+			round.StalenessUS = frame.Staleness.Microseconds()
+			round.PayloadBytes = int64(frame.PayloadBytes)
+			round.Lost = frame.Lost
 		}
-		fe.worldDets = WorldDetections(fe.dets, own.pose, sc.LiDAR.MountHeight)
-		return fe, nil
+		ff, err := DetectFrame(sc.At(tk), receiver, participants, singles, round, backend, scratch)
+		if err != nil {
+			return frameEval{}, err
+		}
+		frame.Single, frame.Coop = ff.Single, ff.Coop
+		return frameEval{frame, ff}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -684,11 +611,11 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 	mICP := m.Histogram("episode_icp_correction_um", episodeICPBuckets...)
 
 	tracker := track.New(track.DefaultConfig())
-	res := &EpisodeResult{Scenario: sc, Case: c}
+	res := &EpisodeResult{Scenario: sc, Case: c, DroppedSlots: dropped}
 	assocFrames := make([]eval.FrameAssoc, 0, opts.Frames)
 	for k, fe := range evals {
-		ids := tracker.Step(fe.frame.At, fe.worldDets)
-		assocFrames = append(assocFrames, fe.assoc.FrameAssoc(ids))
+		ids := tracker.Step(fe.frame.At, fe.WorldDets)
+		assocFrames = append(assocFrames, fe.Assoc.FrameAssoc(ids))
 		res.Frames = append(res.Frames, fe.frame)
 
 		mFrames.Add(1)
@@ -701,39 +628,28 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 			mLost.Add(int64(fe.frame.Lost))
 			mPayload.Add(int64(fe.frame.PayloadBytes))
 		}
-		mDets.Add(int64(len(fe.dets)))
-		for _, corr := range fe.icp {
+		mDets.Add(int64(len(fe.Dets)))
+		for _, corr := range fe.ICP {
 			mICP.Observe(int64(corr * 1e6))
 		}
 
 		if opts.Sink != nil {
 			// Sender broadcasts first, then the receiver's round, its
 			// fused detections and the track states — the order a live
-			// frame happens in. Frame payloads are the wire bytes (the
-			// delta stream on v3, the capture encode otherwise); the
+			// frame happens in. Frame payloads are the wire bytes; the
 			// round's payloads are the exact bytes fusion consumed, so
 			// replay stays byte-identical even when compensation
 			// re-encoded per receiving frame.
 			for si, s := range senders {
-				e := l.capture(s, fe.frame.At)
-				wire := e.payload
-				if wireV3 {
-					wire = v3wire[si][k]
-				} else if !rawBackend {
-					var err error
-					if wire, err = l.payloadFor(e, backend, det, nil); err != nil {
-						return nil, err
-					}
-				}
 				if err := opts.Sink.WriteFrame(store.Frame{
 					Frame: k, Sender: l.poseLabel(s), Seq: uint64(k + 1),
-					State: stateFor(e.pose, s, k), Payload: wire,
+					State: stateFor(l.capture(s, fe.frame.At).pose, s, k), Payload: air[si][k].wire,
 				}); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if err := opts.Sink.WriteFused(fe.round, fe.dets, tracker.Tracks()); err != nil {
+		if err := opts.Sink.WriteFused(fe.Round, fe.Dets, tracker.Tracks()); err != nil {
 			return nil, err
 		}
 	}

@@ -25,7 +25,7 @@ func renderEpisode(t *testing.T, lab *EpisodeLab, opts EpisodeOptions) string {
 			f.Index, f.At, f.SenderFrame, f.Staleness, f.RoundLatency,
 			f.Senders, f.Lost, f.PayloadBytes, f.Single, f.Coop)
 	}
-	out += fmt.Sprintf("%+v tracks=%d", res.Temporal, res.Tracks)
+	out += fmt.Sprintf("%+v tracks=%d dropped=%d", res.Temporal, res.Tracks, res.DroppedSlots)
 	return out
 }
 
@@ -125,6 +125,37 @@ func TestEpisodeLossPartialRounds(t *testing.T) {
 	}
 	if lost == 0 {
 		t.Error("50% drop rate over 6 frames × 3 senders lost nothing; loss model not engaged")
+	}
+}
+
+// TestEpisodeDroppedSlotsCountsBroadcasts pins the channel's drop count
+// to the broadcast slots it lost, not to the senders a frame had to fuse
+// without: on this canyon episode frame 3 fuses a sender's frame 0,
+// 1500 ms stale, so that sender's frames 1 and 2 were both dropped even
+// though no frame went without a sender. A clean channel drops nothing.
+func TestEpisodeDroppedSlotsCountsBroadcasts(t *testing.T) {
+	sc, err := scene.Generate(scene.GenParams{Family: scene.FamilyCanyon, Fleet: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := EpisodeOptions{Frames: 4, Hz: 2, Compensate: true, Correct: true, Drift: 0.5,
+		Loss: network.DefaultLoss(0.2, 1)}
+	res, err := RunEpisode(sc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Frames[3].Staleness; got != 1500*time.Millisecond {
+		t.Fatalf("frame 3 fused a %v-stale frame, want 1500ms", got)
+	}
+	if res.DroppedSlots < 2 {
+		t.Errorf("DroppedSlots = %d, want at least the 2 broadcasts frame 3 fell back over", res.DroppedSlots)
+	}
+	opts.Loss = network.LossModel{}
+	if res, err = RunEpisode(sc, opts); err != nil {
+		t.Fatal(err)
+	}
+	if res.DroppedSlots != 0 {
+		t.Errorf("clean channel dropped %d slots", res.DroppedSlots)
 	}
 }
 

@@ -350,9 +350,6 @@ func TestEpisodeRejectsBadOptions(t *testing.T) {
 	if _, err := RunEpisode(sc, EpisodeOptions{Frames: 0}); err == nil {
 		t.Error("zero frames must error")
 	}
-	if _, err := RunEpisode(sc, EpisodeOptions{Frames: 1, Case: 5}); err == nil {
-		t.Error("out-of-range case must error")
-	}
 	lone, err := scene.Generate(scene.GenParams{Family: scene.FamilyPlatoon, Fleet: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 
 	"cooper/internal/eval"
 	"cooper/internal/fusion"
-	"cooper/internal/geom"
 	"cooper/internal/parallel"
 	"cooper/internal/pointcloud"
 	"cooper/internal/scene"
@@ -59,6 +58,24 @@ type CaseOutcome struct {
 	SenderCloudPoints []int
 	// CloudPointsI/J/Coop are the detector input sizes.
 	CloudPointsI, CloudPointsJ, CloudPointsCoop int
+}
+
+// Column projects one column of the case's matrix, in row order: 0 is
+// the receiver's single shot I, 1 the sender's single shot J, anything
+// else the cooperative column.
+func (o *CaseOutcome) Column(col int) []eval.Cell {
+	out := make([]eval.Cell, len(o.Rows))
+	for k, r := range o.Rows {
+		switch col {
+		case 0:
+			out[k] = r.I
+		case 1:
+			out[k] = r.J
+		default:
+			out[k] = r.Coop
+		}
+	}
+	return out
 }
 
 // RunOptions adjusts a case run.
@@ -180,39 +197,6 @@ func (r *ScenarioRunner) PreSense() {
 	})
 }
 
-// inArea reports whether a car lies inside the detection area of the
-// given pose.
-func (r *ScenarioRunner) inArea(car scene.Object, poseIdx int) bool {
-	return InArea(r.sc, car, poseIdx)
-}
-
-// column evaluates one detection column: which in-area cars were found
-// and with what score.
-func columnCells(truthBoxes []geom.Box, inArea []bool, dets []spod.Detection) ([]eval.Cell, int) {
-	// Match only against in-area truths.
-	var idxs []int
-	var boxes []geom.Box
-	for i, ok := range inArea {
-		if ok {
-			idxs = append(idxs, i)
-			boxes = append(boxes, truthBoxes[i])
-		}
-	}
-	assignment, fps := eval.Match(boxes, dets, eval.DefaultMatchIoU)
-	cells := make([]eval.Cell, len(truthBoxes))
-	for i := range cells {
-		cells[i] = eval.OutOfArea()
-	}
-	for k, t := range idxs {
-		if assignment[k] >= 0 {
-			cells[t] = eval.Score(dets[assignment[k]].Score)
-		} else {
-			cells[t] = eval.Miss()
-		}
-	}
-	return cells, len(fps)
-}
-
 // RunCase executes one cooperative case: the receiver's and primary
 // sender's single shots plus the merged Cooper pass fusing every
 // sender's transmitted cloud (K clouds for an N-way fleet case), with
@@ -304,47 +288,26 @@ func (r *ScenarioRunner) runCase(c scene.CoopCase, opts RunOptions, scratch *spo
 	// vehicles' areas.
 	out.DetsCoop, out.StatsCoop = in.Detect(vi.detector.Config(), scratch)
 
-	// Ground truth per column, in the observing vehicle's sensor frame.
-	cars := sc.Scene.Cars()
-	truthI := make([]geom.Box, len(cars))
-	truthJ := make([]geom.Box, len(cars))
-	inI := make([]bool, len(cars))
-	inJ := make([]bool, len(cars))
-	inCoop := make([]bool, len(cars))
-	trI := vi.SensorTransform()
-	trJ := vj.SensorTransform()
-	for k, car := range cars {
-		truthI[k] = car.Box.Transformed(trI)
-		truthJ[k] = car.Box.Transformed(trJ)
-		inI[k] = r.inArea(car, c.I)
-		inJ[k] = r.inArea(car, c.J)
-		// The cooperative detection area is the union of every
-		// participant's area — receiver plus all K senders.
-		inCoop[k] = inI[k] || inJ[k]
-		for _, sIdx := range c.Extra {
-			if inCoop[k] {
-				break
-			}
-			inCoop[k] = r.inArea(car, sIdx)
-		}
-	}
-
-	cellsI, fpI := columnCells(truthI, inI, out.DetsI)
-	cellsJ, fpJ := columnCells(truthJ, inJ, out.DetsJ)
-	cellsCoop, fpCoop := columnCells(truthI, inCoop, out.DetsCoop)
-	out.FPI, out.FPJ, out.FPCoop = fpI, fpJ, fpCoop
+	// Score every column with the one truth matcher: each single shot
+	// over its own detection area, the cooperative pass over the union
+	// of every participant's area — receiver plus all K senders.
+	aI := EvaluateDetectionsAssoc(sc, c.I, nil, out.DetsI)
+	aJ := EvaluateDetectionsAssoc(sc, c.J, nil, out.DetsJ)
+	aCoop := EvaluateDetectionsAssoc(sc, c.I, append([]int{c.I}, senders...), out.DetsCoop)
+	out.FPI, out.FPJ, out.FPCoop = aI.Stats.FP, aJ.Stats.FP, aCoop.Stats.FP
 
 	receiverPose := sc.Poses[c.I]
-	for k, car := range cars {
-		if !inCoop[k] {
+	for _, car := range sc.Scene.Cars() {
+		coop := aCoop.Cell(car.ID, out.DetsCoop)
+		if coop.Kind == eval.CellOutOfArea {
 			continue // invisible to the whole case: no row in the figure
 		}
 		out.Rows = append(out.Rows, CarRow{
 			CarID: car.ID,
 			Band:  eval.BandFor(car.Box.Center.DistXY(receiverPose.T)),
-			I:     cellsI[k],
-			J:     cellsJ[k],
-			Coop:  cellsCoop[k],
+			I:     aI.Cell(car.ID, out.DetsI),
+			J:     aJ.Cell(car.ID, out.DetsJ),
+			Coop:  coop,
 		})
 	}
 	return out, nil

@@ -108,6 +108,23 @@ func EvaluateDetectionsAssoc(sc *scene.Scenario, receiver int, participants []in
 	return out
 }
 
+// Cell is the Fig. 3/6 matrix cell of one car: the matched detection's
+// score, a miss for an unmatched in-area car, or out of area for a car
+// this association did not score. dets is the slice the association
+// was computed on.
+func (a TruthAssoc) Cell(carID int, dets []spod.Detection) eval.Cell {
+	for ti, id := range a.TruthIDs {
+		if id != carID {
+			continue
+		}
+		if d := a.DetOf[ti]; d >= 0 {
+			return eval.Score(dets[d].Score)
+		}
+		return eval.Miss()
+	}
+	return eval.OutOfArea()
+}
+
 // FrameAssoc joins the truth ↔ detection assignment with a tracker's
 // per-detection track IDs (as returned by track.Tracker.Step for the
 // same detection slice) into the per-frame association eval.Temporal
@@ -155,9 +172,9 @@ func PoseState(pose geom.Transform, mountHeight float64) fusion.VehicleState {
 }
 
 // DriftedState is st as reported at frame k of a localization-error walk
-// (scene.DriftWalk): the planar position and yaw carry that frame's
-// error; true poses, and so sensing and ground truth, stay untouched. A
-// nil walk (no drift) returns st unchanged.
+// (scene.Scenario.DriftWalks): the planar position and yaw carry that
+// frame's error; true poses, and so sensing and ground truth, stay
+// untouched. A nil walk (no drift) returns st unchanged.
 func DriftedState(st fusion.VehicleState, walk []scene.PoseError, k int) fusion.VehicleState {
 	if walk != nil {
 		e := walk[k]
@@ -172,7 +189,7 @@ func DriftedState(st fusion.VehicleState, walk []scene.PoseError, k int) fusion.
 // range-configured exactly as the evaluation runner builds it, so
 // networked nodes and in-process evaluation sense identical clouds.
 func PoseVehicle(sc *scene.Scenario, poseIdx int) *Vehicle {
-	return PoseVehicleSeeded(sc, poseIdx, sc.Seed+int64(poseIdx)*997)
+	return PoseVehicleSeeded(sc, poseIdx, sc.SensingSeed(poseIdx, 0))
 }
 
 // PoseVehicleSeeded is PoseVehicle with an explicit sensing seed.

@@ -7,10 +7,10 @@ import (
 	"cooper/internal/scene"
 )
 
-// TestEvaluateDetectionsMatchesRunCase pins the standalone truth scorer
-// to the evaluation runner's bookkeeping: scoring a case's cooperative
+// TestEvaluateDetectionsMatchesRunCase pins the case runner's matrix
+// cells to the truth scorer's stats: scoring a case's cooperative
 // detections over the participants' area union must reproduce the
-// runner's detected count and false-positive count exactly.
+// Cooper column's detected count, false positives and recall exactly.
 func TestEvaluateDetectionsMatchesRunCase(t *testing.T) {
 	sc := scene.KITTIScenarios()[0]
 	r := NewScenarioRunner(sc).SetWorkers(1)
@@ -34,11 +34,7 @@ func TestEvaluateDetectionsMatchesRunCase(t *testing.T) {
 		if st.FP != o.FPCoop {
 			t.Errorf("case %s: FP = %d, runner FPCoop = %d", o.Case.Name, st.FP, o.FPCoop)
 		}
-		coopCells := make([]eval.Cell, 0, len(o.Rows))
-		for _, row := range o.Rows {
-			coopCells = append(coopCells, row.Coop)
-		}
-		if got, want := st.Recall(), eval.Recall(coopCells); got != want {
+		if got, want := st.Recall(), eval.Recall(o.Column(2)); got != want {
 			t.Errorf("case %s: recall = %v, runner recall = %v", o.Case.Name, got, want)
 		}
 	}

@@ -109,9 +109,9 @@ func TestKITTIInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, o := range outcomes {
-			nI := eval.CountDetected(columnCellsOf(o, 0))
-			nJ := eval.CountDetected(columnCellsOf(o, 1))
-			nC := eval.CountDetected(columnCellsOf(o, 2))
+			nI := eval.CountDetected(o.Column(0))
+			nJ := eval.CountDetected(o.Column(1))
+			nC := eval.CountDetected(o.Column(2))
 			if nC < nI || nC < nJ {
 				t.Errorf("%s %s: coop %d < singles (%d, %d)", sc.Name, o.Case.Name, nC, nI, nJ)
 			}

@@ -19,9 +19,9 @@ func Fig2(s *Suite, w io.Writer) error {
 		return err
 	}
 	o := outcomes[0]
-	nI := eval.CountDetected(columnCellsOf(o, 0))
-	nJ := eval.CountDetected(columnCellsOf(o, 1))
-	nC := eval.CountDetected(columnCellsOf(o, 2))
+	nI := eval.CountDetected(o.Column(0))
+	nJ := eval.CountDetected(o.Column(1))
+	nC := eval.CountDetected(o.Column(2))
 	fmt.Fprintf(w, "Fig. 2 — cooperative detection example (64-beam, Δd = %.1f m)\n", o.DeltaD)
 	fmt.Fprintf(w, "  cars detected at t1 (blue boxes):      %d\n", nI)
 	fmt.Fprintf(w, "  cars detected at t2 (blue boxes):      %d\n", nJ)
@@ -91,8 +91,8 @@ func Fig3(s *Suite, w io.Writer) error {
 	for _, sc := range s.KITTI() {
 		outcomes, _ := s.Outcomes(sc)
 		for _, o := range outcomes {
-			nC := eval.CountDetected(columnCellsOf(o, 2))
-			if nC < eval.CountDetected(columnCellsOf(o, 0)) || nC < eval.CountDetected(columnCellsOf(o, 1)) {
+			nC := eval.CountDetected(o.Column(2))
+			if nC < eval.CountDetected(o.Column(0)) || nC < eval.CountDetected(o.Column(1)) {
 				holds = false
 			}
 		}
@@ -114,9 +114,9 @@ func Fig4(s *Suite, w io.Writer) error {
 			return err
 		}
 		for _, o := range outcomes {
-			ci := columnCellsOf(o, 0)
-			cj := columnCellsOf(o, 1)
-			cc := columnCellsOf(o, 2)
+			ci := o.Column(0)
+			cj := o.Column(1)
+			cc := o.Column(2)
 			fmt.Fprintf(w, "  %-12s %8d %8d %8d   %8.0f %8.0f %8.0f\n",
 				sc.Name,
 				eval.CountDetected(ci), eval.CountDetected(cj), eval.CountDetected(cc),

@@ -37,9 +37,9 @@ func Fig5(s *Suite, w io.Writer) error {
 			}
 		}
 	}
-	nI := eval.CountDetected(columnCellsOf(o, 0))
-	nJ := eval.CountDetected(columnCellsOf(o, 1))
-	nC := eval.CountDetected(columnCellsOf(o, 2))
+	nI := eval.CountDetected(o.Column(0))
+	nJ := eval.CountDetected(o.Column(1))
+	nC := eval.CountDetected(o.Column(2))
 	fmt.Fprintf(w, "Fig. 5 — cooperative perception on sparse 16-beam data (%s %s, Δd = %.1f m)\n",
 		o.Scenario.Name, o.Case.Name, o.DeltaD)
 	fmt.Fprintf(w, "  cars detected by %s alone: %d\n", o.Scenario.PoseLabels[o.Case.I], nI)
@@ -85,9 +85,9 @@ func Fig7(s *Suite, w io.Writer) error {
 			return err
 		}
 		for _, o := range outcomes {
-			ci := columnCellsOf(o, 0)
-			cj := columnCellsOf(o, 1)
-			cc := columnCellsOf(o, 2)
+			ci := o.Column(0)
+			cj := o.Column(1)
+			cc := o.Column(2)
 			fmt.Fprintf(w, "  %-14s %-9s %8d %8d %8d   %8.0f %8.0f %8.0f\n",
 				sc.Name, o.Case.Name,
 				eval.CountDetected(ci), eval.CountDetected(cj), eval.CountDetected(cc),

@@ -84,7 +84,7 @@ func FeatureSweep(s *Suite, w io.Writer, cfg FeatureSweepConfig) error {
 				continue
 			}
 			o := outcomes[0]
-			coop := columnCellsOf(o, 2)
+			coop := o.Column(2)
 			cells[bi] = featCell{
 				bytes:  o.PayloadBytes,
 				recall: 100 * eval.Recall(coop),

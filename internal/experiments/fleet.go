@@ -80,8 +80,8 @@ func FleetSweep(s *Suite, w io.Writer, cfg FleetSweepConfig) error {
 			return fleetRow{line: line}, nil
 		}
 		o := outcomes[0]
-		single := columnCellsOf(o, 0)
-		coop := columnCellsOf(o, 2)
+		single := o.Column(0)
+		coop := o.Column(2)
 		plan := sched.Plan(o.SenderPayloads)
 		line := fmt.Sprintf("  %-13s %5d %5d %8.0f %8.0f %9.0f %9.0f %10d %11.1f %10.2f %5.0f%% %6v",
 			e.family, e.fleet, len(sc.Scene.Cars()),

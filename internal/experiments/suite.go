@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"cooper/internal/core"
-	"cooper/internal/eval"
 	"cooper/internal/parallel"
 	"cooper/internal/scene"
 )
@@ -247,21 +246,5 @@ func Figures() []int {
 		out = append(out, f)
 	}
 	sort.Ints(out)
-	return out
-}
-
-// columnCellsOf projects one column of a case's rows.
-func columnCellsOf(o *core.CaseOutcome, col int) []eval.Cell {
-	out := make([]eval.Cell, 0, len(o.Rows))
-	for _, r := range o.Rows {
-		switch col {
-		case 0:
-			out = append(out, r.I)
-		case 1:
-			out = append(out, r.J)
-		default:
-			out = append(out, r.Coop)
-		}
-	}
 	return out
 }

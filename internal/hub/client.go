@@ -57,11 +57,6 @@ func (c *Client) Publish(state fusion.VehicleState, payload []byte) (cached int,
 	return c.sendFrame(network.MsgFrame, state, payload)
 }
 
-// SetKeyframeInterval tunes the client's CPD1 publish stream: at most n
-// frames per keyframe (0 restores pointcloud.DefaultKeyframeInterval,
-// 1 makes every publish a keyframe).
-func (c *Client) SetKeyframeInterval(n int) { c.denc.Interval = n }
-
 // PublishDelta publishes one frame on the client's CPD1 delta stream —
 // the protocol-v3 alternative to Publish. The cloud is encoded as a
 // keyframe or a delta against the client's last keyframe (see

@@ -74,7 +74,9 @@ type SelfTestOptions struct {
 	// Store, when set, receives the full episode as an append-only log:
 	// published frames, every client's fusion round (inputs included),
 	// the fused detections and the track states — replayable via
-	// store.ReplayEpisode to byte-identical detections.
+	// store.ReplayEpisode to byte-identical detections. SelfTest finishes
+	// the log (End record, flushed) before the report prints; the caller
+	// still closes it.
 	Store *store.EpisodeWriter
 	// HTTPAddr, when non-empty, serves the hub's stats API for the
 	// run's duration (see Linger).
@@ -86,24 +88,18 @@ type SelfTestOptions struct {
 	Linger time.Duration
 }
 
-// selfReport is one client's deterministic round outcome.
+// selfReport is one client's deterministic round outcome: the
+// receiver stage's FusedFrame (its round's Receiver, Lost stale senders
+// and PayloadBytes feed the report) plus the round's schedule and
+// payload-selection rungs. Reports are written to the episode store
+// sequentially after the parallel phase, so the log's record order is
+// deterministic.
 type selfReport struct {
+	core.FusedFrame
 	senders     []string
 	plan        network.Plan
-	single      core.TruthStats
-	coop        core.TruthStats
 	categories  map[roi.Category]int
 	downsampled int
-
-	// round is the client's fusion round exactly as Round.Detect
-	// consumed it (its Receiver, Lost stale senders and PayloadBytes
-	// feed the report), and dets is what it detected. Both are written
-	// to the episode store sequentially after the parallel phase, so
-	// the log's record order is deterministic.
-	round     store.Round
-	dets      []spod.Detection
-	assoc     core.TruthAssoc
-	worldDets []spod.Detection
 }
 
 // SelfTest spins up a hub plus an in-process fleet of TCP clients from a
@@ -159,12 +155,7 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 	// sequentially; the fan-out phases only index into it. The walks come
 	// from the scenario, as core's episode engine takes them, so the
 	// selftest and an episode drift the same vehicle the same way.
-	walks := make([][]scene.PoseError, opts.Fleet)
-	if opts.Drift > 0 {
-		for i := range walks {
-			walks[i] = sc.DriftWalk(i, opts.Drift, frames)
-		}
-	}
+	walks := sc.DriftWalks(opts.Drift, frames)
 	l, err := network.Listen("127.0.0.1:0")
 	if err != nil {
 		return err
@@ -237,7 +228,7 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 		// cache contents (and therefore every round) independent of
 		// client scheduling.
 		vehicles, err := parallel.MapErr(opts.Workers, opts.Fleet, func(i int) (*core.Vehicle, error) {
-			v := core.PoseVehicleSeeded(snap, i, sc.Seed+int64(i)*997+int64(f)*100003).SetWorkers(1)
+			v := core.PoseVehicleSeeded(snap, i, sc.SensingSeed(i, int64(f)*100003)).SetWorkers(1)
 			v.Sense(snap.Scene.Targets(), snap.Scene.GroundZ)
 			frame, err := v.SensorFrame(nil)
 			if err != nil {
@@ -318,27 +309,25 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 				return selfReport{}, err
 			}
 			cfg := recv.Detector.Config()
-			rep := selfReport{categories: make(map[roi.Category]int), round: store.Round{
-				Frame: f, Receiver: v.ID, State: reqState, Own: recv.Cloud,
-				FOVTop: cfg.VerticalFOVTop, MaxRange: cfg.MaxDetectionRange,
-			}}
-
 			singles, _, err := v.Detect(scratch)
 			if err != nil {
 				return selfReport{}, err
 			}
-			rep.single = core.EvaluateDetections(snap, i, nil, singles)
-
+			rep := selfReport{categories: make(map[roi.Category]int)}
+			round := store.Round{
+				Frame: f, Receiver: v.ID, State: reqState, Own: recv.Cloud,
+				FOVTop: cfg.VerticalFOVTop, MaxRange: cfg.MaxDetectionRange,
+			}
 			sizes := make([]int, 0, len(rframes))
 			participants := []int{i}
 			for _, rf := range rframes {
 				rep.senders = append(rep.senders, rf.Sender)
 				if rf.Stale {
-					rep.round.Lost++
+					round.Lost++
 				}
-				rep.round.PayloadBytes += int64(len(rf.Payload))
+				round.PayloadBytes += int64(len(rf.Payload))
 				sizes = append(sizes, len(rf.Payload))
-				rep.round.Payloads = append(rep.round.Payloads, store.RoundPayload{Sender: rf.Sender, State: rf.State, Data: rf.Payload})
+				round.Payloads = append(round.Payloads, store.RoundPayload{Sender: rf.Sender, State: rf.State, Data: rf.Payload})
 				p, ok := poseOf[rf.Sender]
 				if !ok {
 					return selfReport{}, fmt.Errorf("hub: round frame from unknown vehicle %q", rf.Sender)
@@ -351,16 +340,9 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 				}
 			}
 			rep.plan = h.cfg.Scheduler.Plan(sizes)
-			rep.round.LatencyUS = rep.plan.Completion().Microseconds()
-			if rep.dets, _, err = rep.round.Detect(backend, scratch); err != nil {
-				return selfReport{}, err
-			}
-			rep.assoc = core.EvaluateDetectionsAssoc(snap, i, participants, rep.dets)
-			rep.coop = rep.assoc.Stats
-
-			// Track in the world frame: receivers move between frames.
-			rep.worldDets = core.WorldDetections(rep.dets, snap.Poses[i], sc.LiDAR.MountHeight)
-			return rep, nil
+			round.LatencyUS = rep.plan.Completion().Microseconds()
+			rep.FusedFrame, err = core.DetectFrame(snap, i, participants, singles, round, backend, scratch)
+			return rep, err
 		})
 		if err != nil {
 			return err
@@ -378,9 +360,9 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 		}
 		for i := range reports {
 			rep := &reports[i]
-			ids := trackers[i].Step(at, rep.worldDets)
-			assocs[i] = append(assocs[i], rep.assoc.FrameAssoc(ids))
-			if err := opts.Store.WriteFused(rep.round, rep.dets, trackers[i].Tracks()); err != nil {
+			ids := trackers[i].Step(at, rep.WorldDets)
+			assocs[i] = append(assocs[i], rep.Assoc.FrameAssoc(ids))
+			if err := opts.Store.WriteFused(rep.Round, rep.Dets, trackers[i].Tracks()); err != nil {
 				return err
 			}
 		}
@@ -395,6 +377,12 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 		retries += cl.KeyframeRetries()
 	}
 	opts.Metrics.Counter("client_keyframe_retries_total").Add(int64(retries))
+	// The episode log is complete too: its End record is written and
+	// flushed before the report prints, so a reader that sees the last
+	// report line — while the hub lingers — reads the whole episode.
+	if err := opts.Store.Finish(); err != nil {
+		return err
+	}
 
 	if frames == 1 {
 		printSelfTest(w, sc, opts, k, budgetBps, allReports[0])
@@ -483,17 +471,17 @@ func printSelfTest(w io.Writer, sc *scene.Scenario, opts SelfTestOptions, k int,
 			catNote += fmt.Sprintf(" (%d downsampled)", r.downsampled)
 		}
 		if opts.Loss.Enabled() {
-			catNote += fmt.Sprintf(" | %d stale", r.round.Lost)
+			catNote += fmt.Sprintf(" | %d stale", r.Round.Lost)
 		}
 		fmt.Fprintf(w, "\nround %s: fuses %s | %d KB | latency %v | load %.2f Mbit/s (util %.0f%%, fits %v) | %s\n",
-			r.round.Receiver, strings.Join(r.senders, "+"), r.round.PayloadBytes/1024,
+			r.Round.Receiver, strings.Join(r.senders, "+"), r.Round.PayloadBytes/1024,
 			r.plan.Completion(), r.plan.MbitPerSecond(), 100*r.plan.Utilization(), r.plan.Fits(), catNote)
 		fmt.Fprintf(w, "  single-shot P=%s R=%s   cooper P=%s R=%s\n",
-			pct(r.single.Precision()), pct(r.single.Recall()),
-			pct(r.coop.Precision()), pct(r.coop.Recall()))
+			pct(r.Single.Precision()), pct(r.Single.Recall()),
+			pct(r.Coop.Precision()), pct(r.Coop.Recall()))
 
-		singleR += r.single.Recall()
-		coopR += r.coop.Recall()
+		singleR += r.Single.Recall()
+		coopR += r.Coop.Recall()
 		if r.plan.Fits() {
 			fits++
 		}
@@ -526,12 +514,12 @@ func printStreaming(w io.Writer, sc *scene.Scenario, opts SelfTestOptions, frame
 		var fits, stale int
 		var worst time.Duration
 		for _, r := range reports {
-			singleR += r.single.Recall()
-			coopR += r.coop.Recall()
+			singleR += r.Single.Recall()
+			coopR += r.Coop.Recall()
 			if r.plan.Fits() {
 				fits++
 			}
-			stale += r.round.Lost
+			stale += r.Round.Lost
 			if c := r.plan.Completion(); c > worst {
 				worst = c
 			}

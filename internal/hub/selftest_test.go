@@ -3,7 +3,7 @@ package hub
 import (
 	"bytes"
 	"fmt"
-	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -175,40 +175,66 @@ func TestSelfTestDegraded(t *testing.T) {
 }
 
 // TestSelfTestStoreReplays records degraded selftests into an episode
-// log and replays it: every client round must reproduce its recorded
-// detections byte for byte, on the v3 delta wire and on the feature
-// backend alike.
+// log file and replays it the moment the report's last line arrives —
+// before SelfTest returns, as an observer of a lingering node would:
+// the log must already be complete, and every client round must
+// reproduce its recorded detections byte for byte, on the v3 delta wire
+// and on the feature backend alike.
 func TestSelfTestStoreReplays(t *testing.T) {
-	for _, tc := range []struct{ backend, wire string }{{"raw", "v3"}, {"feature", "v2"}} {
+	for _, tc := range []struct{ backend, wire, last string }{
+		{"raw", "v3", "keyframe retries recovered"},
+		{"feature", "v2", "fleet mean over"},
+	} {
 		t.Run(tc.backend, func(t *testing.T) {
 			backend, err := fusion.ParseBackend(tc.backend)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var log bytes.Buffer
-			ew, err := store.NewEpisodeWriter(&log, store.Header{Label: "selftest", Backend: tc.backend, Wire: tc.wire})
+			path := filepath.Join(t.TempDir(), "selftest.ceplog")
+			ew, err := store.CreateEpisode(path, store.Header{Label: "selftest", Backend: tc.backend, Wire: tc.wire})
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer ew.Close()
 			opts := SelfTestOptions{Fleet: 3, Seed: 5, Frames: 3, Wire: tc.wire, Backend: backend,
 				Loss: network.DefaultLoss(0.3, 5), Drift: 0.5, Store: ew}
-			if err := SelfTest(io.Discard, opts); err != nil {
+			checked := false
+			report := writerFunc(func(line []byte) {
+				if !strings.Contains(string(line), tc.last) {
+					return
+				}
+				checked = true
+				ep, err := store.ReadEpisodeFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ep.Complete {
+					t.Errorf("log read at the report's last line is truncated: %d rounds, %d detection sets",
+						len(ep.Rounds), len(ep.Detections))
+				}
+				_, stats, err := store.ReplayEpisode(ep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !stats.Identical() || stats.Rounds != opts.Fleet*opts.Frames {
+					t.Errorf("replay of %d client rounds: %v", opts.Fleet*opts.Frames, stats)
+				}
+			})
+			if err := SelfTest(report, opts); err != nil {
 				t.Fatal(err)
 			}
-			if err := ew.Close(); err != nil {
-				t.Fatal(err)
-			}
-			ep, err := store.ReadEpisode(&log)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, stats, err := store.ReplayEpisode(ep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !stats.Identical() || stats.Rounds != opts.Fleet*opts.Frames {
-				t.Errorf("replay of %d client rounds: %v", opts.Fleet*opts.Frames, stats)
+			if !checked {
+				t.Fatalf("report never printed a line containing %q", tc.last)
 			}
 		})
 	}
+}
+
+// writerFunc is an io.Writer that hands every write — one report line
+// per Fprintf — to a callback.
+type writerFunc func([]byte)
+
+func (f writerFunc) Write(p []byte) (int, error) {
+	f(p)
+	return len(p), nil
 }

@@ -17,12 +17,28 @@ type PoseError struct {
 	Yaw float64
 }
 
-// DriftWalk is the drift walk of the scenario's pose i, seeded
-// Seed*1000003 + i*7919 + 11. Every harness that drifts vehicles (the
-// episode engine, the hub selftest) takes its walks from here, so a
-// (scenario seed, vehicle, frame) coordinate lies the same way in each.
-func (s *Scenario) DriftWalk(i int, bound float64, frames int) []PoseError {
-	return DriftWalk(s.Seed*1000003+int64(i)*7919+11, bound, frames)
+// DriftWalks returns one drift walk per pose, pose i's seeded
+// Seed*1000003 + i*7919 + 11, or all nil when bound ≤ 0 (exact
+// localization). Every harness that drifts vehicles (the episode
+// engine, the hub selftest) takes its walks from here, so a (scenario
+// seed, vehicle, frame) coordinate lies the same way in each.
+func (s *Scenario) DriftWalks(bound float64, frames int) [][]PoseError {
+	walks := make([][]PoseError, len(s.Poses))
+	if bound > 0 {
+		for i := range walks {
+			walks[i] = DriftWalk(s.Seed*1000003+int64(i)*7919+11, bound, frames)
+		}
+	}
+	return walks
+}
+
+// SensingSeed is the LiDAR noise seed of a capture of the given pose:
+// Seed + pose*997 + key. The key tells one pose's captures apart, and
+// each harness keeps its own: the case runner senses every pose once
+// (key 0), the episode lab keys by capture time (ms*1000003) and the
+// hub selftest by frame index (f*100003).
+func (s *Scenario) SensingSeed(pose int, key int64) int64 {
+	return s.Seed + int64(pose)*997 + key
 }
 
 // DriftWalk simulates integrated GPS/IMU drift over an episode as a

@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"cooper/internal/geom"
 )
 
 func TestDriftWalkDeterministic(t *testing.T) {
@@ -61,13 +63,25 @@ func TestDriftWalkZeroBoundAndLength(t *testing.T) {
 }
 
 // TestScenarioDriftWalkSeed pins the per-vehicle seed contract that the
-// episode engine and the hub selftest share (docs/DETERMINISM.md).
+// episode engine and the hub selftest share (docs/DETERMINISM.md), and
+// that exact localization has no walks at all.
 func TestScenarioDriftWalkSeed(t *testing.T) {
-	sc := &Scenario{Seed: 5}
-	for i := 0; i < 3; i++ {
+	sc := &Scenario{Seed: 5, Poses: make([]geom.Transform, 3)}
+	walks := sc.DriftWalks(0.6, 4)
+	if len(walks) != 3 {
+		t.Fatalf("%d walks for 3 poses", len(walks))
+	}
+	for i, got := range walks {
 		want := DriftWalk(5*1000003+int64(i)*7919+11, 0.6, 4)
-		if got := sc.DriftWalk(i, 0.6, 4); !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("vehicle %d: walk %v, want %v", i, got, want)
+		}
+	}
+	for _, bound := range []float64{0, -1} {
+		for i, w := range sc.DriftWalks(bound, 4) {
+			if w != nil {
+				t.Errorf("bound %g: vehicle %d has walk %v, want nil", bound, i, w)
+			}
 		}
 	}
 }

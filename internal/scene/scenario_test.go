@@ -180,3 +180,23 @@ func TestVehiclePoseTransformsForward(t *testing.T) {
 		t.Errorf("forward dir = %v, want +y", fwd)
 	}
 }
+
+// TestResolve covers the three lookups the CLIs share: a paper scenario
+// by name, a generated family, and an unknown name.
+func TestResolve(t *testing.T) {
+	sc, err := Resolve("TJ-Scenario 1", 0, 0, 0)
+	if err != nil || sc.Name != "TJ-Scenario 1" {
+		t.Fatalf("paper scenario: %v, %v", sc, err)
+	}
+	gen, err := Resolve("platoon", 3, 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := Generate(GenParams{Family: FamilyPlatoon, Fleet: 3, Seed: 7})
+	if gen.Name != want.Name || len(gen.Poses) != 3 {
+		t.Errorf("generated %s with %d poses, want %s", gen.Name, len(gen.Poses), want.Name)
+	}
+	if _, err := Resolve("nosuch", 3, 7, 0); err == nil || err.Error() != `unknown scenario "nosuch"` {
+		t.Errorf("unknown scenario: %v", err)
+	}
+}

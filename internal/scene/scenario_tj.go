@@ -1,6 +1,7 @@
 package scene
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -187,4 +188,19 @@ func tjScenario4() *Scenario {
 func AllScenarios() []*Scenario {
 	out := KITTIScenarios()
 	return append(out, TJScenarios()...)
+}
+
+// Resolve finds the named paper scenario, or generates the named family
+// with the given fleet size, seed and ambient traffic (0 = the family's
+// default).
+func Resolve(name string, fleet int, seed int64, traffic int) (*Scenario, error) {
+	if fam, ok := ParseFamily(name); ok {
+		return Generate(GenParams{Family: fam, Fleet: fleet, Seed: seed, Traffic: traffic})
+	}
+	for _, sc := range AllScenarios() {
+		if sc.Name == name {
+			return sc, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown scenario %q", name)
 }

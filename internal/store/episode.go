@@ -503,6 +503,7 @@ type EpisodeWriter struct {
 	f      *os.File
 	rounds int
 	frames int
+	ended  bool
 }
 
 // NewEpisodeWriter wraps an io.Writer. The header record is written
@@ -536,6 +537,9 @@ func CreateEpisode(path string, h Header) (*EpisodeWriter, error) {
 func (ew *EpisodeWriter) append(t RecordType, data []byte) error {
 	ew.mu.Lock()
 	defer ew.mu.Unlock()
+	if ew.ended {
+		return fmt.Errorf("store: episode log already ended")
+	}
 	switch t {
 	case RecFrame:
 		ew.frames++
@@ -582,15 +586,38 @@ func (ew *EpisodeWriter) WriteFused(r Round, dets []spod.Detection, tracks []*tr
 	return ew.WriteTracks(Tracks{Frame: r.Frame, Receiver: r.Receiver, Tracks: TrackStates(tracks)})
 }
 
-// Close writes the End record, flushes, and closes the file if the
-// writer owns one.
-func (ew *EpisodeWriter) Close() error {
+// Finish ends the log: it appends the End record and flushes, so a
+// reader of the file sees a complete episode from then on. Only the
+// first call writes; later calls, and a nil writer, do nothing.
+// Producers that outlive their last record — a selftest lingering after
+// its report — finish the log before they linger.
+func (ew *EpisodeWriter) Finish() error {
+	if ew == nil {
+		return nil
+	}
 	ew.mu.Lock()
 	defer ew.mu.Unlock()
+	return ew.finish()
+}
+
+func (ew *EpisodeWriter) finish() error {
+	if ew.ended {
+		return nil
+	}
+	ew.ended = true
 	err := ew.w.Append(Record{Type: RecEnd, Data: EncodeEnd(End{Frames: ew.frames, Rounds: ew.rounds})})
 	if ferr := ew.w.Flush(); err == nil {
 		err = ferr
 	}
+	return err
+}
+
+// Close finishes the log if no Finish did, and closes the file if the
+// writer owns one.
+func (ew *EpisodeWriter) Close() error {
+	ew.mu.Lock()
+	defer ew.mu.Unlock()
+	err := ew.finish()
 	if ew.f != nil {
 		if cerr := ew.f.Close(); err == nil {
 			err = cerr

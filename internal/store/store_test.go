@@ -166,6 +166,44 @@ func TestEpisodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEpisodeFinishOnce pins Finish: the first call ends the log and
+// flushes it, Close after it writes no second End record, appending
+// after it is an error, and a nil writer has nothing to finish.
+func TestEpisodeFinishOnce(t *testing.T) {
+	var buf bytes.Buffer
+	ew, err := NewEpisodeWriter(&buf, Header{Label: "finish"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ew.WriteFrame(Frame{Sender: "v1", Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ew.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	finished := buf.Len()
+	if ep, err := ReadEpisode(bytes.NewReader(buf.Bytes())); err != nil || !ep.Complete || ep.End.Frames != 1 {
+		t.Fatalf("log after Finish: %+v, %v", ep, err)
+	}
+	if err := ew.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ew.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != finished || ew.Records() != 3 {
+		t.Errorf("Finish then Close wrote %d more bytes, %d records; want one End record",
+			buf.Len()-finished, ew.Records())
+	}
+	if err := ew.WriteFrame(Frame{Sender: "v1", Seq: 2}); err == nil {
+		t.Error("append after End accepted")
+	}
+	var none *EpisodeWriter
+	if err := none.Finish(); err != nil {
+		t.Errorf("nil writer: %v", err)
+	}
+}
+
 // TestReplayByteIdentical is the package's core acceptance property:
 // replaying a stored episode through the live fusion path reproduces
 // the recorded fused detections byte for byte.
