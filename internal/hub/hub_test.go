@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -172,6 +173,68 @@ func TestPublishValidation(t *testing.T) {
 	r, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{K: 1})
 	if err != nil || len(r.Frames) != 1 || !bytes.Equal(r.Frames[0].Payload, newer) {
 		t.Error("stale publish replaced a newer cached frame")
+	}
+}
+
+// TestPublishRejectsNonFinite: a frame with a NaN or ±Inf coordinate
+// used to be cached and served, and the receiver's ground estimate
+// panicked on it. Publish must refuse it in-band, keep the sender's last
+// good frame, and the session must answer MsgError and keep serving.
+func TestPublishRejectsNonFinite(t *testing.T) {
+	pts := testCloud(50, 1).Points()
+	raw := func(mut func(p *pointcloud.Point)) []byte {
+		bad := slices.Clone(pts)
+		mut(&bad[7])
+		return pointcloud.EncodeRaw(pointcloud.FromPoints(bad))
+	}
+	quant := payloadFor(t, 50, 1)
+	binary.LittleEndian.PutUint64(quant[24:], math.Float64bits(math.NaN())) // origin z
+	var enc pointcloud.DeltaEncoder
+	key, _, err := enc.Encode(pointcloud.FromPoints(pts), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(key[20:], math.Float64bits(math.Inf(1))) // origin x
+	tests := []struct {
+		name    string
+		payload []byte
+	}{
+		{"CPC1 NaN z", raw(func(p *pointcloud.Point) { p.Z = math.NaN() })},
+		{"CPC1 +Inf x", raw(func(p *pointcloud.Point) { p.X = math.Inf(1) })},
+		{"CPC1 -Inf y", raw(func(p *pointcloud.Point) { p.Y = math.Inf(-1) })},
+		{"CPC1 NaN reflectance", raw(func(p *pointcloud.Point) { p.Reflectance = math.NaN() })},
+		{"CPQ1 NaN origin", quant},
+		{"CPD1 keyframe +Inf origin", key},
+	}
+	h := New(Config{})
+	good := payloadFor(t, 200, 2)
+	if _, err := h.Publish("v1", stateAt(0, 0), good, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i, tt := range tests {
+		if _, err := h.Publish("v1", stateAt(0, 0), tt.payload, uint64(i+2)); !errors.Is(err, pointcloud.ErrNonFinite) {
+			t.Errorf("%s: err = %v, want ErrNonFinite", tt.name, err)
+		}
+		if _, err := h.Publish("v2", stateAt(5, 0), tt.payload, 1); err == nil {
+			t.Errorf("%s: a new sender's frame was accepted", tt.name)
+		}
+	}
+	r, err := h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{K: 2})
+	if err != nil || h.Cached() != 1 || len(r.Frames) != 1 || !bytes.Equal(r.Frames[0].Payload, good) {
+		t.Fatalf("cache holds %d vehicle(s), round err %v: want only v1's last good frame", h.Cached(), err)
+	}
+
+	_, addr := startHub(t, Config{})
+	c, _, err := Connect(addr, "v1", stateAt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Publish(stateAt(0, 0), tests[0].payload); err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Errorf("session publish: err = %v, want a non-finite error", err)
+	}
+	if cached, err := c.Publish(stateAt(0, 0), good); err != nil || cached != 1 {
+		t.Errorf("session did not survive the rejected publish: cached=%d err=%v", cached, err)
 	}
 }
 

@@ -29,6 +29,7 @@ var (
 	ErrTruncated = errors.New("pointcloud: truncated encoding")
 	ErrTrailing  = errors.New("pointcloud: trailing bytes past declared point count")
 	ErrTooLarge  = errors.New("pointcloud: cloud exceeds encodable size")
+	ErrNonFinite = errors.New("pointcloud: non-finite coordinate")
 )
 
 // QuantStep is the spatial resolution of the quantized codec: 2 cm, well
@@ -214,7 +215,9 @@ func Decode(data []byte) (*Cloud, error) {
 // the receive buffer into dst, reusing dst's point capacity (pair with
 // GetCloud/PutCloud to eliminate per-frame allocation). dst is left empty
 // on error. Framing is strict: short buffers return ErrTruncated and
-// bytes past the declared point count return ErrTrailing.
+// bytes past the declared point count return ErrTrailing. A NaN or ±Inf
+// raw value or quantization origin returns ErrNonFinite, so every decoded
+// point is finite.
 func DecodeInto(data []byte, dst *Cloud) error {
 	if dst == nil {
 		return errors.New("pointcloud: DecodeInto: nil destination")
@@ -260,13 +263,36 @@ func decodeRawInto(data []byte, dst *Cloud) error {
 	pts := dst.ensure(n)
 	off := rawHeaderSize
 	for i := 0; i < n; i++ {
+		x := binary.LittleEndian.Uint32(data[off:])
+		y := binary.LittleEndian.Uint32(data[off+4:])
+		z := binary.LittleEndian.Uint32(data[off+8:])
+		r := binary.LittleEndian.Uint32(data[off+12:])
+		if !finite32(x) || !finite32(y) || !finite32(z) || !finite32(r) {
+			dst.Reset()
+			return fmt.Errorf("point %d: %w", i, ErrNonFinite)
+		}
 		pts[i] = Point{
-			X:           float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))),
-			Y:           float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off+4:]))),
-			Z:           float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off+8:]))),
-			Reflectance: float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off+12:]))),
+			X:           float64(math.Float32frombits(x)),
+			Y:           float64(math.Float32frombits(y)),
+			Z:           float64(math.Float32frombits(z)),
+			Reflectance: float64(math.Float32frombits(r)),
 		}
 		off += rawPointSize
+	}
+	return nil
+}
+
+// finite32 reports whether the float32 with these bits is neither NaN
+// nor ±Inf (whose exponent bits are all set).
+func finite32(bits uint32) bool { return bits&0x7f800000 != 0x7f800000 }
+
+// checkOrigin returns ErrNonFinite unless every origin coordinate is
+// finite: a NaN or ±Inf origin would make every decoded point non-finite.
+func checkOrigin(o geom.Vec3) error {
+	for _, v := range [3]float64{o.X, o.Y, o.Z} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("origin (%g,%g,%g): %w", o.X, o.Y, o.Z, ErrNonFinite)
+		}
 	}
 	return nil
 }
@@ -282,6 +308,9 @@ func decodeQuantizedInto(data []byte, dst *Cloud) error {
 	ox := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
 	oy := math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))
 	oz := math.Float64frombits(binary.LittleEndian.Uint64(data[24:]))
+	if err := checkOrigin(geom.V3(ox, oy, oz)); err != nil {
+		return err
+	}
 	pts := dst.ensure(n)
 	off := quantHeaderSize
 	for i := 0; i < n; i++ {

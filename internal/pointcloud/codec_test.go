@@ -122,6 +122,56 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonFinite checks that a payload carrying a NaN or
+// ±Inf raw value or quantization origin is an in-band error with an
+// empty destination: such a frame used to decode, be cached and served
+// by the hub, and panic the receiver's ground estimate.
+func TestDecodeRejectsNonFinite(t *testing.T) {
+	c := FromPoints([]Point{{X: 1, Y: 2, Z: -1.5, Reflectance: 0.5}, {X: -3, Y: 4, Z: 0.25, Reflectance: 1}})
+	raw := func(mut func(p *Point)) []byte {
+		bad := c.Clone()
+		mut(&bad.pts[1])
+		return EncodeRaw(bad)
+	}
+	q := mustEncodeQuantized(t, c)
+	var enc DeltaEncoder
+	key, _, err := enc.Encode(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyInf := bytes.Clone(key)
+	binary.LittleEndian.PutUint64(keyInf[36:], math.Float64bits(math.Inf(-1)))
+	tests := []struct {
+		name string
+		data []byte
+	}{
+		{"CPC1 NaN z", raw(func(p *Point) { p.Z = math.NaN() })},
+		{"CPC1 +Inf x", raw(func(p *Point) { p.X = math.Inf(1) })},
+		{"CPC1 -Inf y", raw(func(p *Point) { p.Y = math.Inf(-1) })},
+		{"CPC1 NaN reflectance", raw(func(p *Point) { p.Reflectance = math.NaN() })},
+		{"CPC1 overflows float32", raw(func(p *Point) { p.X = 1e39 })},
+		{"CPQ1 NaN origin", withOriginAxis(q, 2, math.NaN())},
+		{"CPQ1 +Inf origin", withOriginAxis(q, 0, math.Inf(1))},
+		{"CPD1 keyframe -Inf origin", keyInf},
+	}
+	for _, tt := range tests {
+		dst := FromPoints(c.pts)
+		if err := DecodeInto(tt.data, dst); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s: err = %v, want ErrNonFinite", tt.name, err)
+		}
+		if dst.Len() != 0 {
+			t.Errorf("%s: destination keeps %d points after the error", tt.name, dst.Len())
+		}
+	}
+	var dec DeltaDecoder
+	if _, err := dec.Decode(keyInf); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("DeltaDecoder: err = %v, want ErrNonFinite", err)
+	}
+	if _, ok := dec.KeyframeSeq(); ok {
+		t.Error("DeltaDecoder kept a keyframe with a non-finite origin")
+	}
+}
+
 func TestEncodeQuantizedTooFar(t *testing.T) {
 	c := FromPoints([]Point{{X: 0}, {X: 5000}})
 	if _, err := EncodeQuantized(c); !errors.Is(err, ErrTooLarge) {

@@ -425,6 +425,9 @@ func parseDeltaCommon(data []byte) (kind byte, seq uint64, n int, origin geom.Ve
 		math.Float64frombits(binary.LittleEndian.Uint64(data[28:])),
 		math.Float64frombits(binary.LittleEndian.Uint64(data[36:])),
 	)
+	if err := checkOrigin(origin); err != nil {
+		return 0, 0, 0, geom.Vec3{}, err
+	}
 	return data[4], binary.LittleEndian.Uint64(data[8:]), int(count), origin, nil
 }
 

@@ -127,10 +127,12 @@ func (c *Cloud) EstimateGroundZ() float64 {
 	hist := make([]int, nBins)
 	counted := 0
 	for _, p := range c.pts {
-		if p.Z < lo || p.Z >= hi {
+		// Written so NaN fails the range test too.
+		if !(p.Z >= lo && p.Z < hi) {
 			continue
 		}
-		hist[int((p.Z-lo)/binSize)]++
+		// A z a hair under hi can round up to bin nBins.
+		hist[min(int((p.Z-lo)/binSize), nBins-1)]++
 		counted++
 	}
 	if counted == 0 {

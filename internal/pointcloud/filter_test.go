@@ -89,6 +89,32 @@ func TestEstimateGroundZEmpty(t *testing.T) {
 	}
 }
 
+// TestEstimateGroundZEdgeValues feeds the histogram values its range
+// test must drop or clamp: NaN, ±Inf, and a z one ulp under the top edge,
+// which rounds into a bin past the end. A CPQ1 frame (origin cell −397,
+// z cell 647) decodes to exactly that z.
+func TestEstimateGroundZEdgeValues(t *testing.T) {
+	top := math.Nextafter(5, 0)
+	enc := mustEncodeQuantized(t, FromPoints([]Point{{Z: -7.94}, {Z: 4.99}}))
+	decoded, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if z := decoded.At(1).Z; z != top {
+		t.Fatalf("decoded z = %v, want %v", z, top)
+	}
+	for _, z := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), top} {
+		c := FromPoints([]Point{{Z: -1.7}, {Z: -1.7}, {Z: z}})
+		if gz := c.EstimateGroundZ(); math.Abs(gz-(-1.7)) > 0.05 {
+			t.Errorf("z %v: EstimateGroundZ = %v, want ≈ -1.7", z, gz)
+		}
+	}
+	// Only the top point is in range, so it lands in the last bin.
+	if gz := decoded.EstimateGroundZ(); !(gz > 4.95 && gz < 5) {
+		t.Errorf("decoded frame: EstimateGroundZ = %v, want the last bin", gz)
+	}
+}
+
 func TestRemoveGroundPlane(t *testing.T) {
 	c := FromPoints([]Point{
 		{Z: -1.7}, {Z: -1.65}, {Z: -0.5}, {Z: 0.4},

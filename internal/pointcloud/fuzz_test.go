@@ -11,7 +11,8 @@ import (
 // ends. The fuzz input is treated twice:
 //
 //  1. as an adversarial wire payload handed straight to Decode, which
-//     must never panic and must return structurally valid clouds, and
+//     must never panic and must return structurally valid clouds of
+//     finite points, and
 //  2. as raw material for building a cloud, which must round-trip
 //     through encode→decode within the codec's quantization tolerance.
 //
@@ -38,19 +39,30 @@ func FuzzEncodeDecodeQuantized(f *testing.F) {
 		f.Add(enc) // empty cloud
 	}
 	f.Add(EncodeRaw(seedCloud))
+	nan := seedCloud.Clone()
+	nan.pts[1].Z = math.NaN()
+	f.Add(EncodeRaw(nan)) // non-finite raw coordinate
 	f.Add([]byte("CPQ1"))
 	f.Add([]byte{'C', 'P', 'Q', '1', 0xff, 0xff, 0xff, 0xff}) // huge count
 	f.Add([]byte("not a cloud at all"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Leg 1: adversarial payload. Any outcome is fine except a panic
-		// or a decoded cloud that lies about its length.
+		// Leg 1: adversarial payload. Any outcome is fine except a panic,
+		// a decoded cloud that lies about its length, or a non-finite
+		// point (a NaN or ±Inf must be an in-band error).
 		if c, err := Decode(data); err == nil {
 			if c == nil {
 				t.Fatal("Decode returned nil cloud with nil error")
 			}
-			_ = c.Len()
+			for i := 0; i < c.Len(); i++ {
+				p := c.At(i)
+				for _, v := range [4]float64{p.X, p.Y, p.Z, p.Reflectance} {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("decoded point %d is not finite: %+v", i, p)
+					}
+				}
+			}
 		}
 		if IsCanonicalQuantized(data) {
 			c, err := Decode(data)

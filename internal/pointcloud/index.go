@@ -11,15 +11,15 @@ import (
 // radius and nearest-neighbour queries. The clustering detector baseline
 // and the ICP refinement both use it to avoid quadratic neighbour scans.
 //
-// Cells are cubes of the given size, grouped into XY columns: one map
-// lookup serves a whole column, whose points sit contiguously in one
-// shared slice sorted by (z cell, point index), each stored with its
-// coordinates so a scan reads memory in order. Queries visit cells in
-// x→y→z order and points in index order.
+// Cells are cubes of the given size, grouped into XY columns: one voxel
+// table probe, keyed VoxelKey{X, Y, 0}, serves a whole column, whose
+// points sit contiguously in one shared slice sorted by (z cell, point
+// index), each stored with its coordinates so a scan reads memory in
+// order. Queries visit cells in x→y→z order and points in index order.
 type GridIndex struct {
 	cellSize float64
-	cols     map[uint64]int32 // XY column key → column id
-	spans    []colSpan        // column id → its entries
+	cols     voxelTable // XY column → column id
+	spans    []colSpan  // column id → its entries
 	entries  []gridEntry
 	cloud    *Cloud
 }
@@ -34,9 +34,6 @@ type gridEntry struct {
 	i       int32
 }
 
-// colKey packs an XY cell into an exact 64-bit map key.
-func colKey(x, y int32) uint64 { return uint64(uint32(x))<<32 | uint64(uint32(y)) }
-
 // NewGridIndex indexes the cloud with the given cell size. Choose the cell
 // size close to the typical query radius for best performance.
 func NewGridIndex(c *Cloud, cellSize float64) *GridIndex {
@@ -46,20 +43,17 @@ func NewGridIndex(c *Cloud, cellSize float64) *GridIndex {
 	n := len(c.pts)
 	g := &GridIndex{
 		cellSize: cellSize,
-		cols:     make(map[uint64]int32, n/4+1),
 		entries:  make([]gridEntry, n),
 		cloud:    c,
 	}
 	// Counting sort by column, ids in order of first appearance: count,
 	// then scatter each point to its column's next free slot.
+	g.cols.reset(n/4 + 1)
 	colOf := make([]int32, n)
 	for i, p := range c.pts {
 		k := KeyFor(p.X, p.Y, p.Z, cellSize)
-		ck := colKey(k.X, k.Y)
-		id, ok := g.cols[ck]
-		if !ok {
-			id = int32(len(g.spans))
-			g.cols[ck] = id
+		id := g.cols.add(VoxelKey{X: k.X, Y: k.Y})
+		if int(id) == len(g.spans) {
 			g.spans = append(g.spans, colSpan{})
 		}
 		g.spans[id].hi++
@@ -91,7 +85,7 @@ func NewGridIndex(c *Cloud, cellSize float64) *GridIndex {
 
 // column returns the entries of the XY column (x, y), nil if it is empty.
 func (g *GridIndex) column(x, y int32) []gridEntry {
-	id, ok := g.cols[colKey(x, y)]
+	id, ok := g.cols.find(VoxelKey{X: x, Y: y})
 	if !ok {
 		return nil
 	}

@@ -71,17 +71,3 @@ func TestVoxelDownsampleBoundsDetectorInput(t *testing.T) {
 		t.Errorf("downsampled merge has %d voxels, single scan %d", ds.Len(), single.Len())
 	}
 }
-
-func TestVoxelOccupancy(t *testing.T) {
-	c := FromPoints([]Point{
-		{X: 0.1, Y: 0.1, Z: 0.1},
-		{X: 0.2, Y: 0.2, Z: 0.2},
-		{X: 3, Y: 3, Z: 3},
-	})
-	if got := c.VoxelOccupancy(1); got != 2 {
-		t.Errorf("VoxelOccupancy = %d, want 2", got)
-	}
-	if got := c.VoxelOccupancy(0); got != 3 {
-		t.Errorf("VoxelOccupancy(0) = %d, want point count", got)
-	}
-}
