@@ -1,7 +1,11 @@
 package spod
 
 import (
+	"math"
+	"math/rand"
 	"testing"
+
+	"cooper/internal/pointcloud"
 )
 
 // BenchmarkDetectFrame measures one full SPOD pass — the per-frame hot
@@ -35,5 +39,46 @@ func BenchmarkDetectFrameCoop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det.Detect(merged, nil, nil)
+	}
+}
+
+// syntheticWall appends returns on a vertical wall face from (x0, y0) to
+// (x1, y1), from the road up to height above it.
+func syntheticWall(c *pointcloud.Cloud, rng *rand.Rand, x0, y0, x1, y1, height float64, n int) {
+	for i := 0; i < n; i++ {
+		t := rng.Float64()
+		c.AppendXYZR(
+			x0+t*(x1-x0)+rng.NormFloat64()*0.02,
+			y0+t*(y1-y0)+rng.NormFloat64()*0.02,
+			-1.73+0.3+rng.Float64()*(height-0.3),
+			0.3,
+		)
+	}
+}
+
+// BenchmarkDetectFrameCanyon measures the fit stage's worst case, the
+// fusedbench span spod.fit on an urban canyon: a two-view merge of cars
+// parked beside long walls 5–6 m tall. Each wall is one oversized
+// proposal that splitCluster tiles into car-length parts, and the fit
+// stage rejects every one of them as too tall.
+func BenchmarkDetectFrameCanyon(b *testing.B) {
+	view := func(seed int64, cars ...[3]float64) *pointcloud.Cloud {
+		c := sceneWithCars(seed, 60, cars...)
+		rng := rand.New(rand.NewSource(seed + 100))
+		syntheticWall(c, rng, -30, 9, 40, 9, 5+rng.Float64(), 12000)
+		syntheticWall(c, rng, -30, -9, 40, -9, 5+rng.Float64(), 12000)
+		syntheticWall(c, rng, 12, 14, 12, 40, 5+rng.Float64(), 5000)
+		return c
+	}
+	viewA := view(7, [3]float64{14, 6.5, 0}, [3]float64{24, -6.5, math.Pi}, [3]float64{-8, 6.5, 0.05})
+	viewB := view(8, [3]float64{14, 6.5, 0}, [3]float64{32, 6.5, 0}, [3]float64{4, -6.5, 0})
+	merged := viewA.Merge(viewB)
+	det := New(CoopConfig(DefaultConfig(), 10))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dets, _ := det.Detect(merged, nil, nil); len(dets) == 0 {
+			b.Fatal("benchmark frame produced no detections")
+		}
 	}
 }

@@ -82,7 +82,7 @@ func (cd *ClusterDetector) fit(c *pointcloud.Cloud, members []int, groundZ float
 		loL, hiL, loW, hiW = loW, hiW, loL, hiL
 		extL, extW = extW, extL
 	}
-	zMin, zMax := cp.zStats()
+	_, zMax := cp.zStats()
 	height := zMax - groundZ
 
 	// Rigid gate: observed dimensions must already look like a whole car.
@@ -92,7 +92,6 @@ func (cd *ClusterDetector) fit(c *pointcloud.Cloud, members []int, groundZ float
 	if height < 1.1 || height > 2.2 {
 		return Detection{}, false
 	}
-	_ = zMin
 
 	cL := (loL + hiL) / 2
 	cW := (loW + hiW) / 2

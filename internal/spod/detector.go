@@ -276,7 +276,7 @@ func (d *Detector) backHalf(tensor *SparseTensor, grid *VoxelGrid, nonGround *po
 				continue
 			}
 			union := concatClusters(pool[i].points, pool[j].points)
-			best, ok := d.bestCandidate(union.withYaw(), groundZ)
+			best, ok := d.bestCandidate(clusterPart{clusterPoints: union}, groundZ)
 			if !ok {
 				continue
 			}
@@ -323,15 +323,21 @@ type scoredCandidate struct {
 	score float64
 }
 
-// bestCandidate fits anchors to a cluster and returns the highest-scoring
-// plausible one.
+// bestCandidate fits anchors to a part and returns the highest-scoring
+// plausible one. The yaw-free gate runs first: a part too tall, too low
+// or truncated at the FOV ceiling fails it on every candidate, so it is
+// rejected before the L-shape yaw search and the anchor fits.
 func (d *Detector) bestCandidate(part clusterPart, groundZ float64) (scoredCandidate, bool) {
 	best := scoredCandidate{score: -1}
-	for _, cand := range fitCandidates(part, groundZ, geom.Vec2{}) {
+	pr := part.profile()
+	if !plausibleProfile(pr.zMax-groundZ, pr.topEl, d.cfg.VerticalFOVTop) {
+		return best, false
+	}
+	for _, cand := range fitCandidates(part, pr, groundZ, geom.Vec2{}) {
 		if cand.stats.rangeXY > d.cfg.MaxDetectionRange {
 			continue
 		}
-		if !plausibleCar(cand.stats, d.cfg.VerticalFOVTop) {
+		if !plausibleDims(cand.stats) {
 			continue
 		}
 		if score := d.cfg.Score.Score(cand.stats); score > best.score {

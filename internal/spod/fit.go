@@ -70,15 +70,26 @@ func gatherCluster[I int | int32](c *pointcloud.Cloud, idxs []I) clusterPoints {
 
 func (cp clusterPoints) len() int { return len(cp.xs) }
 
-// clusterPart is a cluster ready for anchor fitting: its points and
-// their L-shape yaw (minAreaYaw), searched once per point set.
+// clusterPart is a cluster ready for anchor fitting: its points and,
+// when already searched, their L-shape yaw (minAreaYaw). splitCluster
+// hands back a cluster it leaves whole with the yaw its split test
+// searched; tiled parts and fragment-merge unions carry none, and
+// bestCandidate searches theirs only once the part passes the yaw-free
+// gate.
 type clusterPart struct {
 	clusterPoints
-	yaw float64
+	yaw    float64
+	hasYaw bool
 }
 
-// withYaw pairs the cluster with its L-shape yaw.
-func (cp clusterPoints) withYaw() clusterPart { return clusterPart{cp, cp.minAreaYaw()} }
+// lShapeYaw returns the part's L-shape yaw, searching it if the part
+// carries none.
+func (p clusterPart) lShapeYaw() float64 {
+	if p.hasYaw {
+		return p.yaw
+	}
+	return p.minAreaYaw()
+}
 
 // pcaYaw returns the orientation of the cluster's principal BEV axis.
 func (cp clusterPoints) pcaYaw() float64 {
@@ -174,6 +185,14 @@ func (cp clusterPoints) extents(yaw float64) (float64, float64) {
 	return lo, hi
 }
 
+// partProfile is a part's yaw-free evidence: its height range and the
+// highest elevation angle (radians, sensor frame) among its points, used
+// to detect vertical-FOV truncation. Points within 0.5 m of the sensor
+// axis carry no elevation.
+type partProfile struct {
+	zMin, zMax, topEl float64
+}
+
 // zStats returns (min, max) height of the cluster.
 func (cp clusterPoints) zStats() (float64, float64) {
 	lo, hi := math.Inf(1), math.Inf(-1)
@@ -184,6 +203,22 @@ func (cp clusterPoints) zStats() (float64, float64) {
 	return lo, hi
 }
 
+// profile computes the part's yaw-free evidence.
+func (cp clusterPoints) profile() partProfile {
+	pr := partProfile{topEl: math.Inf(-1)}
+	pr.zMin, pr.zMax = cp.zStats()
+	for i := range cp.xs {
+		r := math.Hypot(cp.xs[i], cp.ys[i])
+		if r < 0.5 {
+			continue
+		}
+		if el := math.Atan2(cp.zs[i], r); el > pr.topEl {
+			pr.topEl = el
+		}
+	}
+	return pr
+}
+
 // fitCandidates fits car-anchor boxes to a cluster. It returns up to two
 // candidates (anchor length along the cluster's L-shape yaw and
 // perpendicular to it) — the RPN's two anchor orientations — each with an
@@ -192,17 +227,18 @@ func (cp clusterPoints) zStats() (float64, float64) {
 // near boundary, the way a partially visible car actually extends away
 // from the viewer.
 //
-// groundZ anchors heights; sensorXY is the observing sensor's ground
-// position (the merge receiver's origin for cooperative clouds).
-func fitCandidates(part clusterPart, groundZ float64, sensorXY geom.Vec2) []candidate {
+// pr is the part's profile and groundZ anchors heights; sensorXY is the
+// observing sensor's ground position (the merge receiver's origin for
+// cooperative clouds).
+func fitCandidates(part clusterPart, pr partProfile, groundZ float64, sensorXY geom.Vec2) []candidate {
 	cp := part.clusterPoints
 	if cp.len() < 3 {
 		return nil
 	}
-	zMin, zMax := cp.zStats()
+	base := part.lShapeYaw()
 	out := make([]candidate, 0, 2)
-	for _, yaw := range []float64{part.yaw, part.yaw + math.Pi/2} {
-		cand, ok := fitAtYaw(cp, yaw, groundZ, zMin, zMax, sensorXY)
+	for _, yaw := range []float64{base, base + math.Pi/2} {
+		cand, ok := fitAtYaw(cp, yaw, pr, groundZ, sensorXY)
 		if ok {
 			out = append(out, cand)
 		}
@@ -210,7 +246,7 @@ func fitCandidates(part clusterPart, groundZ float64, sensorXY geom.Vec2) []cand
 	return out
 }
 
-func fitAtYaw(cp clusterPoints, yaw, groundZ, zMin, zMax float64, sensorXY geom.Vec2) (candidate, bool) {
+func fitAtYaw(cp clusterPoints, yaw float64, pr partProfile, groundZ float64, sensorXY geom.Vec2) (candidate, bool) {
 	loL, hiL := cp.extents(yaw)
 	loW, hiW := cp.extents(yaw + math.Pi/2)
 	extL := hiL - loL
@@ -276,39 +312,30 @@ func fitAtYaw(cp clusterPoints, yaw, groundZ, zMin, zMax float64, sensorXY geom.
 	coveredCells := bits.OnesCount64(cellBits[0]) + bits.OnesCount64(cellBits[1])
 	footprintCells := math.Ceil(anchorLength/cell) * math.Ceil(anchorWidth/cell)
 
-	topEl := math.Inf(-1)
-	for i := range cp.xs {
-		r := math.Hypot(cp.xs[i], cp.ys[i])
-		if r < 0.5 {
-			continue
-		}
-		if el := math.Atan2(cp.zs[i], r); el > topEl {
-			topEl = el
-		}
-	}
-
 	st := fitStats{
 		n:           n,
 		coverage:    float64(coveredCells) / footprintCells,
-		heightTop:   zMax - groundZ,
-		heightSpan:  zMax - zMin,
+		heightTop:   pr.zMax - groundZ,
+		heightSpan:  pr.zMax - pr.zMin,
 		extentMajor: math.Max(extL, extW),
 		extentMinor: math.Min(extL, extW),
 		extAlongL:   extL,
 		extAlongW:   extW,
 		rangeXY:     math.Hypot(cx-sensorXY.X, cy-sensorXY.Y),
-		topEl:       topEl,
+		topEl:       pr.topEl,
 	}
 	return candidate{box: box, stats: st}, true
 }
 
 // splitCluster tiles an oversized cluster along its principal axis into
-// car-length bins and returns the per-bin point subsets, each with its
-// L-shape yaw. Queued or bumper-to-bumper vehicles form one connected
-// proposal; tiling lets the anchors separate them. A cluster that stays
-// whole keeps the yaw the split test searched for.
+// car-length bins and returns the per-bin point subsets. Queued or
+// bumper-to-bumper vehicles form one connected proposal; tiling lets the
+// anchors separate them. The split test needs the whole cluster's
+// L-shape yaw, so a cluster that stays whole keeps it; tiled parts carry
+// no yaw, since most of them (wall and building bins) fail the yaw-free
+// gate and never need one.
 func splitCluster(cp clusterPoints) []clusterPart {
-	whole := cp.withYaw()
+	whole := clusterPart{clusterPoints: cp, yaw: cp.minAreaYaw(), hasYaw: true}
 	yaw := whole.yaw
 	if loA, hiA := cp.extents(yaw); true {
 		// Split along whichever fitted axis is longer.
@@ -341,7 +368,7 @@ func splitCluster(cp clusterPoints) []clusterPart {
 	kept := make([]clusterPart, 0, bins)
 	for _, b := range out {
 		if b.len() >= 3 {
-			kept = append(kept, b.withYaw())
+			kept = append(kept, clusterPart{clusterPoints: b})
 		}
 	}
 	return kept
@@ -382,21 +409,41 @@ func concatClusters(a, b clusterPoints) clusterPoints {
 	return out
 }
 
-// plausibleCar applies the geometric class gate: reject clusters whose
-// observed extents or heights cannot belong to a passenger car.
-// fovTopEl is the sensor's highest beam elevation: a cluster whose top
-// sits at the vertical-FOV ceiling is height-truncated (the sensor cannot
-// see over it), and since every supported device's ceiling lies above a
-// car roof at all ranges, a truncated cluster cannot be a car.
-func plausibleCar(st fitStats, fovTopEl float64) bool {
-	const truncationMargin = 0.021 // ≈1.2°, about three HDL-64E beam gaps
+// Geometric class gate: the observed evidence a passenger car can
+// produce. plausibleProfile applies the rules that need no yaw (height
+// window and FOV-ceiling truncation), plausibleDims the ones on fitted
+// extents; a candidate is a car only if it passes both.
+const (
+	// truncationMargin is ≈1.2°, about three HDL-64E beam gaps.
+	truncationMargin = 0.021
+	// maxCarTop is the highest roof a car has (trucks, buildings and
+	// trees reach above); minCarTop the lowest (barriers, debris).
+	maxCarTop = 2.3
+	minCarTop = 0.55
+)
+
+// plausibleProfile applies the yaw-free rules to a part's top height
+// above ground and its highest elevation. fovTopEl is the sensor's
+// highest beam elevation: a part whose top sits at the vertical-FOV
+// ceiling is height-truncated (the sensor cannot see over it), and since
+// every supported device's ceiling lies above a car roof at all ranges,
+// a truncated part cannot be a car.
+func plausibleProfile(heightTop, topEl, fovTopEl float64) bool {
 	switch {
-	case st.topEl >= fovTopEl-truncationMargin: // truncated tall object
+	case topEl >= fovTopEl-truncationMargin: // truncated tall object
 		return false
-	case st.heightTop > 2.3: // trucks, buildings, trees
+	case heightTop > maxCarTop:
 		return false
-	case st.heightTop < 0.55: // barriers, debris
+	case heightTop < minCarTop:
 		return false
+	}
+	return true
+}
+
+// plausibleDims rejects fitted candidates whose observed extents cannot
+// belong to a passenger car.
+func plausibleDims(st fitStats) bool {
+	switch {
 	case st.extentMajor > 5.2: // walls, long structures (post-tiling)
 		return false
 	case st.extentMinor > 2.3: // too wide for a car

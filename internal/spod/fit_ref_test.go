@@ -12,9 +12,12 @@ import (
 )
 
 // The ref* functions are the anchor fit as it stood before the fit stage
-// switched to the builtin min/max and reused splitCluster's yaw search:
-// math.Min/math.Max folds, and a fresh minAreaYaw inside fitCandidates.
-// They are the reference the fit stage is pinned against.
+// switched to the builtin min/max, reused splitCluster's yaw search and
+// gated parts on their yaw-free evidence before searching a yaw:
+// math.Min/math.Max folds, a fresh minAreaYaw inside fitCandidates, the
+// elevation ceiling recomputed per anchor orientation, and one class gate
+// applied to every fitted candidate. They are the reference the fit stage
+// is pinned against.
 
 func refMinAreaYaw(cp clusterPoints) float64 {
 	n := cp.len()
@@ -169,6 +172,43 @@ func refFitAtYaw(cp clusterPoints, yaw, groundZ, zMin, zMax float64, sensorXY ge
 	return candidate{box: box, stats: st}, true
 }
 
+func refPlausibleCar(st fitStats, fovTopEl float64) bool {
+	const truncationMargin = 0.021
+	switch {
+	case st.topEl >= fovTopEl-truncationMargin:
+		return false
+	case st.heightTop > 2.3:
+		return false
+	case st.heightTop < 0.55:
+		return false
+	case st.extentMajor > 5.2:
+		return false
+	case st.extentMinor > 2.3:
+		return false
+	case st.extentMajor < 2.0 && st.heightTop > 1.62:
+		return false
+	case st.extentMajor > 3.0 && st.extentMinor < 0.22:
+		return false
+	}
+	return true
+}
+
+func refBestCandidate(cfg Config, cp clusterPoints, groundZ float64) (scoredCandidate, bool) {
+	best := scoredCandidate{score: -1}
+	for _, cand := range refFitCandidates(cp, groundZ, geom.Vec2{}) {
+		if cand.stats.rangeXY > cfg.MaxDetectionRange {
+			continue
+		}
+		if !refPlausibleCar(cand.stats, cfg.VerticalFOVTop) {
+			continue
+		}
+		if score := cfg.Score.Score(cand.stats); score > best.score {
+			best = scoredCandidate{cand: cand, score: score}
+		}
+	}
+	return best, best.score >= 0
+}
+
 func refSplitCluster(cp clusterPoints) []clusterPoints {
 	yaw := refMinAreaYaw(cp)
 	if loA, hiA := refExtents(cp, yaw); true {
@@ -236,8 +276,11 @@ func sameBits(a, b any) bool {
 
 // fitTestClusters returns clusters covering the fit's regimes: single
 // cars and L-shapes (unsplit), queues (split), clusters past the 512-point
-// subsampling stride, and clusters carrying NaN, −0.0 and ±Inf
-// coordinates.
+// subsampling stride, clusters carrying NaN, −0.0 and ±Inf coordinates,
+// and the parts the yaw-free gate rejects: tiled walls taller than a car,
+// low barriers, and clusters truncated at the vertical-FOV ceiling.
+// Unless a case sets its own heights, points sit 0.03–1.53 m above a
+// ground at z = −1.73.
 func fitTestClusters(rng *rand.Rand) []clusterPoints {
 	box := func(n int, length, width, yaw, x0, y0 float64) clusterPoints {
 		var cp clusterPoints
@@ -298,12 +341,66 @@ func fitTestClusters(rng *rand.Rand) []clusterPoints {
 			out = append(out, cp)
 		}
 	}
+	withHeights := func(cp clusterPoints, lo, hi float64) clusterPoints {
+		for i := range cp.zs {
+			cp.zs[i] = lo + rng.Float64()*(hi-lo)
+		}
+		return cp
+	}
+	for i := 0; i < 12; i++ {
+		yaw := rng.Float64() * math.Pi
+		x0, y0 := rng.Float64()*40-20, rng.Float64()*40-20
+		// Tall walls 5–6 m high, long enough to tile; every third one
+		// carries a car-height stretch so some of its bins pass the gate.
+		wall := withHeights(box(200+rng.Intn(700), 10+rng.Float64()*20, 0.3, yaw, x0, y0), -1.7, 3.3+rng.Float64()*1.0)
+		if i%3 == 0 {
+			for j := 0; j < wall.len()/3; j++ {
+				wall.zs[j] = -1.7 + rng.Float64()*1.5
+			}
+		}
+		out = append(out, wall)
+		// Low barriers, tiled and whole, topping out under 0.55 m.
+		out = append(out, withHeights(box(20+rng.Intn(400), 2+rng.Float64()*14, 0.4, yaw, x0, y0), -1.7, -1.3+rng.Float64()*0.1))
+		// Car-sized clusters 3–6 m from the sensor whose tops reach up
+		// to the FOV ceilings without being too tall.
+		r := 3 + rng.Float64()*3
+		az := rng.Float64() * 2 * math.Pi
+		trunc := box(30+rng.Intn(300), 3.9, 1.6, yaw, r*math.Cos(az), r*math.Sin(az))
+		out = append(out, withHeights(trunc, -1.7, -1.73+0.6+rng.Float64()*1.6))
+	}
+	// Each yaw-free rule at its boundary: a car whose top sits just
+	// inside and just outside the height window, one whose apex point
+	// sits just under and just over each FOV ceiling the tests use, and
+	// one with a high point either side of the 0.5 m sensor-axis cutoff.
+	for _, top := range []float64{0.54, 0.549, 0.551, 0.56, 2.25, 2.299, 2.301, 2.31} {
+		cp := withHeights(box(60, 3.9, 1.6, 0, 8, -0.8), -1.7, -1.73+top)
+		cp.zs[0] = -1.73 + top
+		out = append(out, cp)
+	}
+	for _, ceil := range []float64{geom.Deg2Rad(15), geom.Deg2Rad(2)} {
+		r0 := 0.5 / math.Tan(ceil)
+		for _, dEl := range []float64{-1e-3, -1e-5, 1e-5, 1e-3} {
+			cp := box(60, 3.9, 1.6, 0, r0, -0.8)
+			cp.xs = append(cp.xs, r0)
+			cp.ys = append(cp.ys, 0)
+			cp.zs = append(cp.zs, r0*math.Tan(ceil-0.021+dEl))
+			out = append(out, cp)
+		}
+	}
+	for _, r := range []float64{0.45, 0.55} {
+		cp := box(60, 3.9, 1.6, 0, 0.6, -0.8)
+		cp.xs = append(cp.xs, r)
+		cp.ys = append(cp.ys, 0)
+		cp.zs = append(cp.zs, 0.3)
+		out = append(out, cp)
+	}
 	return out
 }
 
 // TestFitMatchesReference pins the fit stage — splitCluster's parts and
 // yaws, and every part's candidates — bit for bit to the pre-change fit,
-// which searched the yaw again for a cluster left whole.
+// which searched the yaw again for a cluster left whole and eagerly for
+// every tiled part.
 func TestFitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	split, whole := 0, 0
@@ -321,12 +418,17 @@ func TestFitMatchesReference(t *testing.T) {
 			if !sameBits(part.clusterPoints, want[pi]) {
 				t.Fatalf("cluster %d part %d: points differ from the reference split", ci, pi)
 			}
-			if wy := refMinAreaYaw(want[pi]); math.Float64bits(part.yaw) != math.Float64bits(wy) {
-				t.Fatalf("cluster %d part %d: yaw %v, reference %v", ci, pi, part.yaw, wy)
+			if len(parts) > 1 && part.hasYaw {
+				t.Fatalf("cluster %d part %d: tiled part carries a searched yaw", ci, pi)
+			}
+			// A tiled part's yaw is searched lazily; resolve it here so
+			// every part's yaw is compared.
+			if yaw, wy := part.lShapeYaw(), refMinAreaYaw(want[pi]); math.Float64bits(yaw) != math.Float64bits(wy) {
+				t.Fatalf("cluster %d part %d: yaw %v, reference %v", ci, pi, yaw, wy)
 			}
 			for _, groundZ := range []float64{-1.73, 0} {
 				for _, sensor := range []geom.Vec2{{}, {X: 3, Y: -2}} {
-					got := fitCandidates(part, groundZ, sensor)
+					got := fitCandidates(part, part.profile(), groundZ, sensor)
 					ref := refFitCandidates(want[pi], groundZ, sensor)
 					if !sameBits(got, ref) {
 						t.Fatalf("cluster %d part %d: candidates\n%+v\nreference\n%+v", ci, pi, got, ref)
@@ -337,5 +439,61 @@ func TestFitMatchesReference(t *testing.T) {
 	}
 	if split == 0 || whole == 0 {
 		t.Fatalf("regimes covered: %d split, %d whole; want both", split, whole)
+	}
+}
+
+// TestBestCandidateMatchesReference pins bestCandidate — the yaw-free
+// gate ahead of the lazy yaw search, then the anchor fits and the
+// dimension gate — bit for bit to the pre-change selection, which searched
+// every part's yaw and applied one class gate to each fitted candidate.
+// Whole clusters are checked both with splitCluster's yaw and lazily, as
+// a fragment-merge union arrives.
+func TestBestCandidateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	narrow := DefaultConfig()
+	narrow.VerticalFOVTop = geom.Deg2Rad(2) // HDL-64E ceiling
+	dets := []*Detector{NewDefault(), New(CoopConfig(DefaultConfig(), 10)), New(narrow)}
+	var tall, low, truncated, tiledGated, kept int
+	for ci, cp := range fitTestClusters(rng) {
+		parts, want := splitCluster(cp), refSplitCluster(cp)
+		if len(parts) != len(want) {
+			t.Fatalf("cluster %d: %d parts, reference %d", ci, len(parts), len(want))
+		}
+		tiled := len(parts) > 1
+		if !tiled {
+			parts = append(parts, clusterPart{clusterPoints: cp})
+			want = append(want, cp)
+		}
+		for pi, part := range parts {
+			for di, d := range dets {
+				for _, groundZ := range []float64{-1.73, -1.2, 0} {
+					got, ok := d.bestCandidate(part, groundZ)
+					ref, refOK := refBestCandidate(d.cfg, want[pi], groundZ)
+					if ok != refOK || !sameBits(got, ref) {
+						t.Fatalf("cluster %d part %d detector %d ground %v: (%+v, %v), reference (%+v, %v)",
+							ci, pi, di, groundZ, got, ok, ref, refOK)
+					}
+					pr := part.profile()
+					if !plausibleProfile(pr.zMax-groundZ, pr.topEl, d.cfg.VerticalFOVTop) && tiled {
+						tiledGated++
+					}
+					switch top := pr.zMax - groundZ; {
+					case pr.topEl >= d.cfg.VerticalFOVTop-truncationMargin:
+						truncated++
+					case top > maxCarTop:
+						tall++
+					case top < minCarTop:
+						low++
+					case ok:
+						kept++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("gated: %d truncated, %d tall, %d low (%d tiled parts); %d kept", truncated, tall, low, tiledGated, kept)
+	if truncated == 0 || tall == 0 || low == 0 || tiledGated == 0 || kept == 0 {
+		t.Fatalf("regimes covered: %d truncated, %d tall, %d low, %d tiled parts gated, %d kept; want each",
+			truncated, tall, low, tiledGated, kept)
 	}
 }

@@ -282,6 +282,9 @@ func TestAxisConsistency(t *testing.T) {
 func TestPlausibleCarGates(t *testing.T) {
 	fovTop := geom.Deg2Rad(15)
 	good := fitStats{heightTop: 1.5, extentMajor: 3.9, extentMinor: 1.6, topEl: geom.Deg2Rad(-2)}
+	plausibleCar := func(st fitStats, fovTop float64) bool {
+		return plausibleProfile(st.heightTop, st.topEl, fovTop) && plausibleDims(st)
+	}
 	if !plausibleCar(good, fovTop) {
 		t.Error("typical car rejected")
 	}
