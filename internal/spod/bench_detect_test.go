@@ -5,13 +5,20 @@ import (
 	"math/rand"
 	"testing"
 
+	"cooper/internal/lidar"
 	"cooper/internal/pointcloud"
+	"cooper/internal/scene"
 )
 
 // BenchmarkDetectFrame measures one full SPOD pass — the per-frame hot
 // path of every evaluation figure, episode frame and hub fusion round.
 // CI records it (with -benchmem) as BENCH_detect.json; the tracked
 // numbers are allocs/op and B/op, the detector's allocation budget.
+//
+// Every DetectFrame benchmark holds its own warmed DetectorScratch, as a
+// long-lived receiver does: the package pool behind a nil scratch is
+// emptied by the GC and is per-P, so drawing from it makes B/op depend
+// on GC timing.
 func BenchmarkDetectFrame(b *testing.B) {
 	cloud := sceneWithCars(1, 120,
 		[3]float64{12, 3, 0.4},
@@ -19,10 +26,11 @@ func BenchmarkDetectFrame(b *testing.B) {
 		[3]float64{-15, 8, 2.2},
 	)
 	det := NewDefault()
+	s := warmScratch(det, cloud)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if dets, _ := det.Detect(cloud, nil, nil); len(dets) == 0 {
+		if dets, _ := det.Detect(cloud, nil, s); len(dets) == 0 {
 			b.Fatal("benchmark frame produced no detections")
 		}
 	}
@@ -35,11 +43,20 @@ func BenchmarkDetectFrameCoop(b *testing.B) {
 	viewB := sceneWithCars(6, 60, [3]float64{18, 2, 0.3}, [3]float64{30, 4, 0.0})
 	merged := viewA.Merge(viewB)
 	det := New(CoopConfig(DefaultConfig(), 10))
+	s := warmScratch(det, merged)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Detect(merged, nil, nil)
+		det.Detect(merged, nil, s)
 	}
+}
+
+// warmScratch returns a scratch that one detection of cloud has already
+// grown, so B/op counts what each further frame allocates.
+func warmScratch(det *Detector, cloud *pointcloud.Cloud) *DetectorScratch {
+	s := NewScratch()
+	det.Detect(cloud, nil, s)
+	return s
 }
 
 // syntheticWall appends returns on a vertical wall face from (x0, y0) to
@@ -74,10 +91,38 @@ func BenchmarkDetectFrameCanyon(b *testing.B) {
 	viewB := view(8, [3]float64{14, 6.5, 0}, [3]float64{32, 6.5, 0}, [3]float64{4, -6.5, 0})
 	merged := viewA.Merge(viewB)
 	det := New(CoopConfig(DefaultConfig(), 10))
+	s := warmScratch(det, merged)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if dets, _ := det.Detect(merged, nil, nil); len(dets) == 0 {
+		if dets, _ := det.Detect(merged, nil, s); len(dets) == 0 {
+			b.Fatal("benchmark frame produced no detections")
+		}
+	}
+}
+
+// BenchmarkDetectFrameHDL64 measures the single-origin path, the
+// micro-benchmark for the fusedbench spans spod.preprocess and
+// spod.voxel: one ray-cast HDL-64E frame (0.2° azimuth step) of a
+// generated intersection through DefaultConfig — spherical projection,
+// inpainting, reconstruction and the column sort of the voxelizer — as
+// every feature-level sender runs before it publishes.
+func BenchmarkDetectFrameHDL64(b *testing.B) {
+	sc, err := scene.Generate(scene.GenParams{Family: "intersection", Fleet: 4, Seed: 11, Traffic: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sensor := lidar.HDL64()
+	cloud := lidar.NewScanner(sensor, sc.Seed).SetWorkers(1).
+		ScanFrom(sc.Poses[0], sc.Scene.Targets(), sc.Scene.GroundZ).Cloud
+	cfg := DefaultConfig()
+	cfg.VerticalFOVTop = sensor.MaxElevation()
+	det := New(cfg)
+	s := warmScratch(det, cloud)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dets, _ := det.Detect(cloud, nil, s); len(dets) == 0 {
 			b.Fatal("benchmark frame produced no detections")
 		}
 	}

@@ -353,22 +353,39 @@ func splitCluster(cp clusterPoints) []clusterPart {
 		return []clusterPart{whole}
 	}
 	binW := extent / float64(bins)
-	out := make([]clusterPoints, bins)
 	c, s := math.Cos(yaw), math.Sin(yaw)
-	for i := range cp.xs {
+	binOf := func(i int) int {
 		v := c*cp.xs[i] + s*cp.ys[i]
-		b := int((v - lo) / binW)
-		if b >= bins {
-			b = bins - 1
-		}
-		out[b].xs = append(out[b].xs, cp.xs[i])
-		out[b].ys = append(out[b].ys, cp.ys[i])
-		out[b].zs = append(out[b].zs, cp.zs[i])
+		return min(int((v-lo)/binW), bins-1)
+	}
+	// Count each bin's points, then carve every bin's xs, ys and zs out
+	// of one backing array, filled in point order. Each window is a full
+	// slice expression, so a later append to a part (concatClusters)
+	// reallocates instead of writing into its neighbour.
+	off := make([]int, 2*bins+1) // bin starts, then the fill cursors
+	for i := range cp.xs {
+		off[binOf(i)+1]++
+	}
+	for b := 1; b <= bins; b++ {
+		off[b] += off[b-1]
+	}
+	next := off[bins+1:]
+	copy(next, off[:bins])
+	n := cp.len()
+	backing := make([]float64, 3*n)
+	xs, ys, zs := backing[:n], backing[n:2*n], backing[2*n:]
+	for i := range cp.xs {
+		b := binOf(i)
+		j := next[b]
+		next[b]++
+		xs[j], ys[j], zs[j] = cp.xs[i], cp.ys[i], cp.zs[i]
 	}
 	kept := make([]clusterPart, 0, bins)
-	for _, b := range out {
-		if b.len() >= 3 {
-			kept = append(kept, clusterPart{clusterPoints: b})
+	for b := 0; b < bins; b++ {
+		if start, end := off[b], off[b+1]; end-start >= 3 {
+			kept = append(kept, clusterPart{clusterPoints: clusterPoints{
+				xs: xs[start:end:end], ys: ys[start:end:end], zs: zs[start:end:end],
+			}})
 		}
 	}
 	return kept

@@ -253,8 +253,10 @@ func floatBits(v reflect.Value, out []uint64) []uint64 {
 	switch v.Kind() {
 	case reflect.Float64:
 		return append(out, math.Float64bits(v.Float()))
-	case reflect.Int:
+	case reflect.Int, reflect.Int32:
 		return append(out, uint64(v.Int()))
+	case reflect.Uint64:
+		return append(out, v.Uint())
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			out = floatBits(v.Field(i), out)

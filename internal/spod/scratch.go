@@ -28,11 +28,13 @@ type DetectorScratch struct {
 	work      *pointcloud.Cloud // projected / deduped cloud
 	nonGround *pointcloud.Cloud
 
-	// Stage 2 — voxel feature encoding.
-	entries []voxEntry
-	grid    VoxelGrid
-	zvals   []int32
-	zaccs   []voxAcc
+	// Stage 2 — voxel feature encoding: the entry table (with the column
+	// sort's second buffer) and the sort's digit counts.
+	entries    []voxEntry
+	radixCount [1 << radixBits]int32
+	grid       VoxelGrid
+	zvals      []int32
+	zaccs      []voxAcc
 
 	// Stage 3 — sparse convolution (double-buffered feature planes).
 	featA, featB []float64

@@ -36,12 +36,12 @@ func findCol(cols []colKey, key colKey) int {
 	return -1
 }
 
-// voxEntry stages one point's voxel assignment for the sorting pass:
-// its column, its z layer and its index in the input cloud. Sorting by
-// (col, idx) groups points by column while preserving the cloud's point
-// order inside each column, which keeps every per-voxel float
-// accumulation in exactly the order a sequential scan would produce.
+// voxEntry stages one point's voxel assignment for the column sort: its
+// BEV column (x, y), its z layer and its index in the input cloud.
+// Entries are built in point order and sortByColumn is stable, so they
+// group by column while keeping the cloud's point order inside each
+// column, which keeps every per-voxel float accumulation in exactly the
+// order a sequential scan would produce.
 type voxEntry struct {
-	col    colKey
-	z, idx int32
+	x, y, z, idx int32
 }

@@ -19,6 +19,7 @@ package spod
 
 import (
 	"math"
+	"math/bits"
 
 	"cooper/internal/geom"
 	"cooper/internal/parallel"
@@ -28,24 +29,41 @@ import (
 // echo is a single return stored in a range-image cell. Cells keep up to
 // two echoes (near and far) so that cooperative clouds — where another
 // vehicle contributes returns from behind an occluder — survive
-// re-projection intact, the way dual-return LiDARs report.
+// re-projection intact, the way dual-return LiDARs report. Whether a
+// cell's echo is valid lives in the image's occupancy bitmaps, not here.
 type echo struct {
 	rng       float64
 	elevation float64
 	azimuth   float64
 	intensity float64
-	valid     bool
 }
 
 // RangeImage is a spherical projection of a point cloud: rows index
 // elevation, columns azimuth. It provides the compact dense representation
 // the SPOD preprocessing stage feeds to the voxel feature extractor.
+//
+// The occupancy bitmaps nearOcc and farOcc (one bit per cell, cell order)
+// are the only validity record: a frame clears just the bitmaps, and an
+// echo under a clear bit is stale from an earlier frame and never read.
+// Every per-frame pass — insertion, inpainting, reconstruction — then
+// costs time in proportion to the points, not to the image.
 type RangeImage struct {
-	Rows, Cols     int
-	MinEl, MaxEl   float64
-	near, far      []echo // row-major, two echoes per cell
-	elStep, azStep float64
+	Rows, Cols   int
+	MinEl, MaxEl float64
+	// near and far are row-major echo planes, two echoes per cell, carved
+	// from the one backing array echoes.
+	echoes, near, far []echo
+	// nearOcc, farOcc and inpaint's staging bitmap fillOcc are carved
+	// from occ.
+	occ, nearOcc, farOcc, fillOcc []uint64
+	elStep, azStep                float64
 }
+
+// occupied reports whether cell idx's bit is set in occ.
+func occupied(occ []uint64, idx int) bool { return occ[idx>>6]&(1<<(idx&63)) != 0 }
+
+// occupy sets cell idx's bit in occ.
+func occupy(occ []uint64, idx int) { occ[idx>>6] |= 1 << (idx & 63) }
 
 // SphericalConfig controls the projection resolution.
 type SphericalConfig struct {
@@ -90,10 +108,12 @@ type binnedEcho struct {
 func projectSpherical(c *pointcloud.Cloud, cfg SphericalConfig, s *DetectorScratch) *RangeImage {
 	cells := cfg.Rows * cfg.Cols
 	img := &s.img
-	img.near = grow(img.near, cells)
-	img.far = grow(img.far, cells)
-	clear(img.near)
-	clear(img.far)
+	img.echoes = grow(img.echoes, 2*cells)
+	img.near, img.far = img.echoes[:cells], img.echoes[cells:]
+	words := (cells + 63) / 64
+	img.occ = grow(img.occ, 3*words)
+	clear(img.occ)
+	img.nearOcc, img.farOcc, img.fillOcc = img.occ[:words], img.occ[words:2*words], img.occ[2*words:]
 	img.Rows, img.Cols = cfg.Rows, cfg.Cols
 	img.MinEl, img.MaxEl = cfg.MinEl, cfg.MaxEl
 	img.elStep = (cfg.MaxEl - cfg.MinEl) / float64(cfg.Rows)
@@ -146,7 +166,8 @@ func projectSpherical(c *pointcloud.Cloud, cfg SphericalConfig, s *DetectorScrat
 }
 
 // bin computes a point's range-image cell and echo — the pure per-point
-// work both projection paths share.
+// work both projection paths share. Elevations outside [MinEl, MaxEl) are
+// dropped at both edges.
 func (img *RangeImage) bin(p pointcloud.Point, cfg SphericalConfig) (echo, int, bool) {
 	r := p.Range()
 	if r == 0 {
@@ -154,8 +175,10 @@ func (img *RangeImage) bin(p pointcloud.Point, cfg SphericalConfig) (echo, int, 
 	}
 	el := math.Asin(geom.Clamp(p.Z/r, -1, 1))
 	az := math.Atan2(p.Y, p.X)
+	// The int conversion truncates toward zero, so without the el < MinEl
+	// test an elevation up to one row below the band would land in row 0.
 	row := int((el - cfg.MinEl) / img.elStep)
-	if row < 0 || row >= cfg.Rows {
+	if el < cfg.MinEl || row < 0 || row >= cfg.Rows {
 		return echo{}, 0, false
 	}
 	col := int((az + math.Pi) / img.azStep)
@@ -165,7 +188,7 @@ func (img *RangeImage) bin(p pointcloud.Point, cfg SphericalConfig) (echo, int, 
 	if col >= cfg.Cols {
 		col = cfg.Cols - 1
 	}
-	e := echo{rng: r, elevation: el, azimuth: az, intensity: p.Reflectance, valid: true}
+	e := echo{rng: r, elevation: el, azimuth: az, intensity: p.Reflectance}
 	return e, row*cfg.Cols + col, true
 }
 
@@ -173,58 +196,84 @@ func (img *RangeImage) bin(p pointcloud.Point, cfg SphericalConfig) (echo, int, 
 // and one sufficiently separated farther return as secondary.
 func (img *RangeImage) insert(idx int, e echo, echoGap float64) {
 	n := &img.near[idx]
-	f := &img.far[idx]
-	switch {
-	case !n.valid:
+	if !occupied(img.nearOcc, idx) {
 		*n = e
+		occupy(img.nearOcc, idx)
+		return
+	}
+	f := &img.far[idx]
+	hasFar := occupied(img.farOcc, idx)
+	switch {
 	case e.rng < n.rng:
 		// New nearest; previous near may become the far echo.
-		if prev := *n; prev.rng-e.rng >= echoGap && (!f.valid || prev.rng < f.rng) {
+		if prev := *n; prev.rng-e.rng >= echoGap && (!hasFar || prev.rng < f.rng) {
 			*f = prev
+			occupy(img.farOcc, idx)
 		}
 		*n = e
-	case e.rng-n.rng >= echoGap && (!f.valid || e.rng < f.rng):
+	case e.rng-n.rng >= echoGap && (!hasFar || e.rng < f.rng):
 		*f = e
+		occupy(img.farOcc, idx)
 	}
 }
 
 // inpaint fills single-column gaps in each row when both horizontal
 // neighbours hold primary returns at similar range.
+//
+// A fill needs both neighbours occupied before the pass, so a filled
+// cell is never the neighbour of another fill, and every candidate is
+// the right-hand neighbour (with the column wrap) of an occupied cell.
+// The pass therefore visits only occupied cells, and it stages the fills
+// in fillOcc and sets their bits at the end, so candidates see the
+// pre-pass occupancy — the same fills a full scan of the image finds.
 func (img *RangeImage) inpaint() {
 	const maxJump = 0.5 // metres between neighbours for interpolation
-	for r := 0; r < img.Rows; r++ {
-		base := r * img.Cols
-		for cIdx := 0; cIdx < img.Cols; cIdx++ {
-			cell := base + cIdx
-			if img.near[cell].valid {
+	row, base := 0, 0
+	for w, word := range img.nearOcc {
+		for ; word != 0; word &= word - 1 {
+			left := w<<6 + bits.TrailingZeros64(word)
+			if left >= base+img.Cols {
+				row = left / img.Cols
+				base = row * img.Cols
+			}
+			cell := left + 1
+			if cell == base+img.Cols {
+				cell = base
+			}
+			right := cell + 1
+			if right == base+img.Cols {
+				right = base
+			}
+			if occupied(img.nearOcc, cell) || !occupied(img.nearOcc, right) {
 				continue
 			}
-			left := base + (cIdx+img.Cols-1)%img.Cols
-			right := base + (cIdx+1)%img.Cols
-			ln, rn := img.near[left], img.near[right]
-			if !ln.valid || !rn.valid || math.Abs(ln.rng-rn.rng) > maxJump {
+			ln, rn := &img.near[left], &img.near[right]
+			if math.Abs(ln.rng-rn.rng) > maxJump {
 				continue
 			}
-			el := img.MinEl + (float64(r)+0.5)*img.elStep
-			az := -math.Pi + (float64(cIdx)+0.5)*img.azStep
+			el := img.MinEl + (float64(row)+0.5)*img.elStep
+			az := -math.Pi + (float64(cell-base)+0.5)*img.azStep
+			// The cell's bit stays clear until the pass ends, and no
+			// candidate reads a clear cell, so its echo can go in now.
 			img.near[cell] = echo{
 				rng:       (ln.rng + rn.rng) / 2,
 				elevation: el,
 				azimuth:   az,
 				intensity: (ln.intensity + rn.intensity) / 2,
-				valid:     true,
 			}
+			occupy(img.fillOcc, cell)
 		}
+	}
+	for w, fills := range img.fillOcc {
+		img.nearOcc[w] |= fills
 	}
 }
 
 // Occupied returns the number of cells holding at least one echo.
 func (img *RangeImage) Occupied() int {
 	n := 0
-	for _, e := range img.near {
-		if e.valid {
-			n++
-		}
+	for _, word := range img.nearOcc {
+		n += bits.OnesCount64(word)
 	}
 	return n
 }
@@ -237,25 +286,27 @@ func (img *RangeImage) ToCloud() *pointcloud.Cloud {
 }
 
 // ToCloudInto is ToCloud appending into dst (reset first) so a reused
-// cloud buffer makes the reconstruction allocation-free.
+// cloud buffer makes the reconstruction allocation-free. It walks the
+// occupied cells in cell order and emits each cell's near echo, then its
+// far one (a far echo implies a near one).
 func (img *RangeImage) ToCloudInto(dst *pointcloud.Cloud) *pointcloud.Cloud {
 	out := dst
 	out.Reset()
-	emit := func(e echo) {
-		if !e.valid {
-			return
-		}
-		cosEl := math.Cos(e.elevation)
-		out.AppendXYZR(
-			e.rng*cosEl*math.Cos(e.azimuth),
-			e.rng*cosEl*math.Sin(e.azimuth),
-			e.rng*math.Sin(e.elevation),
-			e.intensity,
-		)
+	emit := func(e *echo) {
+		sinEl, cosEl := math.Sincos(e.elevation)
+		sinAz, cosAz := math.Sincos(e.azimuth)
+		out.AppendXYZR(e.rng*cosEl*cosAz, e.rng*cosEl*sinAz, e.rng*sinEl, e.intensity)
 	}
-	for i := range img.near {
-		emit(img.near[i])
-		emit(img.far[i])
+	for w, word := range img.nearOcc {
+		far := img.farOcc[w]
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			cell := w<<6 + b
+			emit(&img.near[cell])
+			if far&(1<<b) != 0 {
+				emit(&img.far[cell])
+			}
+		}
 	}
 	return out
 }

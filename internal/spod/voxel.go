@@ -2,7 +2,7 @@ package spod
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 
 	"cooper/internal/parallel"
 	"cooper/internal/pointcloud"
@@ -90,10 +90,10 @@ type voxAcc struct {
 // Voxelize encodes a cloud into the sparse voxel grid. Points are assumed
 // ground-removed; groundZ anchors the height features. The per-point
 // voxel-key computation fans out over at most workers goroutines (< 1
-// selects one per CPU). Points are then sorted by (column, point index),
-// so every voxel accumulates its features in cloud point order —
-// floating-point sums are order-sensitive — and the grid is identical at
-// any worker count.
+// selects one per CPU). Points are then grouped by column with a stable
+// counting sort, so every voxel accumulates its features in cloud point
+// order — floating-point sums are order-sensitive — and the grid is
+// identical at any worker count.
 func Voxelize(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64, workers int) *VoxelGrid {
 	return voxelize(c, sizeXY, sizeZ, groundZ, workers, NewScratch())
 }
@@ -117,16 +117,16 @@ func voxelize(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64, workers int, 
 	entry := func(i int) voxEntry {
 		p := c.At(i)
 		return voxEntry{
-			col: packXY(
-				int32(math.Floor(p.X/sizeXY)),
-				int32(math.Floor(p.Y/sizeXY)),
-			),
+			x:   int32(math.Floor(p.X / sizeXY)),
+			y:   int32(math.Floor(p.Y / sizeXY)),
 			z:   int32(math.Floor((p.Z - groundZ) / sizeZ)),
 			idx: int32(i),
 		}
 	}
-	s.entries = grow(s.entries, n)
-	entries := s.entries
+	// One allocation holds the entry table and the column sort's second
+	// buffer.
+	s.entries = grow(s.entries, 2*n)
+	entries := s.entries[:n]
 	if parallel.Normalize(workers) > 1 {
 		const chunk = 8192
 		nChunks := (n + chunk - 1) / chunk
@@ -147,22 +147,12 @@ func voxelize(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64, workers int, 
 	// Group by column, keeping cloud point order within each column: the
 	// per-voxel accumulation below then adds point contributions in the
 	// same order a sequential scan over the cloud would.
-	slices.SortFunc(entries, func(a, b voxEntry) int {
-		switch {
-		case a.col != b.col:
-			if a.col < b.col {
-				return -1
-			}
-			return 1
-		default:
-			return int(a.idx - b.idx)
-		}
-	})
+	byCol := sortByColumn(entries, s.entries[n:], &s.radixCount)
 
 	for lo := 0; lo < n; {
 		hi := lo
-		col := entries[lo].col
-		for hi < n && entries[hi].col == col {
+		x, y := byCol[lo].x, byCol[lo].y
+		for hi < n && byCol[hi].x == x && byCol[hi].y == y {
 			hi++
 		}
 		// Accumulate this column's voxels. Each point lands in its z
@@ -170,7 +160,7 @@ func voxelize(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64, workers int, 
 		// order and are sorted by z before emission.
 		s.zvals = s.zvals[:0]
 		s.zaccs = s.zaccs[:0]
-		for _, e := range entries[lo:hi] {
+		for _, e := range byCol[lo:hi] {
 			p := c.At(int(e.idx))
 			slot := -1
 			for si, z := range s.zvals {
@@ -208,10 +198,59 @@ func voxelize(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64, workers int, 
 				MeanIntensity: a.sumI / float64(a.n),
 			})
 		}
-		g.Cols = append(g.Cols, col)
+		g.Cols = append(g.Cols, packXY(x, y))
 		g.ColOff = append(g.ColOff, int32(len(g.Zs)))
 		g.PtOff = append(g.PtOff, int32(len(g.PtIdx)))
 		lo = hi
 	}
 	return g
+}
+
+// radixBits is the counting sort's digit width: 4096 buckets.
+const radixBits = 12
+
+// sortByColumn orders entries by BEV column, ascending in packXY order,
+// with a stable LSD counting sort; entries of one column keep their
+// relative order. The sort key is the column's compact index in the
+// frame's bounding box, (x−minX)·ny + (y−minY), which orders columns as
+// packXY does, and the sort runs one 12-bit digit pass per digit of the
+// key's span: two while the bounding box holds under 2^24 columns (about
+// 800 m square at 0.2 m voxels), at most six at the int32 extremes. tmp
+// is a second buffer of len(entries); the result is in entries or in tmp,
+// and the other holds garbage.
+func sortByColumn(entries, tmp []voxEntry, count *[1 << radixBits]int32) []voxEntry {
+	minX, maxX := entries[0].x, entries[0].x
+	minY, maxY := entries[0].y, entries[0].y
+	for _, e := range entries[1:] {
+		minX, maxX = min(minX, e.x), max(maxX, e.x)
+		minY, maxY = min(minY, e.y), max(maxY, e.y)
+	}
+	// uint32 of an int32 difference is exact even where the int32
+	// subtraction wraps, so the key spans the full int32 range of both
+	// coordinates without overflow: at most 2^64 − 1.
+	ny := uint64(uint32(maxY-minY)) + 1
+	key := func(e voxEntry) uint64 {
+		return uint64(uint32(e.x-minX))*ny + uint64(uint32(e.y-minY))
+	}
+	passes := (bits.Len64(key(voxEntry{x: maxX, y: maxY})) + radixBits - 1) / radixBits
+	src, dst := entries, tmp
+	for pass := 0; pass < passes; pass++ {
+		shift := uint(pass * radixBits)
+		clear(count[:])
+		for _, e := range src {
+			count[key(e)>>shift&(1<<radixBits-1)]++
+		}
+		at := int32(0)
+		for d, c := range count {
+			count[d] = at
+			at += c
+		}
+		for _, e := range src {
+			d := key(e) >> shift & (1<<radixBits - 1)
+			dst[count[d]] = e
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
