@@ -3,9 +3,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// The Fig benchmarks measure the full experiment (scene build, sensing,
-// fusion, detection, evaluation); the SPOD and substrate benchmarks
-// isolate pipeline stages.
+// The AllFigures and Suite benchmarks measure the full experiments (scene
+// build, sensing, fusion, detection, evaluation); the SPOD and substrate
+// benchmarks isolate pipeline stages.
 package cooper_test
 
 import (
@@ -31,17 +31,6 @@ import (
 	"cooper/internal/spod"
 	"cooper/internal/store"
 )
-
-// benchFigure runs one experiment generator end to end.
-func benchFigure(b *testing.B, fig int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		suite := experiments.NewSuite()
-		if err := experiments.Run(suite, fig, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // --- Parallel evaluation engine: sequential vs parallel full suite ---
 //
@@ -89,19 +78,6 @@ func BenchmarkAllFiguresParallel(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkFig02KITTIExample(b *testing.B)     { benchFigure(b, 2) }
-func BenchmarkFig03KITTIScenarios(b *testing.B)   { benchFigure(b, 3) }
-func BenchmarkFig04KITTIAccuracy(b *testing.B)    { benchFigure(b, 4) }
-func BenchmarkFig05TJExample(b *testing.B)        { benchFigure(b, 5) }
-func BenchmarkFig06TJScenarios(b *testing.B)      { benchFigure(b, 6) }
-func BenchmarkFig07TJAccuracy(b *testing.B)       { benchFigure(b, 7) }
-func BenchmarkFig08ImprovementCDF(b *testing.B)   { benchFigure(b, 8) }
-func BenchmarkFig09DetectionTime(b *testing.B)    { benchFigure(b, 9) }
-func BenchmarkFig10GPSDrift(b *testing.B)         { benchFigure(b, 10) }
-func BenchmarkFig11ROICategories(b *testing.B)    { benchFigure(b, 11) }
-func BenchmarkFig12DataVolume(b *testing.B)       { benchFigure(b, 12) }
-func BenchmarkFig13CodecFeasibility(b *testing.B) { benchFigure(b, 13) }
 
 // --- Fleet-scale N-way fusion (generated scenarios) ---
 //
@@ -493,7 +469,7 @@ func BenchmarkSPODCooperative64Beam(b *testing.B) {
 	}
 }
 
-// --- Ablation: SPOD vs the naive clustering baseline on sparse data ---
+// --- SPOD on a sparse 16-beam frame ---
 
 func BenchmarkDetectorComparisonSPOD(b *testing.B) {
 	single, _ := scanPair(scene.TJScenarios()[1])
@@ -501,81 +477,6 @@ func BenchmarkDetectorComparisonSPOD(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det.Detect(single, nil, nil)
-	}
-}
-
-func BenchmarkDetectorComparisonClusterBaseline(b *testing.B) {
-	single, _ := scanPair(scene.TJScenarios()[1])
-	det := spod.NewClusterDetector()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		det.Detect(single)
-	}
-}
-
-// --- Ablation: sparse vs dense convolution over realistic occupancy ---
-
-func middleTensor(b *testing.B) (*spod.SparseTensor, geom.AABB) {
-	b.Helper()
-	single, _ := scanPair(scene.TJScenarios()[0])
-	// Bound the region so the dense-equivalent grid stays tractable.
-	single = single.CropRange(0, 40)
-	ground := single.EstimateGroundZ()
-	nonGround := single.RemoveGroundPlane(ground, 0.25)
-	grid := spod.Voxelize(nonGround, 0.2, 0.25, ground, 1)
-	bounds, _ := nonGround.Bounds()
-	return spod.NewSparseTensor(grid), bounds
-}
-
-func BenchmarkSparseConv(b *testing.B) {
-	tensor, _ := middleTensor(b)
-	layer := spod.DefaultMiddleLayers()[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		layer.Apply(tensor)
-	}
-}
-
-func BenchmarkDenseConvEquivalent(b *testing.B) {
-	// The same convolution evaluated densely over the tensor's bounding
-	// grid — what a non-sparse middle layer would pay. The paper adopts
-	// sparse convolution precisely because LiDAR voxel grids are mostly
-	// empty.
-	tensor, bounds := middleTensor(b)
-	layer := spod.DefaultMiddleLayers()[0]
-	nx := int(bounds.Size().X/0.2) + 1
-	ny := int(bounds.Size().Y/0.2) + 1
-	nz := int(bounds.Size().Z/0.25) + 1
-	if nx*ny*nz > 40_000_000 {
-		b.Skip("dense grid too large for this host")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Visit every dense site; reuse the sparse kernel at each.
-		var sum float64
-		for x := 0; x < nx; x++ {
-			for y := 0; y < ny; y++ {
-				for z := 0; z < nz; z++ {
-					var acc [3]float64
-					for dz := int32(-1); dz <= 1; dz++ {
-						for dy := int32(-1); dy <= 1; dy++ {
-							for dx := int32(-1); dx <= 1; dx++ {
-								nb, ok := tensor.FeatureAt(pointcloud.VoxelKey{X: int32(x) + dx, Y: int32(y) + dy, Z: int32(z) + dz})
-								if !ok {
-									continue
-								}
-								tap := layer.Spatial[dz+1][dy+1][dx+1]
-								for c := 0; c < 3; c++ {
-									acc[c] += tap * nb[c]
-								}
-							}
-						}
-					}
-					sum += acc[0]
-				}
-			}
-		}
-		_ = sum
 	}
 }
 
@@ -673,16 +574,6 @@ func BenchmarkAlignAndMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fusion.Fuse(vi.State(), vj.State(), ci, cj)
-	}
-}
-
-func BenchmarkICPRefinement(b *testing.B) {
-	single, _ := scanPair(scene.TJScenarios()[0])
-	offset := geom.NewTransform(0.01, 0, 0, geom.V3(0.2, 0.15, 0))
-	shifted := single.Transform(offset)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fusion.RefineAlignment(single, shifted, fusion.DefaultICPConfig())
 	}
 }
 

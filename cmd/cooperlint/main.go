@@ -1,11 +1,13 @@
 // Command cooperlint runs Cooper's determinism lint suite
 // (internal/lint): maporder, wallclock, randsource and floatfold — the
-// machine-checked form of the rules in docs/DETERMINISM.md.
+// machine-checked form of the rules in docs/DETERMINISM.md — plus the
+// module-wide deadexport check.
 //
-// It runs three ways:
+// It runs four ways:
 //
 //	cooperlint ./...                # standalone: lint packages, exit 1 on findings
 //	cooperlint -audit               # print the DETERMINISM.md audit table
+//	cooperlint -deadexport          # exported names no production code references
 //	go vet -vettool=$(which cooperlint) ./...   # as a vet tool
 //
 // The vettool mode speaks the go vet unit-checker protocol: the go
@@ -22,6 +24,13 @@
 //
 // CI diffs the committed table against a fresh -audit run, so the audit
 // can never drift from the code.
+//
+// Deadexport mode loads ./... and ./_fusedbench (the benchmark, which
+// ./... skips, is a consumer only) from the module root and exits 1 on
+// every exported name no production package references. A name is dead
+// only when the whole module says so, which the per-package vet protocol
+// cannot see, so the vet tool accepts //cooper:deadexport directives
+// and leaves them to this mode.
 package main
 
 import (
@@ -62,6 +71,7 @@ func main() {
 	auditFlag := flag.Bool("audit", false, "collect every flagged-or-suppressed site and print the audit table")
 	docFlag := flag.String("doc", "", "with -audit: splice the table between the cooperlint:audit markers of this document")
 	writeFlag := flag.Bool("w", false, "with -audit -doc: rewrite the document in place instead of printing")
+	deadFlag := flag.Bool("deadexport", false, "report exported names no production code references (loads ./... and ./_fusedbench)")
 	flag.Parse()
 	_ = *jsonFlag
 
@@ -80,30 +90,55 @@ func main() {
 		os.Exit(runUnit(flag.Arg(0)))
 	case *auditFlag:
 		os.Exit(runAudit(*docFlag, *writeFlag, flag.Args()))
+	case *deadFlag:
+		os.Exit(runDeadExport())
 	default:
 		os.Exit(runStandalone(flag.Args()))
 	}
 }
 
 // runStandalone lints the given package patterns (default ./... from
-// the module root) and prints every finding: open diagnostics, unused
-// suppressions and malformed directives. Suppressed sites are silent —
-// they are audit rows, not findings.
+// the module root) and reports their findings.
 func runStandalone(patterns []string) int {
-	root, err := lint.ModuleRoot(".")
+	root, pkgs, err := loadModule(patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cooperlint:", err)
 		return 1
+	}
+	return reportFindings(lint.CollectAudit(pkgs, root))
+}
+
+// runDeadExport reports the exported names no production package
+// references.
+func runDeadExport() int {
+	root, pkgs, err := loadModule("./...", "./_fusedbench")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cooperlint:", err)
+		return 1
+	}
+	return reportFindings(lint.DeadExport(pkgs, root))
+}
+
+// loadModule loads the package patterns (default ./...) from the module
+// root.
+func loadModule(patterns ...string) (string, []*lint.Package, error) {
+	root, err := lint.ModuleRoot(".")
+	if err != nil {
+		return "", nil, err
 	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	pkgs, err := lint.LoadPackages(root, patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cooperlint:", err)
-		return 1
-	}
-	findings := lint.Findings(lint.CollectAudit(pkgs, root))
+	return root, pkgs, err
+}
+
+// reportFindings prints every site that fails the build — open
+// diagnostics, unused suppressions and malformed directives — and
+// returns the exit code. Suppressed sites are silent: they are audit
+// rows, not findings.
+func reportFindings(sites []lint.Site) int {
+	findings := lint.Findings(sites)
 	for _, s := range findings {
 		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s: %s\n", s.Pos.Filename, s.Pos.Line, s.Pos.Column, s.Analyzer, s.Message)
 	}
@@ -116,15 +151,7 @@ func runStandalone(patterns []string) int {
 // runAudit regenerates the audit table (and optionally the document
 // that embeds it).
 func runAudit(doc string, write bool, patterns []string) int {
-	root, err := lint.ModuleRoot(".")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cooperlint:", err)
-		return 1
-	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := lint.LoadPackages(root, patterns...)
+	root, pkgs, err := loadModule(patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cooperlint:", err)
 		return 1

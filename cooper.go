@@ -19,7 +19,7 @@
 //	spod        the SPOD 3D car detector (spherical preprocessing, voxel
 //	            features, sparse convolution, RPN-style proposals, NMS)
 //	fusion      GPS/IMU alignment, drift model, ICP refinement
-//	roi         region-of-interest extraction and background subtraction
+//	roi         region-of-interest extraction and the payload ladder
 //	network     DSRC channel model, wire messages, TCP transport
 //	hub         fleet hub: concurrent sessions, frame cache, fusion rounds
 //	core        vehicles, cooperative detection, episodes
@@ -203,7 +203,7 @@ type (
 	HubRoundFrame = hub.RoundFrame
 )
 
-// NewFleetHub creates a fleet hub; serve it with ListenAndServe or Serve.
+// NewFleetHub creates a fleet hub; serve it with Serve.
 func NewFleetHub(cfg FleetHubConfig) *FleetHub { return hub.New(cfg) }
 
 // JoinFleetHub dials a hub and opens a vehicle session.

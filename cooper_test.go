@@ -45,7 +45,7 @@ func TestFacadeCooperativeLoop(t *testing.T) {
 		t.Error("detection stats missing")
 	}
 
-	hidden, _ := world.ObjectByID(hiddenID)
+	hidden := world.Objects[hiddenID]
 	found := false
 	for _, d := range coop {
 		if d.Box.Center.DistXY(hidden.Box.Center) < 1.5 {

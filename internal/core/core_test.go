@@ -41,8 +41,8 @@ func TestVehicleSenseAndDetect(t *testing.T) {
 	if stats.InputPoints != cloud.Len() {
 		t.Errorf("stats input %d != cloud %d", stats.InputPoints, cloud.Len())
 	}
-	car, _ := w.ObjectByID(visible)
-	gt := car.Box.Transformed(v.SensorTransform())
+	car := w.Objects[visible]
+	gt := car.Box.Transformed(sensorTransform(v))
 	found := false
 	for _, d := range dets {
 		if geom.IoUBEV(d.Box, gt) > 0.3 {
@@ -85,10 +85,10 @@ func TestExchangeRoundTrip(t *testing.T) {
 	aligned := alignPayload(t, rx, pkg)
 	// The transmitter's returns, aligned, must land near the world
 	// objects as seen from the receiver: check the visible car region.
-	car, _ := w.ObjectByID(0)
-	gt := car.Box.Transformed(rx.SensorTransform())
+	car := w.Objects[0]
+	gt := car.Box.Transformed(sensorTransform(rx))
 	grown := geom.NewBox(gt.Center, gt.Length+0.4, gt.Width+0.4, gt.Height+0.5, gt.Yaw)
-	if aligned.CountInBox(grown) == 0 {
+	if aligned.Filter(func(p pointcloud.Point) bool { return grown.Contains(p.Pos()) }).Len() == 0 {
 		t.Error("aligned transmitter cloud has no points on the shared car")
 	}
 }
@@ -127,8 +127,8 @@ func TestCooperativeDetectRecoversHiddenCar(t *testing.T) {
 	rx.Sense(w.Targets(), w.GroundZ)
 	tx.Sense(w.Targets(), w.GroundZ)
 
-	car, _ := w.ObjectByID(hidden)
-	gt := car.Box.Transformed(rx.SensorTransform())
+	car := w.Objects[hidden]
+	gt := car.Box.Transformed(sensorTransform(rx))
 
 	singles, _, err := rx.Detect(nil)
 	if err != nil {
@@ -308,4 +308,10 @@ func TestRunCaseWithICP(t *testing.T) {
 	if len(o.Rows) == 0 {
 		t.Fatal("ICP run produced no rows")
 	}
+}
+
+// sensorTransform returns the world→sensor transform of a vehicle.
+func sensorTransform(v *Vehicle) geom.Transform {
+	s := v.State()
+	return lidar.SensorTransform(s.Pose(), s.MountHeight)
 }

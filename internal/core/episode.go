@@ -144,19 +144,9 @@ type EpisodeResult struct {
 	DroppedSlots int
 }
 
-// MeanSingleRecall averages the single-shot recall over all frames.
-func (r *EpisodeResult) MeanSingleRecall() float64 {
-	return r.mean(func(f EpisodeFrame) float64 { return f.Single.Recall() })
-}
-
 // MeanCoopRecall averages the fused recall over all frames.
 func (r *EpisodeResult) MeanCoopRecall() float64 {
 	return r.mean(func(f EpisodeFrame) float64 { return f.Coop.Recall() })
-}
-
-// MeanCoopPrecision averages the fused precision over all frames.
-func (r *EpisodeResult) MeanCoopPrecision() float64 {
-	return r.mean(func(f EpisodeFrame) float64 { return f.Coop.Precision() })
 }
 
 func (r *EpisodeResult) mean(of func(EpisodeFrame) float64) float64 {

@@ -38,10 +38,10 @@ func (v *Vehicle) PreparePackage(filter CloudFilter) (fusion.Payload, error) {
 // scan — state, (optionally filtered) cloud and detector — the unit a
 // fusion.Backend encodes or budget-selects.
 func (v *Vehicle) SensorFrame(filter CloudFilter) (fusion.SensorFrame, error) {
-	if v.lastScan.Cloud == nil {
+	if v.cloud == nil {
 		return fusion.SensorFrame{}, fmt.Errorf("vehicle %s: %w", v.ID, ErrNoScan)
 	}
-	cloud := v.lastScan.Cloud
+	cloud := v.cloud
 	if filter != nil {
 		cloud = filter(cloud)
 	}

@@ -46,8 +46,8 @@ func TestHeterogeneousFusion64to16(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	car, _ := w.ObjectByID(hidden)
-	gt := car.Box.Transformed(rx.SensorTransform())
+	car := w.Objects[hidden]
+	gt := car.Box.Transformed(sensorTransform(rx))
 	found := false
 	for _, d := range dets {
 		if geom.IoUBEV(d.Box, gt) > 0.3 {

@@ -153,8 +153,7 @@ func WorldDetections(dets []spod.Detection, pose geom.Transform, mountHeight flo
 	return out
 }
 
-// lidarSensorTransform is the world→sensor transform of a scenario pose,
-// matching Vehicle.SensorTransform for a vehicle embodying that pose.
+// lidarSensorTransform is the world→sensor transform of a scenario pose.
 func lidarSensorTransform(sc *scene.Scenario, poseIdx int) geom.Transform {
 	return lidar.SensorTransform(sc.Poses[poseIdx], sc.LiDAR.MountHeight)
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"cooper/internal/fusion"
-	"cooper/internal/geom"
 	"cooper/internal/lidar"
 	"cooper/internal/pointcloud"
 	"cooper/internal/spod"
@@ -23,11 +22,10 @@ type Vehicle struct {
 	ID string
 
 	state    fusion.VehicleState
-	lidarCfg lidar.Config
 	scanner  *lidar.Scanner
 	detector *spod.Detector
 
-	lastScan lidar.Scan
+	cloud *pointcloud.Cloud // the latest scan, nil before the first Sense
 }
 
 // NewVehicle creates a vehicle with the given LiDAR model and state. The
@@ -42,7 +40,6 @@ func NewVehicle(id string, cfg lidar.Config, state fusion.VehicleState, seed int
 	return &Vehicle{
 		ID:       id,
 		state:    state,
-		lidarCfg: cfg,
 		scanner:  lidar.NewScanner(cfg, seed),
 		detector: spod.New(dcfg),
 	}
@@ -65,44 +62,25 @@ func (v *Vehicle) SetWorkers(n int) *Vehicle {
 // State returns the vehicle's current GPS/IMU state.
 func (v *Vehicle) State() fusion.VehicleState { return v.state }
 
-// SetState updates the vehicle's pose (driving).
-func (v *Vehicle) SetState(s fusion.VehicleState) {
-	if s.MountHeight == 0 {
-		s.MountHeight = v.lidarCfg.MountHeight
-	}
-	v.state = s
-}
-
-// LiDAR returns the vehicle's sensor configuration.
-func (v *Vehicle) LiDAR() lidar.Config { return v.lidarCfg }
-
 // Sense performs one LiDAR revolution against the given world geometry
 // and stores the scan. The returned cloud is in the vehicle's sensor
 // frame.
 func (v *Vehicle) Sense(targets []lidar.Target, groundZ float64) *pointcloud.Cloud {
-	v.lastScan = v.scanner.ScanFrom(v.state.Pose(), targets, groundZ)
-	return v.lastScan.Cloud
+	v.cloud = v.scanner.ScanFrom(v.state.Pose(), targets, groundZ).Cloud
+	return v.cloud
 }
 
 // Cloud returns the most recent scan (nil before the first Sense).
-func (v *Vehicle) Cloud() *pointcloud.Cloud { return v.lastScan.Cloud }
-
-// LastScan returns the most recent scan with per-object hit counts.
-func (v *Vehicle) LastScan() lidar.Scan { return v.lastScan }
+func (v *Vehicle) Cloud() *pointcloud.Cloud { return v.cloud }
 
 // Detect runs SPOD on the vehicle's own latest scan — the paper's
 // "single shot" perception — inside the caller's detector scratch (nil
 // draws from the shared pool). Callers detecting in a loop, such as the
 // hub selftest, hold one scratch per worker.
 func (v *Vehicle) Detect(s *spod.DetectorScratch) ([]spod.Detection, spod.Stats, error) {
-	if v.lastScan.Cloud == nil {
+	if v.cloud == nil {
 		return nil, spod.Stats{}, fmt.Errorf("vehicle %s: %w", v.ID, ErrNoScan)
 	}
-	dets, stats := v.detector.Detect(v.lastScan.Cloud, nil, s)
+	dets, stats := v.detector.Detect(v.cloud, nil, s)
 	return dets, stats, nil
-}
-
-// SensorTransform returns the world→sensor transform of this vehicle.
-func (v *Vehicle) SensorTransform() geom.Transform {
-	return lidar.SensorTransform(v.state.Pose(), v.state.MountHeight)
 }

@@ -22,7 +22,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"cooper/internal/geom"
 	"cooper/internal/lidar"
 	"cooper/internal/pointcloud"
 	"cooper/internal/scene"
@@ -56,11 +55,6 @@ type GroundTruthBox struct {
 	Yaw    float64 `json:"yaw"`
 }
 
-// Box converts the label to a geometry box.
-func (g GroundTruthBox) Box() geom.Box {
-	return geom.NewBox(geom.V3(g.X, g.Y, g.Z), g.Length, g.Width, g.Height, g.Yaw)
-}
-
 // Label is the per-frame sidecar: the capturing vehicle's state and the
 // scene ground truth — at the frame's capture time for episode renders,
 // so every timestep carries the world as the sensor saw it.
@@ -76,19 +70,6 @@ type Label struct {
 	// zero in a static render).
 	Timestep int   `json:"timestep"`
 	TimeMS   int64 `json:"time_ms"`
-}
-
-// Frame is one loaded dataset entry.
-type Frame struct {
-	Index int
-	Cloud *pointcloud.Cloud
-	Label Label
-}
-
-// Generate renders a scenario to disk: one frame per pose, the world
-// frozen at t = 0.
-func Generate(sc *scene.Scenario, root string) error {
-	return GenerateEpisode(sc, root, 1, 0)
 }
 
 // GenerateEpisode renders a dynamic scenario as an episode: timesteps
@@ -167,28 +148,6 @@ func GenerateEpisode(sc *scene.Scenario, root string, timesteps int, hz float64)
 	return writeJSON(filepath.Join(dir, "meta.json"), meta)
 }
 
-// Load reads a stored scenario dataset back.
-func Load(root, name string) (Meta, []Frame, error) {
-	dir := filepath.Join(root, sanitize(name))
-	var meta Meta
-	if err := readJSON(filepath.Join(dir, "meta.json"), &meta); err != nil {
-		return Meta{}, nil, err
-	}
-	frames := make([]Frame, 0, meta.FrameCount)
-	for i := 0; i < meta.FrameCount; i++ {
-		cloud, err := readVelodyneBin(filepath.Join(dir, "velodyne", frameName(i, ".bin")))
-		if err != nil {
-			return Meta{}, nil, err
-		}
-		var label Label
-		if err := readJSON(filepath.Join(dir, "labels", frameName(i, ".json")), &label); err != nil {
-			return Meta{}, nil, err
-		}
-		frames = append(frames, Frame{Index: i, Cloud: cloud, Label: label})
-	}
-	return meta, frames, nil
-}
-
 func frameName(i int, ext string) string { return fmt.Sprintf("%06d%s", i, ext) }
 
 func sanitize(name string) string {
@@ -220,26 +179,6 @@ func writeVelodyneBin(path string, c *pointcloud.Cloud) error {
 	return nil
 }
 
-func readVelodyneBin(path string) (*pointcloud.Cloud, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading %s: %w", path, err)
-	}
-	if len(data)%16 != 0 {
-		return nil, fmt.Errorf("dataset: %s: size %d not a multiple of 16", path, len(data))
-	}
-	c := pointcloud.New(len(data) / 16)
-	for off := 0; off < len(data); off += 16 {
-		c.AppendXYZR(
-			float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))),
-			float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off+4:]))),
-			float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off+8:]))),
-			float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off+12:]))),
-		)
-	}
-	return c, nil
-}
-
 func writeJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -247,17 +186,6 @@ func writeJSON(path string, v any) error {
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return fmt.Errorf("dataset: writing %s: %w", path, err)
-	}
-	return nil
-}
-
-func readJSON(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("dataset: reading %s: %w", path, err)
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("dataset: decoding %s: %w", path, err)
 	}
 	return nil
 }

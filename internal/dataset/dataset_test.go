@@ -11,7 +11,7 @@ import (
 func TestGenerateAndLoadRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	sc := scene.TJScenarios()[1]
-	if err := Generate(sc, root); err != nil {
+	if err := GenerateEpisode(sc, root, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -110,7 +110,7 @@ func TestGeneratedCloudsMatchLiveScan(t *testing.T) {
 	// float32 precision (same seed, same order).
 	root := t.TempDir()
 	sc := scene.TJScenarios()[0]
-	if err := Generate(sc, root); err != nil {
+	if err := GenerateEpisode(sc, root, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	_, frames, err := Load(root, sc.Name)
@@ -126,7 +126,7 @@ func TestGeneratedCloudsMatchLiveScan(t *testing.T) {
 func TestVelodyneBinFormat(t *testing.T) {
 	root := t.TempDir()
 	sc := scene.TJScenarios()[0]
-	if err := Generate(sc, root); err != nil {
+	if err := GenerateEpisode(sc, root, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(root, sanitize(sc.Name), "velodyne", "000000.bin")

@@ -10,8 +10,8 @@ import (
 func TestCDFBoundaries(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		c := NewCDF(nil)
-		if c.Len() != 0 {
-			t.Errorf("Len = %d, want 0", c.Len())
+		if len(c.sorted) != 0 {
+			t.Errorf("Len = %d, want 0", len(c.sorted))
 		}
 		for _, q := range []float64{0, 0.5, 1} {
 			if v := c.Quantile(q); !math.IsNaN(v) {

@@ -194,7 +194,7 @@ func TestCDFBasics(t *testing.T) {
 
 func TestCDFEmpty(t *testing.T) {
 	cdf := NewCDF(nil)
-	if cdf.Len() != 0 || cdf.At(1) != 0 {
+	if len(cdf.sorted) != 0 || cdf.At(1) != 0 {
 		t.Error("empty CDF misbehaved")
 	}
 	if !math.IsNaN(cdf.Quantile(0.5)) || !math.IsNaN(cdf.Min()) {

@@ -84,9 +84,6 @@ func NewCDF(samples []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// Len returns the sample count.
-func (c *CDF) Len() int { return len(c.sorted) }
-
 // At returns P(X ≤ x).
 func (c *CDF) At(x float64) float64 {
 	if len(c.sorted) == 0 {

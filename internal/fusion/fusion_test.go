@@ -133,7 +133,7 @@ func TestAlignmentErrorBoundedByDrift(t *testing.T) {
 		rxD := ApplyDrift(rx, DriftDouble, rng)
 		txD := ApplyDrift(tx, DriftDouble, rng)
 		got := AlignTransform(rxD, txD).Apply(txSensor)
-		if d := got.Dist(ideal); d > 4*math.Sqrt2*MaxGPSDrift+1e-9 {
+		if d := got.Sub(ideal).Norm(); d > 4*math.Sqrt2*MaxGPSDrift+1e-9 {
 			t.Fatalf("drifted alignment error %v exceeds bound", d)
 		}
 	}

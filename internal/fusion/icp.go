@@ -31,23 +31,18 @@ func DefaultICPConfig() ICPConfig {
 	}
 }
 
-// RefineAlignment estimates a corrective transform that, applied after
+// icpReference is the receiver side of the ICP refinement, prepared once
+// and reused for every source registered against the same reference: its
+// elevated points and their grid index. A nil index marks a reference
+// with too little structure to register against.
+//
+// The refinement estimates a corrective transform that, applied after
 // the GPS/IMU alignment, better registers the transmitter's cloud against
 // the receiver's. It runs 2D (BEV) point-to-point ICP — vehicle pose error
 // is dominated by planar GPS drift — solving for yaw and (x, y) shift in
-// closed form per iteration via the cross-covariance method.
-//
-// This is the paper's future-work direction for handling sensor drift
-// beyond the robustness already shown in Fig. 10; the ablation benchmark
-// quantifies how much of the doubled-drift score loss it recovers.
-func RefineAlignment(reference, source *pointcloud.Cloud, cfg ICPConfig) geom.Transform {
-	return newICPReference(reference, cfg).refine(source)
-}
-
-// icpReference is the receiver side of RefineAlignment, prepared once and
-// reused for every source registered against the same reference: its
-// elevated points and their grid index. A nil index marks a reference
-// with too little structure to register against.
+// closed form per iteration via the cross-covariance method. This is the
+// paper's future-work direction for handling sensor drift beyond the
+// robustness already shown in Fig. 10.
 type icpReference struct {
 	cfg   ICPConfig
 	cloud *pointcloud.Cloud

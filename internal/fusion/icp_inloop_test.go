@@ -168,7 +168,7 @@ func TestInLoopICPEmptySender(t *testing.T) {
 }
 
 // TestFuseICPSharesReference pins the once-per-Fuse ICP reference to the
-// per-sender RefineAlignment it replaced: three drifted senders must get
+// per-sender refinement it replaced: three drifted senders must get
 // the same corrections and the same merged cloud, bit for bit, including
 // for an empty receiver and one with fewer than 10 non-ground points.
 func TestFuseICPSharesReference(t *testing.T) {
@@ -219,7 +219,7 @@ func TestFuseICPSharesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				al := Align(recvState, p.State, c)
-				corr := RefineAlignment(tc.receiver, al, DefaultICPConfig())
+				corr := newICPReference(tc.receiver, DefaultICPConfig()).refine(al)
 				aligned = append(aligned, al.Transform(corr))
 				corrections = append(corrections, corr.T.Norm())
 			}
@@ -230,7 +230,7 @@ func TestFuseICPSharesReference(t *testing.T) {
 			}
 			for k := range corrections {
 				if math.Float64bits(in.ICPCorrections[k]) != math.Float64bits(corrections[k]) {
-					t.Errorf("sender %d: correction %v, per-sender RefineAlignment %v", k, in.ICPCorrections[k], corrections[k])
+					t.Errorf("sender %d: correction %v, per-sender refinement %v", k, in.ICPCorrections[k], corrections[k])
 				}
 			}
 			if tc.name == "structured" && corrections[0] == 0 {

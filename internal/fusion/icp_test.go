@@ -37,7 +37,7 @@ func TestRefineAlignmentRecoversOffset(t *testing.T) {
 	offset := geom.NewTransform(0, 0, 0, geom.V3(0.25, -0.18, 0))
 	src := ref.Transform(offset)
 
-	corr := RefineAlignment(ref, src, DefaultICPConfig())
+	corr := newICPReference(ref, DefaultICPConfig()).refine(src)
 	// The correction should approximately invert the offset.
 	want := offset.Inverse()
 	if math.Abs(corr.T.X-want.T.X) > 0.06 || math.Abs(corr.T.Y-want.T.Y) > 0.06 {
@@ -50,7 +50,7 @@ func TestRefineAlignmentRecoversSmallYaw(t *testing.T) {
 	offset := geom.NewTransform(0.02, 0, 0, geom.V3(0.1, 0.1, 0))
 	src := ref.Transform(offset)
 
-	corr := RefineAlignment(ref, src, DefaultICPConfig())
+	corr := newICPReference(ref, DefaultICPConfig()).refine(src)
 	residual := corr.Compose(offset)
 	if math.Abs(residual.R.Yaw()) > 0.008 {
 		t.Errorf("residual yaw = %v rad", residual.R.Yaw())
@@ -62,7 +62,7 @@ func TestRefineAlignmentRecoversSmallYaw(t *testing.T) {
 
 func TestRefineAlignmentIdentityWhenAligned(t *testing.T) {
 	ref := structuredCloud(3)
-	corr := RefineAlignment(ref, ref.Clone(), DefaultICPConfig())
+	corr := newICPReference(ref, DefaultICPConfig()).refine(ref.Clone())
 	if corr.T.Norm() > 0.02 || math.Abs(corr.R.Yaw()) > 0.002 {
 		t.Errorf("already-aligned correction = %+v", corr)
 	}
@@ -70,11 +70,11 @@ func TestRefineAlignmentIdentityWhenAligned(t *testing.T) {
 
 func TestRefineAlignmentEmptyClouds(t *testing.T) {
 	empty := &pointcloud.Cloud{}
-	if corr := RefineAlignment(empty, empty, DefaultICPConfig()); !corr.AlmostEqual(geom.IdentityTransform(), 1e-12) {
+	if corr := newICPReference(empty, DefaultICPConfig()).refine(empty); !corr.AlmostEqual(geom.IdentityTransform(), 1e-12) {
 		t.Error("empty clouds should yield identity")
 	}
 	ref := structuredCloud(4)
-	if corr := RefineAlignment(ref, empty, DefaultICPConfig()); !corr.AlmostEqual(geom.IdentityTransform(), 1e-12) {
+	if corr := newICPReference(ref, DefaultICPConfig()).refine(empty); !corr.AlmostEqual(geom.IdentityTransform(), 1e-12) {
 		t.Error("empty source should yield identity")
 	}
 }
@@ -85,7 +85,7 @@ func TestRefineAlignmentImprovesDriftedFusion(t *testing.T) {
 	ref := structuredCloud(5)
 	drift := geom.NewTransform(0, 0, 0, geom.V3(0.2, 0.2, 0))
 	src := ref.Transform(drift)
-	corr := RefineAlignment(ref, src, DefaultICPConfig())
+	corr := newICPReference(ref, DefaultICPConfig()).refine(src)
 	residual := corr.Compose(drift)
 	if residual.T.Norm() > MaxGPSDrift {
 		t.Errorf("post-ICP residual %v m, want < %v m", residual.T.Norm(), MaxGPSDrift)
@@ -186,7 +186,7 @@ func TestRefineAlignmentDegenerateGeometry(t *testing.T) {
 		}
 		return c
 	}
-	corr := RefineAlignment(wall(21), wall(22), DefaultICPConfig())
+	corr := newICPReference(wall(21), DefaultICPConfig()).refine(wall(22))
 	if !corr.AlmostEqual(geom.IdentityTransform(), 1e-12) {
 		t.Errorf("collinear geometry produced correction %+v, want identity", corr)
 	}

@@ -5,64 +5,6 @@ import (
 	"math"
 )
 
-// AABB is an axis-aligned bounding box described by its two extreme
-// corners.
-type AABB struct {
-	Min, Max Vec3
-}
-
-// NewAABB returns the axis-aligned box spanning the two given corners,
-// normalising the component order.
-func NewAABB(a, b Vec3) AABB {
-	return AABB{
-		Min: Vec3{math.Min(a.X, b.X), math.Min(a.Y, b.Y), math.Min(a.Z, b.Z)},
-		Max: Vec3{math.Max(a.X, b.X), math.Max(a.Y, b.Y), math.Max(a.Z, b.Z)},
-	}
-}
-
-// Center returns the box centre.
-func (b AABB) Center() Vec3 { return b.Min.Add(b.Max).Scale(0.5) }
-
-// Size returns the edge lengths of the box.
-func (b AABB) Size() Vec3 { return b.Max.Sub(b.Min) }
-
-// Volume returns the volume of the box.
-func (b AABB) Volume() float64 {
-	s := b.Size()
-	if s.X <= 0 || s.Y <= 0 || s.Z <= 0 {
-		return 0
-	}
-	return s.X * s.Y * s.Z
-}
-
-// Contains reports whether p lies inside or on the boundary of b.
-func (b AABB) Contains(p Vec3) bool {
-	return p.X >= b.Min.X && p.X <= b.Max.X &&
-		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
-		p.Z >= b.Min.Z && p.Z <= b.Max.Z
-}
-
-// Expand grows the box by m metres in every direction.
-func (b AABB) Expand(m float64) AABB {
-	d := Vec3{m, m, m}
-	return AABB{Min: b.Min.Sub(d), Max: b.Max.Add(d)}
-}
-
-// Union returns the smallest box containing both b and other.
-func (b AABB) Union(other AABB) AABB {
-	return AABB{
-		Min: Vec3{math.Min(b.Min.X, other.Min.X), math.Min(b.Min.Y, other.Min.Y), math.Min(b.Min.Z, other.Min.Z)},
-		Max: Vec3{math.Max(b.Max.X, other.Max.X), math.Max(b.Max.Y, other.Max.Y), math.Max(b.Max.Z, other.Max.Z)},
-	}
-}
-
-// Intersects reports whether b and other overlap.
-func (b AABB) Intersects(other AABB) bool {
-	return b.Min.X <= other.Max.X && b.Max.X >= other.Min.X &&
-		b.Min.Y <= other.Max.Y && b.Max.Y >= other.Min.Y &&
-		b.Min.Z <= other.Max.Z && b.Max.Z >= other.Min.Z
-}
-
 // Box is an oriented 3D bounding box: a centre, full edge lengths and a yaw
 // rotation about the vertical axis. This is the box parameterisation used
 // by KITTI-style 3D object detection (boxes stay upright).
@@ -79,9 +21,6 @@ type Box struct {
 func NewBox(center Vec3, length, width, height, yaw float64) Box {
 	return Box{Center: center, Length: length, Width: width, Height: height, Yaw: yaw}
 }
-
-// Volume returns the volume of the box.
-func (b Box) Volume() float64 { return b.Length * b.Width * b.Height }
 
 // BottomZ returns the z coordinate of the box floor.
 func (b Box) BottomZ() float64 { return b.Center.Z - b.Height/2 }
@@ -107,18 +46,6 @@ func (b Box) CornersBEV() [4]Vec2 {
 	return out
 }
 
-// Corners returns the eight 3D corners of the box: the four BEV corners at
-// the floor height followed by the same four at the roof height.
-func (b Box) Corners() [8]Vec3 {
-	bev := b.CornersBEV()
-	var out [8]Vec3
-	for i, p := range bev {
-		out[i] = Vec3{p.X, p.Y, b.BottomZ()}
-		out[i+4] = Vec3{p.X, p.Y, b.TopZ()}
-	}
-	return out
-}
-
 // Contains reports whether p lies inside the oriented box.
 func (b Box) Contains(p Vec3) bool {
 	if p.Z < b.BottomZ() || p.Z > b.TopZ() {
@@ -135,23 +62,6 @@ func (b Box) ContainsBEV(q Vec2) bool {
 	lx := c*dx - s*dy
 	ly := s*dx + c*dy
 	return math.Abs(lx) <= b.Length/2 && math.Abs(ly) <= b.Width/2
-}
-
-// AABB returns the axis-aligned bounding box enclosing the oriented box.
-func (b Box) AABB() AABB {
-	corners := b.CornersBEV()
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, c := range corners {
-		minX = math.Min(minX, c.X)
-		minY = math.Min(minY, c.Y)
-		maxX = math.Max(maxX, c.X)
-		maxY = math.Max(maxY, c.Y)
-	}
-	return AABB{
-		Min: Vec3{minX, minY, b.BottomZ()},
-		Max: Vec3{maxX, maxY, b.TopZ()},
-	}
 }
 
 // Transformed returns the box mapped through a rigid transform. Only the

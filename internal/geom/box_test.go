@@ -7,46 +7,46 @@ import (
 )
 
 func TestAABBBasics(t *testing.T) {
-	b := NewAABB(V3(1, 5, -1), V3(-1, 2, 3))
+	b := newAABB(V3(1, 5, -1), V3(-1, 2, 3))
 	if b.Min != V3(-1, 2, -1) || b.Max != V3(1, 5, 3) {
 		t.Fatalf("NewAABB did not normalise corners: %+v", b)
 	}
-	if got, want := b.Center(), V3(0, 3.5, 1); got != want {
+	if got, want := b.center(), V3(0, 3.5, 1); got != want {
 		t.Errorf("Center = %v, want %v", got, want)
 	}
-	if got, want := b.Size(), V3(2, 3, 4); got != want {
+	if got, want := b.size(), V3(2, 3, 4); got != want {
 		t.Errorf("Size = %v, want %v", got, want)
 	}
-	if got, want := b.Volume(), 24.0; got != want {
+	if got, want := b.volume(), 24.0; got != want {
 		t.Errorf("Volume = %v, want %v", got, want)
 	}
-	if !b.Contains(V3(0, 3, 0)) {
+	if !b.contains(V3(0, 3, 0)) {
 		t.Error("Contains missed interior point")
 	}
-	if b.Contains(V3(2, 3, 0)) {
+	if b.contains(V3(2, 3, 0)) {
 		t.Error("Contains accepted exterior point")
 	}
 }
 
 func TestAABBUnionIntersects(t *testing.T) {
-	a := NewAABB(V3(0, 0, 0), V3(2, 2, 2))
-	b := NewAABB(V3(1, 1, 1), V3(3, 3, 3))
-	c := NewAABB(V3(5, 5, 5), V3(6, 6, 6))
+	a := newAABB(V3(0, 0, 0), V3(2, 2, 2))
+	b := newAABB(V3(1, 1, 1), V3(3, 3, 3))
+	c := newAABB(V3(5, 5, 5), V3(6, 6, 6))
 
-	if !a.Intersects(b) {
+	if !a.intersects(b) {
 		t.Error("a should intersect b")
 	}
-	if a.Intersects(c) {
+	if a.intersects(c) {
 		t.Error("a should not intersect c")
 	}
-	u := a.Union(c)
+	u := a.union(c)
 	if u.Min != V3(0, 0, 0) || u.Max != V3(6, 6, 6) {
 		t.Errorf("Union = %+v", u)
 	}
 }
 
 func TestAABBExpand(t *testing.T) {
-	b := NewAABB(V3(0, 0, 0), V3(1, 1, 1)).Expand(0.5)
+	b := newAABB(V3(0, 0, 0), V3(1, 1, 1)).expand(0.5)
 	if b.Min != V3(-0.5, -0.5, -0.5) || b.Max != V3(1.5, 1.5, 1.5) {
 		t.Errorf("Expand = %+v", b)
 	}
@@ -94,7 +94,7 @@ func TestBoxContains(t *testing.T) {
 
 func TestBoxCorners3D(t *testing.T) {
 	b := NewBox(V3(0, 0, 1), 2, 2, 2, 0)
-	corners := b.Corners()
+	corners := boxCorners(b)
 	for i := 0; i < 4; i++ {
 		if corners[i].Z != 0 {
 			t.Errorf("floor corner %d z = %v, want 0", i, corners[i].Z)
@@ -114,9 +114,9 @@ func TestBoxAABBEnclosesCorners(t *testing.T) {
 			2,
 			math.Mod(yaw, math.Pi),
 		)
-		aabb := b.AABB()
-		for _, c := range b.Corners() {
-			if !aabb.Expand(1e-9).Contains(c) {
+		box := boxAABB(b)
+		for _, c := range boxCorners(b) {
+			if !box.expand(1e-9).contains(c) {
 				return false
 			}
 		}

@@ -1,7 +1,5 @@
 package geom
 
-import "math"
-
 // IntersectionAreaBEV returns the ground-plane overlap area of two oriented
 // boxes.
 func IntersectionAreaBEV(a, b Box) float64 {
@@ -28,32 +26,6 @@ func IoUBEV(a, b Box) float64 {
 		return 0
 	}
 	union := areaA + areaB - inter
-	if union <= 0 {
-		return 0
-	}
-	return Clamp(inter/union, 0, 1)
-}
-
-// IoU3D returns the volumetric intersection-over-union of two upright
-// oriented boxes: the BEV overlap times the vertical overlap, divided by
-// the union volume. The result is in [0, 1]. Degenerate boxes (zero
-// volume) yield exactly 0, mirroring IoUBEV.
-func IoU3D(a, b Box) float64 {
-	if a.Volume() <= 0 || b.Volume() <= 0 {
-		return 0
-	}
-	interBEV := IntersectionAreaBEV(a, b)
-	if interBEV <= 0 {
-		return 0
-	}
-	zTop := math.Min(a.TopZ(), b.TopZ())
-	zBot := math.Max(a.BottomZ(), b.BottomZ())
-	dz := zTop - zBot
-	if dz <= 0 {
-		return 0
-	}
-	inter := interBEV * dz
-	union := a.Volume() + b.Volume() - inter
 	if union <= 0 {
 		return 0
 	}

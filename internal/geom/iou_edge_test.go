@@ -107,7 +107,7 @@ func TestIoUEdgeCases(t *testing.T) {
 				a, b Box
 			}{{"a,b", tc.a, tc.b}, {"b,a", tc.b, tc.a}} {
 				bev := IoUBEV(dir.a, dir.b)
-				v3d := IoU3D(dir.a, dir.b)
+				v3d := iou3D(dir.a, dir.b)
 				for _, got := range []float64{bev, v3d} {
 					if math.IsNaN(got) || math.IsInf(got, 0) {
 						t.Fatalf("%s: non-finite IoU %v", dir.name, got)

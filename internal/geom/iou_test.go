@@ -27,7 +27,7 @@ func TestPolygonArea(t *testing.T) {
 
 func TestPolygonCentroid(t *testing.T) {
 	square := Polygon{{0, 0}, {2, 0}, {2, 2}, {0, 2}}
-	c := square.Centroid()
+	c := polygonCentroid(square)
 	if math.Abs(c.X-1) > 1e-12 || math.Abs(c.Y-1) > 1e-12 {
 		t.Errorf("centroid = %v, want (1,1)", c)
 	}
@@ -93,7 +93,7 @@ func TestIoUBounds(t *testing.T) {
 		a := NewBox(V3(math.Mod(ax, 20), math.Mod(ay, 20), 1), 3.9, 1.6, 1.56, math.Mod(ayaw, math.Pi))
 		b := NewBox(V3(math.Mod(bx, 20), math.Mod(by, 20), 1), 3.9, 1.6, 1.56, math.Mod(byaw, math.Pi))
 		bev := IoUBEV(a, b)
-		v3d := IoU3D(a, b)
+		v3d := iou3D(a, b)
 		return bev >= 0 && bev <= 1 && v3d >= 0 && v3d <= 1 && v3d <= bev+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -106,7 +106,7 @@ func TestIoUSymmetric(t *testing.T) {
 		a := NewBox(V3(math.Mod(ax, 10), math.Mod(ay, 10), 1), 4, 2, 1.5, math.Mod(ayaw, math.Pi))
 		b := NewBox(V3(math.Mod(bx, 10), math.Mod(by, 10), 1.2), 4.5, 1.8, 1.4, math.Mod(byaw, math.Pi))
 		return math.Abs(IoUBEV(a, b)-IoUBEV(b, a)) <= 1e-9 &&
-			math.Abs(IoU3D(a, b)-IoU3D(b, a)) <= 1e-9
+			math.Abs(iou3D(a, b)-iou3D(b, a)) <= 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -116,7 +116,7 @@ func TestIoUSymmetric(t *testing.T) {
 func TestIoU3DVerticalSeparation(t *testing.T) {
 	a := NewBox(V3(0, 0, 0.75), 4, 2, 1.5, 0)
 	b := NewBox(V3(0, 0, 5), 4, 2, 1.5, 0)
-	if got := IoU3D(a, b); got != 0 {
+	if got := iou3D(a, b); got != 0 {
 		t.Errorf("vertically separated IoU3D = %v, want 0", got)
 	}
 	if got := IoUBEV(a, b); math.Abs(got-1) > 1e-9 {

@@ -89,28 +89,6 @@ func (m Mat3) Transpose() Mat3 {
 	return out
 }
 
-// Det returns the determinant of m.
-func (m Mat3) Det() float64 {
-	return m[0][0]*(m[1][1]*m[2][2]-m[1][2]*m[2][1]) -
-		m[0][1]*(m[1][0]*m[2][2]-m[1][2]*m[2][0]) +
-		m[0][2]*(m[1][0]*m[2][1]-m[1][1]*m[2][0])
-}
-
-// IsRotation reports whether m is orthonormal with determinant +1 up to eps.
-func (m Mat3) IsRotation(eps float64) bool {
-	mt := m.Transpose()
-	p := m.Mul(mt)
-	id := Identity3()
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if math.Abs(p[i][j]-id[i][j]) > eps {
-				return false
-			}
-		}
-	}
-	return math.Abs(m.Det()-1) <= eps
-}
-
 // Yaw extracts the yaw angle (rotation about z) assuming m was built with
 // EulerZYX and pitch is not at the ±π/2 gimbal singularity.
 func (m Mat3) Yaw() float64 { return math.Atan2(m[1][0], m[0][0]) }

@@ -29,7 +29,7 @@ func TestRotationsAreOrthonormal(t *testing.T) {
 		yaw = math.Mod(yaw, math.Pi)
 		pitch = math.Mod(pitch, math.Pi)
 		roll = math.Mod(roll, math.Pi)
-		return EulerZYX(yaw, pitch, roll).IsRotation(1e-9)
+		return isRotation(EulerZYX(yaw, pitch, roll), 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -95,14 +95,14 @@ func TestTransposeIsInverseForRotations(t *testing.T) {
 }
 
 func TestDeterminant(t *testing.T) {
-	if got := Identity3().Det(); got != 1 {
+	if got := det(Identity3()); got != 1 {
 		t.Errorf("det(I) = %v, want 1", got)
 	}
 	m := Mat3{{2, 0, 0}, {0, 3, 0}, {0, 0, 4}}
-	if got := m.Det(); got != 24 {
+	if got := det(m); got != 24 {
 		t.Errorf("det(diag(2,3,4)) = %v, want 24", got)
 	}
-	if got := RotZ(1.234).Det(); math.Abs(got-1) > 1e-12 {
+	if got := det(RotZ(1.234)); math.Abs(got-1) > 1e-12 {
 		t.Errorf("det(Rz) = %v, want 1", got)
 	}
 }
@@ -121,11 +121,11 @@ func TestRotationPreservesNorm(t *testing.T) {
 
 func TestIsRotationRejectsNonRotations(t *testing.T) {
 	scaled := Mat3{{2, 0, 0}, {0, 2, 0}, {0, 0, 2}}
-	if scaled.IsRotation(1e-9) {
+	if isRotation(scaled, 1e-9) {
 		t.Error("scaled matrix reported as rotation")
 	}
 	reflect := Mat3{{-1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-	if reflect.IsRotation(1e-9) {
+	if isRotation(reflect, 1e-9) {
 		t.Error("reflection reported as rotation (det = -1)")
 	}
 }

@@ -20,31 +20,6 @@ func (p Polygon) Area() float64 {
 	return sum / 2
 }
 
-// Centroid returns the area centroid of the polygon. For degenerate
-// polygons it falls back to the vertex mean.
-func (p Polygon) Centroid() Vec2 {
-	if len(p) == 0 {
-		return Vec2{}
-	}
-	var cx, cy, a float64
-	for i := 0; i < len(p); i++ {
-		j := (i + 1) % len(p)
-		cross := p[i].Cross(p[j])
-		cx += (p[i].X + p[j].X) * cross
-		cy += (p[i].Y + p[j].Y) * cross
-		a += cross
-	}
-	if a == 0 {
-		var m Vec2
-		for _, v := range p {
-			m = m.Add(v)
-		}
-		return m.Scale(1 / float64(len(p)))
-	}
-	inv := 1 / (3 * a)
-	return Vec2{cx * inv, cy * inv}
-}
-
 // clipAgainstEdge clips the subject polygon by the half-plane to the left
 // of the directed edge a→b (Sutherland–Hodgman step). The clip polygon must
 // be convex and counterclockwise for the full algorithm to be correct.

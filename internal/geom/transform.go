@@ -44,6 +44,8 @@ func (tr Transform) Inverse() Transform {
 
 // AlmostEqual reports whether two transforms agree within eps in every
 // rotation entry and translation component.
+//
+//cooper:deadexport test fixture: the fusion, scene and sim tests compare poses with it
 func (tr Transform) AlmostEqual(other Transform, eps float64) bool {
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {

@@ -1,8 +1,7 @@
 // Package geom provides the 3D geometry primitives used throughout Cooper:
 // vectors, rotation matrices built from IMU Euler angles (Eq. 1 of the
-// paper), rigid transforms (Eq. 3), axis-aligned and oriented bounding
-// boxes, and intersection-over-union computations used by the evaluation
-// harness.
+// paper), rigid transforms (Eq. 3), oriented bounding boxes, and the
+// bird's-eye-view intersection-over-union the evaluation harness uses.
 //
 // Conventions: the vehicle/LiDAR frame is right-handed with x pointing
 // forward, y pointing left and z pointing up (the KITTI Velodyne
@@ -37,38 +36,13 @@ func (v Vec3) Neg() Vec3 { return Vec3{-v.X, -v.Y, -v.Z} }
 // Dot returns the dot product of v and w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
-// Cross returns the cross product v × w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		X: v.Y*w.Z - v.Z*w.Y,
-		Y: v.Z*w.X - v.X*w.Z,
-		Z: v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// NormSq returns the squared Euclidean length of v.
-func (v Vec3) NormSq() float64 { return v.Dot(v) }
-
-// Dist returns the Euclidean distance between v and w.
-func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Norm() }
 
 // DistXY returns the distance between v and w projected on the ground plane.
 func (v Vec3) DistXY(w Vec3) float64 {
 	dx, dy := v.X-w.X, v.Y-w.Y
 	return math.Hypot(dx, dy)
-}
-
-// Unit returns v normalised to length 1. The zero vector is returned
-// unchanged.
-func (v Vec3) Unit() Vec3 {
-	n := v.Norm()
-	if n == 0 {
-		return v
-	}
-	return v.Scale(1 / n)
 }
 
 // Lerp linearly interpolates between v and w; t=0 yields v, t=1 yields w.
@@ -96,9 +70,6 @@ type Vec2 struct {
 	X, Y float64
 }
 
-// V2 is shorthand for constructing a Vec2.
-func V2(x, y float64) Vec2 { return Vec2{X: x, Y: y} }
-
 // Add returns v + w.
 func (v Vec2) Add(w Vec2) Vec2 { return Vec2{v.X + w.X, v.Y + w.Y} }
 
@@ -108,17 +79,8 @@ func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
 // Scale returns v scaled by s.
 func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
 
-// Dot returns the dot product of v and w.
-func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Y*w.Y }
-
 // Cross returns the 2D cross product (the z component of the 3D cross).
 func (v Vec2) Cross(w Vec2) float64 { return v.X*w.Y - v.Y*w.X }
-
-// Norm returns the Euclidean length of v.
-func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
-
-// Dist returns the Euclidean distance between v and w.
-func (v Vec2) Dist(w Vec2) float64 { return v.Sub(w).Norm() }
 
 // XY projects a Vec3 onto the ground plane.
 func (v Vec3) XY() Vec2 { return Vec2{v.X, v.Y} }

@@ -32,13 +32,13 @@ func TestVec3Cross(t *testing.T) {
 	y := V3(0, 1, 0)
 	z := V3(0, 0, 1)
 
-	if got := x.Cross(y); !got.AlmostEqual(z, 1e-12) {
+	if got := cross(x, y); !got.AlmostEqual(z, 1e-12) {
 		t.Errorf("x×y = %v, want %v", got, z)
 	}
-	if got := y.Cross(z); !got.AlmostEqual(x, 1e-12) {
+	if got := cross(y, z); !got.AlmostEqual(x, 1e-12) {
 		t.Errorf("y×z = %v, want %v", got, x)
 	}
-	if got := z.Cross(x); !got.AlmostEqual(y, 1e-12) {
+	if got := cross(z, x); !got.AlmostEqual(y, 1e-12) {
 		t.Errorf("z×x = %v, want %v", got, y)
 	}
 }
@@ -47,8 +47,8 @@ func TestVec3CrossAnticommutative(t *testing.T) {
 	f := func(ax, ay, az, bx, by, bz float64) bool {
 		a := V3(math.Mod(ax, 1e3), math.Mod(ay, 1e3), math.Mod(az, 1e3))
 		b := V3(math.Mod(bx, 1e3), math.Mod(by, 1e3), math.Mod(bz, 1e3))
-		l := a.Cross(b)
-		r := b.Cross(a).Neg()
+		l := cross(a, b)
+		r := cross(b, a).Neg()
 		return l.AlmostEqual(r, 1e-9*(1+l.Norm()))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -61,7 +61,7 @@ func TestVec3CrossOrthogonal(t *testing.T) {
 		// Keep magnitudes bounded so float error stays proportionate.
 		a := V3(math.Mod(ax, 100), math.Mod(ay, 100), math.Mod(az, 100))
 		b := V3(math.Mod(bx, 100), math.Mod(by, 100), math.Mod(bz, 100))
-		c := a.Cross(b)
+		c := cross(a, b)
 		scale := 1 + a.Norm()*b.Norm()
 		return math.Abs(c.Dot(a)) <= 1e-6*scale && math.Abs(c.Dot(b)) <= 1e-6*scale
 	}
@@ -75,18 +75,18 @@ func TestVec3NormAndUnit(t *testing.T) {
 	if got := v.Norm(); got != 5 {
 		t.Errorf("Norm = %v, want 5", got)
 	}
-	u := v.Unit()
+	u := unit(v)
 	if math.Abs(u.Norm()-1) > 1e-12 {
 		t.Errorf("Unit().Norm() = %v, want 1", u.Norm())
 	}
-	if got := (Vec3{}).Unit(); got != (Vec3{}) {
+	if got := unit(Vec3{}); got != (Vec3{}) {
 		t.Errorf("zero Unit = %v, want zero", got)
 	}
 }
 
 func TestVec3Dist(t *testing.T) {
 	a, b := V3(1, 1, 1), V3(4, 5, 1)
-	if got := a.Dist(b); got != 5 {
+	if got := a.Sub(b).Norm(); got != 5 {
 		t.Errorf("Dist = %v, want 5", got)
 	}
 	if got := a.DistXY(V3(4, 5, 99)); got != 5 {
@@ -108,17 +108,17 @@ func TestVec3Lerp(t *testing.T) {
 }
 
 func TestVec2Ops(t *testing.T) {
-	a, b := V2(1, 2), V2(3, -1)
-	if got, want := a.Add(b), V2(4, 1); got != want {
+	a, b := Vec2{1, 2}, Vec2{3, -1}
+	if got, want := a.Add(b), (Vec2{4, 1}); got != want {
 		t.Errorf("Add = %v, want %v", got, want)
 	}
-	if got, want := a.Sub(b), V2(-2, 3); got != want {
+	if got, want := a.Sub(b), (Vec2{-2, 3}); got != want {
 		t.Errorf("Sub = %v, want %v", got, want)
 	}
 	if got, want := a.Cross(b), 1.0*-1-2*3; got != want {
 		t.Errorf("Cross = %v, want %v", got, want)
 	}
-	if got, want := V3(7, 8, 9).XY(), V2(7, 8); got != want {
+	if got, want := V3(7, 8, 9).XY(), (Vec2{7, 8}); got != want {
 		t.Errorf("XY = %v, want %v", got, want)
 	}
 }

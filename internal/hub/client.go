@@ -7,6 +7,7 @@ import (
 	"cooper/internal/fusion"
 	"cooper/internal/network"
 	"cooper/internal/pointcloud"
+	"cooper/internal/scene"
 )
 
 // Client is a vehicle's session with a fleet hub: a thin, synchronous
@@ -162,7 +163,10 @@ func (c *Client) requestRound(state fusion.VehicleState, k int, budgetBps uint64
 			stale[id] = true
 		}
 	}
-	frames := make([]RoundFrame, 0, reply.Count)
+	// Count comes off the wire: preallocate at most one fleet's worth
+	// and let append grow past it, so a lying count ends in a receive
+	// error rather than a huge allocation.
+	frames := make([]RoundFrame, 0, min(reply.Count, scene.MaxFleet))
 	for i := uint32(0); i < reply.Count; i++ {
 		m, err := c.receive(frameType)
 		if err != nil {

@@ -380,7 +380,7 @@ type RoundFrame struct {
 	// the requester's budget when one was advertised.
 	Payload []byte
 	// Category, Points and Downsampled describe the payload-selection
-	// rung that fit (roi.SelectPayload).
+	// rung that fit (roi.Select).
 	Category    roi.Category
 	Points      int
 	Downsampled bool
@@ -406,9 +406,6 @@ type Round struct {
 	// the in-band signal that the round is partial, never an error.
 	Stale []string
 }
-
-// Partial reports whether the round served any stale sender.
-func (r Round) Partial() bool { return len(r.Stale) > 0 }
 
 // RoundSpec is what a requester asks of one fusion round.
 type RoundSpec struct {

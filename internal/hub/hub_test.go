@@ -602,3 +602,29 @@ func TestNonCanonicalPublishServedCanonically(t *testing.T) {
 		t.Fatal("served payload differs from the canonical re-encode")
 	}
 }
+
+// TestRoundReplyCountIsNotTrusted: a fake hub that announces 2³²−1
+// round frames and then hangs up must cost the client a receive error —
+// not a preallocation sized by the lying count, and not a panic.
+func TestRoundReplyCountIsNotTrusted(t *testing.T) {
+	clientEnd, hubEnd := net.Pipe()
+	defer clientEnd.Close()
+	c := &Client{conn: network.NewTransport(clientEnd), id: "rx"}
+	sent := make(chan error, 1)
+	go func() {
+		fake := network.NewTransport(hubEnd)
+		defer fake.Close()
+		if _, err := fake.Receive(); err != nil {
+			sent <- err
+			return
+		}
+		sent <- fake.Send(network.Message{Type: network.MsgFuseReply, Sender: "hub", Count: math.MaxUint32})
+	}()
+	frames, err := c.RequestRound(stateAt(0, 0), 4, 0)
+	if err == nil {
+		t.Fatalf("round with a lying frame count succeeded: %d frames", len(frames))
+	}
+	if err := <-sent; err != nil {
+		t.Fatalf("fake hub never delivered its reply: %v", err)
+	}
+}

@@ -66,15 +66,15 @@ func TestAssembleRoundStaleness(t *testing.T) {
 			if got, want := strings.Join(round.Stale, ","), strings.Join(flagged, ","); got != want {
 				t.Errorf("Round.Stale = %q, want slot-ordered %q", got, want)
 			}
-			if round.Partial() != (len(tc.dropped) > 0) {
-				t.Errorf("Partial() = %v with %d dropped", round.Partial(), len(tc.dropped))
+			if partial := len(round.Stale) > 0; partial != (len(tc.dropped) > 0) {
+				t.Errorf("partial = %v with %d dropped", partial, len(tc.dropped))
 			}
 			// A zero floor (pre-floor client) flags nothing.
 			round, err = h.AssembleRound("rx", geom.V3(0, 0, 0), RoundSpec{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if round.Partial() {
+			if len(round.Stale) > 0 {
 				t.Errorf("zero floor flagged %v", round.Stale)
 			}
 		})

@@ -50,15 +50,6 @@ func (h *Hub) Serve(l *network.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (h *Hub) ListenAndServe(addr string) error {
-	l, err := network.Listen(addr)
-	if err != nil {
-		return err
-	}
-	return h.Serve(l)
-}
-
 // Close stops accepting, closes every live session and waits for the
 // session goroutines to drain. The frame cache survives — Serve may be
 // called again afterwards with a fresh listener and resumes with the

@@ -49,15 +49,6 @@ func (c Config) MaxElevation() float64 {
 	return top
 }
 
-// RaysPerScan returns the number of rays fired in one full revolution.
-func (c Config) RaysPerScan() int {
-	if c.AzimuthStep <= 0 {
-		return 0
-	}
-	steps := int(2 * 3.141592653589793 / c.AzimuthStep)
-	return steps * c.BeamCount()
-}
-
 // uniformBeams returns n elevations evenly spaced over [lo, hi] degrees.
 func uniformBeams(n int, loDeg, hiDeg float64) []float64 {
 	out := make([]float64, n)

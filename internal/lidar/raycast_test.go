@@ -23,11 +23,11 @@ func TestIntersectBoxHeadOn(t *testing.T) {
 func TestIntersectBoxMiss(t *testing.T) {
 	box := geom.NewBox(geom.V3(10, 0, 1), 4, 2, 2, 0)
 	cases := []Ray{
-		{Origin: geom.V3(0, 0, 1), Dir: geom.V3(-1, 0, 0)},         // away
-		{Origin: geom.V3(0, 5, 1), Dir: geom.V3(1, 0, 0)},          // offset
-		{Origin: geom.V3(0, 0, 10), Dir: geom.V3(1, 0, 0)},         // above
-		{Origin: geom.V3(0, 0, 1), Dir: geom.V3(0, 1, 0)},          // parallel, outside
-		{Origin: geom.V3(0, 0, 1), Dir: geom.V3(0.5, 1, 0).Unit()}, // angled wide
+		{Origin: geom.V3(0, 0, 1), Dir: geom.V3(-1, 0, 0)},        // away
+		{Origin: geom.V3(0, 5, 1), Dir: geom.V3(1, 0, 0)},         // offset
+		{Origin: geom.V3(0, 0, 10), Dir: geom.V3(1, 0, 0)},        // above
+		{Origin: geom.V3(0, 0, 1), Dir: geom.V3(0, 1, 0)},         // parallel, outside
+		{Origin: geom.V3(0, 0, 1), Dir: unit(geom.V3(0.5, 1, 0))}, // angled wide
 	}
 	for i, r := range cases {
 		if _, ok := IntersectBox(r, box); ok {
@@ -71,7 +71,7 @@ func TestIntersectBoxHitPointOnSurface(t *testing.T) {
 	f := func(ox, oy, yaw float64) bool {
 		box := geom.NewBox(geom.V3(0, 0, 1), 4.2, 1.8, 1.5, math.Mod(yaw, math.Pi))
 		origin := geom.V3(15+math.Mod(ox, 10), math.Mod(oy, 10), 1.2)
-		dir := box.Center.Sub(origin).Unit()
+		dir := unit(box.Center.Sub(origin))
 		tt, ok := IntersectBox(Ray{Origin: origin, Dir: dir}, box)
 		if !ok {
 			return false // aiming at the centre must hit
@@ -89,7 +89,7 @@ func TestIntersectBoxHitPointOnSurface(t *testing.T) {
 }
 
 func TestIntersectGround(t *testing.T) {
-	ray := Ray{Origin: geom.V3(0, 0, 2), Dir: geom.V3(1, 0, -1).Unit()}
+	ray := Ray{Origin: geom.V3(0, 0, 2), Dir: unit(geom.V3(1, 0, -1))}
 	tt, ok := IntersectGround(ray, 0)
 	if !ok {
 		t.Fatal("descending ray missed ground")
@@ -128,7 +128,7 @@ func TestNearestHitOcclusion(t *testing.T) {
 }
 
 func TestNearestHitGroundOnly(t *testing.T) {
-	ray := Ray{Origin: geom.V3(0, 0, 2), Dir: geom.V3(1, 0, -0.1).Unit()}
+	ray := Ray{Origin: geom.V3(0, 0, 2), Dir: unit(geom.V3(1, 0, -0.1))}
 	_, idx, ok := nearestHit(ray, nil, 0, 100)
 	if !ok || idx != -1 {
 		t.Errorf("expected ground hit, got idx=%d ok=%v", idx, ok)
@@ -142,3 +142,6 @@ func TestNearestHitOutOfRange(t *testing.T) {
 		t.Error("hit beyond max range should be discarded")
 	}
 }
+
+// unit returns v normalised to length 1.
+func unit(v geom.Vec3) geom.Vec3 { return v.Scale(1 / v.Norm()) }

@@ -60,9 +60,6 @@ func SensorTransform(pose geom.Transform, mountHeight float64) geom.Transform {
 	return inv
 }
 
-// Config returns the scanner's device configuration.
-func (s *Scanner) Config() Config { return s.cfg }
-
 // ScanFrom performs a full revolution from the given sensor pose. The pose
 // maps sensor coordinates to world coordinates (its translation is the
 // sensor position; MountHeight is added on top of the pose translation).

@@ -28,8 +28,8 @@ func TestConfigPresets(t *testing.T) {
 		if got := c.cfg.BeamCount(); got != c.beams {
 			t.Errorf("%s: BeamCount = %d, want %d", c.cfg.Name, got, c.beams)
 		}
-		if c.cfg.RaysPerScan() <= 0 {
-			t.Errorf("%s: RaysPerScan = %d", c.cfg.Name, c.cfg.RaysPerScan())
+		if c.cfg.AzimuthStep <= 0 {
+			t.Errorf("%s: AzimuthStep = %v, want > 0", c.cfg.Name, c.cfg.AzimuthStep)
 		}
 	}
 	// VLP-16 elevations span ±15°.

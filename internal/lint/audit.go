@@ -25,6 +25,12 @@ func CollectAudit(pkgs []*Package, root string) []Site {
 	for _, pkg := range pkgs {
 		sites = append(sites, Run(pkg, Analyzers())...)
 	}
+	return relSorted(sites, root)
+}
+
+// relSorted rewrites site file paths under root relative to it and
+// stably sorts the sites by (file, line, analyzer).
+func relSorted(sites []Site, root string) []Site {
 	for i := range sites {
 		if rel, err := filepath.Rel(root, sites[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			sites[i].Pos.Filename = filepath.ToSlash(rel)
@@ -87,18 +93,6 @@ func SpliceAudit(doc []byte, table string) ([]byte, error) {
 	out.WriteString(table)
 	out.Write(doc[end:])
 	return out.Bytes(), nil
-}
-
-// ExtractAudit returns the generated section of a document — the bytes
-// SpliceAudit would replace — for byte-comparison against a fresh
-// render.
-func ExtractAudit(doc []byte) (string, error) {
-	begin := bytes.Index(doc, []byte(AuditBegin))
-	end := bytes.Index(doc, []byte(AuditEnd))
-	if begin < 0 || end < 0 || end < begin {
-		return "", fmt.Errorf("document has no %s / %s markers", AuditBegin, AuditEnd)
-	}
-	return string(doc[begin+len(AuditBegin)+1 : end]), nil
 }
 
 // ModuleRoot resolves the directory of the enclosing module's go.mod

@@ -3,6 +3,7 @@ package lint
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -49,7 +50,7 @@ func TestAuditSplice(t *testing.T) {
 	if !bytes.Contains(out, []byte(AuditBegin+"\n"+table+AuditEnd)) {
 		t.Errorf("splice result malformed:\n%s", out)
 	}
-	got, err := ExtractAudit(out)
+	got, err := extractAudit(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestRepoAuditInSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed, err := ExtractAudit(doc)
+	committed, err := extractAudit(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +120,14 @@ func TestVetToolProtocol(t *testing.T) {
 		t.Fatalf("go vet -vettool on clean package failed: %v\n%s", err, out)
 	}
 
+	// The per-package pass accepts //cooper:deadexport directives,
+	// broken ones included: only the module pass judges them.
+	vet = exec.Command("go", "vet", "-vettool="+bin, "./internal/lint/testdata/src/deadexport/lib")
+	vet.Dir = root
+	if out, err := vet.CombinedOutput(); err != nil {
+		t.Fatalf("go vet -vettool on deadexport directives failed: %v\n%s", err, out)
+	}
+
 	// Seeded regression: the audit fixture's open map-order float sum.
 	vet = exec.Command("go", "vet", "-vettool="+bin, "./internal/lint/testdata/src/audit")
 	vet.Dir = root
@@ -129,4 +138,16 @@ func TestVetToolProtocol(t *testing.T) {
 	if !strings.Contains(string(out), "maporder: float accumulation into total") {
 		t.Errorf("vet output missing maporder diagnostic:\n%s", out)
 	}
+}
+
+// extractAudit returns the generated section of a document — the bytes
+// SpliceAudit would replace — for byte-comparison against a fresh
+// render.
+func extractAudit(doc []byte) (string, error) {
+	begin := bytes.Index(doc, []byte(AuditBegin))
+	end := bytes.Index(doc, []byte(AuditEnd))
+	if begin < 0 || end < 0 || end < begin {
+		return "", fmt.Errorf("document has no %s / %s markers", AuditBegin, AuditEnd)
+	}
+	return string(doc[begin+len(AuditBegin)+1 : end]), nil
 }

@@ -15,6 +15,11 @@
 //   - floatfold: float accumulation into captured state inside
 //     parallel regions
 //
+// Beside them, DeadExport is a module pass rather than an analyzer: it
+// reports exported names no production code references (see
+// deadexport.go), and its //cooper:deadexport suppressions follow the
+// same rules.
+//
 // A diagnostic is silenced — and turned into a machine-readable audit
 // entry — by a suppression comment on the flagged line or the line
 // above it:
@@ -110,9 +115,13 @@ type suppression struct {
 	used     bool
 }
 
-// parseSuppressions extracts every //cooper: directive from a file.
-// Malformed directives (unknown analyzer, missing reason) are reported
-// as sites so they cannot silently do nothing.
+// parseSuppressions extracts the //cooper: directives a pass judges
+// from a file. known maps every directive name to whether this pass
+// judges it: a name known but not judged here (deadexport in the
+// per-package run, the analyzers in the module pass) is skipped, and
+// the pass that owns it reports it. Malformed directives (unknown
+// name, missing reason) are reported as sites so they cannot silently
+// do nothing.
 func parseSuppressions(fset *token.FileSet, file *ast.File, known map[string]bool, bad *[]Site) []*suppression {
 	var out []*suppression
 	for _, cg := range file.Comments {
@@ -124,12 +133,16 @@ func parseSuppressions(fset *token.FileSet, file *ast.File, known map[string]boo
 			rest := strings.TrimPrefix(c.Text, suppressionPrefix)
 			name, reason, _ := strings.Cut(rest, " ")
 			reason = strings.TrimSpace(reason)
-			if !known[name] {
+			judged, ok := known[name]
+			if !ok {
 				*bad = append(*bad, Site{
 					Analyzer: "cooper",
 					Pos:      pos,
 					Message:  fmt.Sprintf("unknown //cooper:%s directive (analyzers: %s)", name, strings.Join(sortedKeys(known), ", ")),
 				})
+				continue
+			}
+			if !judged {
 				continue
 			}
 			if reason == "" {
@@ -174,7 +187,7 @@ func isTestFile(name string) bool { return strings.HasSuffix(name, "_test.go") }
 // Open findings, suppressed findings, unused suppressions and malformed
 // directives are all sites; callers decide what fails the build.
 func Run(pkg *Package, analyzers []*Analyzer) []Site {
-	known := make(map[string]bool, len(analyzers))
+	known := map[string]bool{deadExportName: false}
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
@@ -187,20 +200,6 @@ func Run(pkg *Package, analyzers []*Analyzer) []Site {
 			continue
 		}
 		sups = append(sups, parseSuppressions(pkg.Fset, f, known, &sites)...)
-	}
-
-	// covering returns the suppression covering (file, line) for an
-	// analyzer: the directive on the same line or the line above.
-	covering := func(analyzer string, pos token.Position) *suppression {
-		for _, s := range sups {
-			if s.analyzer != analyzer || s.pos.Filename != pos.Filename {
-				continue
-			}
-			if s.pos.Line == pos.Line || s.pos.Line == pos.Line-1 {
-				return s
-			}
-		}
-		return nil
 	}
 
 	for _, a := range analyzers {
@@ -226,7 +225,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Site {
 				continue
 			}
 			site := Site{Analyzer: a.Name, Pos: pos, Message: d.Message}
-			if s := covering(a.Name, pos); s != nil {
+			if s := coveringSuppression(sups, a.Name, pos); s != nil {
 				s.used = true
 				site.Suppressed = true
 				site.Reason = s.reason
@@ -235,15 +234,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Site {
 		}
 	}
 
-	for _, s := range sups {
-		if !s.used {
-			sites = append(sites, Site{
-				Analyzer: s.analyzer,
-				Pos:      s.pos,
-				Message:  fmt.Sprintf("unused //cooper:%s suppression: no %s diagnostic on this or the next line", s.analyzer, s.analyzer),
-			})
-		}
-	}
+	sites = append(sites, unusedSuppressions(sups)...)
 
 	// Merge duplicate diagnostics a single line can trigger (e.g. two
 	// accumulations in one statement) so audit rows stay one-per-site.
@@ -272,6 +263,35 @@ func Run(pkg *Package, analyzers []*Analyzer) []Site {
 		dedup = append(dedup, s)
 	}
 	return dedup
+}
+
+// coveringSuppression returns the suppression covering (file, line)
+// for an analyzer: the directive on the same line or the line above.
+func coveringSuppression(sups []*suppression, analyzer string, pos token.Position) *suppression {
+	for _, s := range sups {
+		if s.analyzer != analyzer || s.pos.Filename != pos.Filename {
+			continue
+		}
+		if s.pos.Line == pos.Line || s.pos.Line == pos.Line-1 {
+			return s
+		}
+	}
+	return nil
+}
+
+// unusedSuppressions reports every suppression no diagnostic used.
+func unusedSuppressions(sups []*suppression) []Site {
+	var out []Site
+	for _, s := range sups {
+		if !s.used {
+			out = append(out, Site{
+				Analyzer: s.analyzer,
+				Pos:      s.pos,
+				Message:  fmt.Sprintf("unused //cooper:%s suppression: no %s diagnostic on this or the next line", s.analyzer, s.analyzer),
+			})
+		}
+	}
+	return out
 }
 
 // Findings filters sites down to the ones that should fail a build:

@@ -8,7 +8,7 @@ import (
 
 // FuzzLossyPlan drives the channel model with arbitrary fleet sizes,
 // rates, windows, and seeds: it must never panic, the underlying Plan's
-// Latency/AvailableAt/Ready must stay in-range (including probes far
+// latency/availableAt/Ready must stay in-range (including probes far
 // outside the slot list), and the delivered set must be a pure function
 // of the seed.
 func FuzzLossyPlan(f *testing.F) {
@@ -26,7 +26,7 @@ func FuzzLossyPlan(f *testing.F) {
 			ReorderRate: reorder, ReorderWindow: rwin, Seed: seed,
 		}
 		s := Scheduler{Channel: DefaultDSRC(), RateHz: 10, ExtraDelay: 5 * time.Millisecond}
-		p := s.FleetPlan(fleet, 12000)
+		p := fleetPlan(s, fleet, 12000)
 
 		lp := m.Round(round, p)
 		again := m.Round(round, p)
@@ -43,8 +43,8 @@ func FuzzLossyPlan(f *testing.F) {
 			t.Fatalf("Ready %v < Completion %v", ready, completion)
 		}
 		for k := -2; k < len(p.Slots)+2; k++ {
-			lat := p.Latency(k)
-			av := p.AvailableAt(k)
+			lat := p.latency(k)
+			av := p.availableAt(k)
 			inRange := k >= 0 && k < len(p.Slots)
 			if !inRange {
 				if lat != 0 || av != 0 {

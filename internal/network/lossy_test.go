@@ -9,7 +9,7 @@ import (
 
 func lossyTestPlan(n int) Plan {
 	s := Scheduler{Channel: DefaultDSRC(), RateHz: 10, ExtraDelay: 5 * time.Millisecond}
-	return s.FleetPlan(n, 12000)
+	return fleetPlan(s, n, 12000)
 }
 
 func TestLossModelZeroValueIsLossless(t *testing.T) {

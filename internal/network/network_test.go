@@ -206,7 +206,7 @@ func TestScheduleSeries(t *testing.T) {
 func TestScheduleFrameLatency(t *testing.T) {
 	s := ExchangeSchedule{RateHz: 1, FrameBytes: 125000, Directions: 1}
 	c := DSRCChannel{DataRateMbps: 10, MACEfficiency: 1, BaseLatency: 0}
-	if got := s.FrameLatency(c); got != 100*time.Millisecond {
+	if got := c.TransmitTime(s.FrameBytes); got != 100*time.Millisecond {
 		t.Errorf("frame latency = %v, want 100ms", got)
 	}
 }

@@ -1,7 +1,5 @@
 package network
 
-import "time"
-
 // ExchangeSchedule models the periodic cooperative exchange between two
 // vehicles (§IV-G): each participating direction transmits one frame
 // every 1/Rate seconds. The paper argues 1 Hz suffices — a recipient
@@ -42,10 +40,4 @@ func (s ExchangeSchedule) VolumeSeries(n int) []float64 {
 // channel.
 func (s ExchangeSchedule) FitsChannel(c DSRCChannel) bool {
 	return c.CanSustain(s.BytesPerSecond())
-}
-
-// FrameLatency returns how long one frame occupies the channel — the
-// freshness delay a receiver sees on top of sensing time.
-func (s ExchangeSchedule) FrameLatency(c DSRCChannel) time.Duration {
-	return c.TransmitTime(s.FrameBytes)
 }

@@ -17,7 +17,8 @@ type Scheduler struct {
 	// ExtraDelay is a fixed per-round delivery delay beyond channel
 	// occupancy — propagation, queuing and decode time between a frame
 	// clearing the air and a receiver being able to fuse it. It shifts
-	// Plan.Ready and Plan.AvailableAt without consuming channel capacity.
+	// Plan.Ready and every slot's delivery without consuming channel
+	// capacity.
 	ExtraDelay time.Duration
 }
 
@@ -64,20 +65,6 @@ func (s Scheduler) Plan(frameBytes []int) Plan {
 	return p
 }
 
-// FleetPlan schedules a round for a fleet of n vehicles in which every
-// vehicle broadcasts one frame of the given size to the others. Fleets
-// of zero or one vehicle exchange nothing and yield the empty plan.
-func (s Scheduler) FleetPlan(n, frameBytes int) Plan {
-	if n < 2 {
-		return Plan{channel: s.Channel, rateHz: s.RateHz, extra: s.ExtraDelay}
-	}
-	frames := make([]int, n)
-	for i := range frames {
-		frames[i] = frameBytes
-	}
-	return s.Plan(frames)
-}
-
 // Senders returns the number of senders in the round.
 func (p Plan) Senders() int { return len(p.Slots) }
 
@@ -98,27 +85,6 @@ func (p Plan) Completion() time.Duration {
 		return 0
 	}
 	return p.Slots[len(p.Slots)-1].End
-}
-
-// Latency returns the freshness delay of the k-th sender's frame: how
-// long after the round starts the receiver holds it. An out-of-range k —
-// including any k against the empty or zero-value plan — is no sender at
-// all and yields zero delay, mirroring Completion's empty-round rule.
-func (p Plan) Latency(k int) time.Duration {
-	if k < 0 || k >= len(p.Slots) {
-		return 0
-	}
-	return p.Slots[k].End
-}
-
-// AvailableAt returns when the k-th sender's frame is usable by a
-// receiver: its slot completion plus the scheduler's extra delivery
-// delay. Out-of-range k yields zero, like Latency.
-func (p Plan) AvailableAt(k int) time.Duration {
-	if k < 0 || k >= len(p.Slots) {
-		return 0
-	}
-	return p.Slots[k].End + p.extra
 }
 
 // Ready returns when every frame of the round is usable — the round's

@@ -11,7 +11,7 @@ import (
 func TestFleetPlanEdgeCases(t *testing.T) {
 	s := DefaultScheduler()
 	for _, n := range []int{0, 1} {
-		p := s.FleetPlan(n, 200_000)
+		p := fleetPlan(s, n, 200_000)
 		if p.Senders() != 0 {
 			t.Errorf("fleet %d: %d senders, want 0", n, p.Senders())
 		}
@@ -74,14 +74,14 @@ func TestPlanIndexBounds(t *testing.T) {
 		{"in range", full, 1, full.Slots[1].End},
 	}
 	for _, tc := range cases {
-		if got := tc.plan.Latency(tc.k); got != tc.want {
+		if got := tc.plan.latency(tc.k); got != tc.want {
 			t.Errorf("%s: Latency(%d) = %v, want %v", tc.name, tc.k, got, tc.want)
 		}
 		wantAvail := tc.want
 		if tc.want != 0 {
 			wantAvail += s.ExtraDelay
 		}
-		if got := tc.plan.AvailableAt(tc.k); got != wantAvail {
+		if got := tc.plan.availableAt(tc.k); got != wantAvail {
 			t.Errorf("%s: AvailableAt(%d) = %v, want %v", tc.name, tc.k, got, wantAvail)
 		}
 	}
@@ -110,8 +110,8 @@ func TestPlanSerializesSenders(t *testing.T) {
 		if got := sl.End - sl.Start; got != want {
 			t.Errorf("slot %d duration %v, want %v", k, got, want)
 		}
-		if p.Latency(k) != sl.End {
-			t.Errorf("latency(%d) = %v, want slot end %v", k, p.Latency(k), sl.End)
+		if p.latency(k) != sl.End {
+			t.Errorf("latency(%d) = %v, want slot end %v", k, p.latency(k), sl.End)
 		}
 		prevEnd = sl.End
 		sum += want
@@ -129,8 +129,8 @@ func TestPlanSerializesSenders(t *testing.T) {
 func TestFleetPlanLoadScalesWithFleet(t *testing.T) {
 	s := DefaultScheduler()
 	const frame = 200_000 // ≈ the paper's compressed scan size
-	p2 := s.FleetPlan(2, frame)
-	p4 := s.FleetPlan(4, frame)
+	p2 := fleetPlan(s, 2, frame)
+	p4 := fleetPlan(s, 4, frame)
 	if got, want := p4.TotalBytes(), 2*p2.TotalBytes(); got != want {
 		t.Errorf("4-fleet round %d bytes, want double the 2-fleet %d", got, want)
 	}
@@ -158,8 +158,8 @@ func TestPlanExtraDelay(t *testing.T) {
 		t.Errorf("Ready = %v, want completion %v + %v", p.Ready(), p.Completion(), s.ExtraDelay)
 	}
 	for k := range p.Slots {
-		if p.AvailableAt(k) != p.Slots[k].End+s.ExtraDelay {
-			t.Errorf("slot %d: AvailableAt = %v, want %v + %v", k, p.AvailableAt(k), p.Slots[k].End, s.ExtraDelay)
+		if p.availableAt(k) != p.Slots[k].End+s.ExtraDelay {
+			t.Errorf("slot %d: AvailableAt = %v, want %v + %v", k, p.availableAt(k), p.Slots[k].End, s.ExtraDelay)
 		}
 	}
 	// The delay must not inflate channel-occupancy accounting.
@@ -170,7 +170,42 @@ func TestPlanExtraDelay(t *testing.T) {
 	if empty := s.Plan(nil); empty.Ready() != 0 {
 		t.Errorf("empty round Ready = %v, want 0", empty.Ready())
 	}
-	if empty := s.FleetPlan(1, 100_000); empty.Ready() != 0 {
+	if empty := fleetPlan(s, 1, 100_000); empty.Ready() != 0 {
 		t.Errorf("one-vehicle fleet Ready = %v, want 0", empty.Ready())
 	}
+}
+
+// fleetPlan schedules a round for a fleet of n vehicles in which every
+// vehicle broadcasts one frame of the given size to the others. Fleets
+// of zero or one vehicle exchange nothing and yield the empty plan.
+func fleetPlan(s Scheduler, n, frameBytes int) Plan {
+	if n < 2 {
+		return Plan{channel: s.Channel, rateHz: s.RateHz, extra: s.ExtraDelay}
+	}
+	frames := make([]int, n)
+	for i := range frames {
+		frames[i] = frameBytes
+	}
+	return s.Plan(frames)
+}
+
+// latency returns the freshness delay of the k-th sender's frame: how
+// long after the round starts the receiver holds it. An out-of-range k —
+// including any k against the empty or zero-value plan — is no sender at
+// all and yields zero delay, mirroring Completion's empty-round rule.
+func (p Plan) latency(k int) time.Duration {
+	if k < 0 || k >= len(p.Slots) {
+		return 0
+	}
+	return p.Slots[k].End
+}
+
+// availableAt returns when the k-th sender's frame is usable by a
+// receiver: its slot completion plus the scheduler's extra delivery
+// delay. Out-of-range k yields zero, like latency.
+func (p Plan) availableAt(k int) time.Duration {
+	if k < 0 || k >= len(p.Slots) {
+		return 0
+	}
+	return p.Slots[k].End + p.extra
 }

@@ -114,19 +114,10 @@ func ForErrWorker(workers, n int, fn func(worker, i int) error) error {
 	return nil
 }
 
-// Map applies fn to every index in [0, n) and returns the results in
+// MapErr applies fn to every index in [0, n) and returns the results in
 // index order: out[i] = fn(i). The ordered fan-in makes a parallel map
-// positionally indistinguishable from the sequential loop.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(workers, n, func(i int) {
-		out[i] = fn(i)
-	})
-	return out
-}
-
-// MapErr is Map with error-returning work; on error it returns nil
-// results and the lowest-indexed item's error.
+// positionally indistinguishable from the sequential loop. On error it
+// returns nil results and the lowest-indexed item's error.
 func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return MapErrWorker(workers, n, func(_, i int) (T, error) { return fn(i) })
 }

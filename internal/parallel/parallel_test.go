@@ -31,7 +31,10 @@ func TestForEmptyAndNegative(t *testing.T) {
 
 func TestMapOrdered(t *testing.T) {
 	for _, workers := range []int{1, 5} {
-		got := Map(workers, 100, func(i int) int { return i * i })
+		got, err := MapErr(workers, 100, func(i int) (int, error) { return i * i, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)

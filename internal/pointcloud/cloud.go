@@ -41,6 +41,8 @@ func New(n int) *Cloud {
 // FromPoints wraps a point slice in a Cloud. The slice is copied so later
 // mutation of the argument cannot alias the cloud (slices are copied at
 // API boundaries).
+//
+//cooper:deadexport test fixture: the fusion, hub and spod tests build their clouds with it
 func FromPoints(pts []Point) *Cloud {
 	c := &Cloud{pts: make([]Point, len(pts))}
 	copy(c.pts, pts)
@@ -59,14 +61,13 @@ func (c *Cloud) Len() int {
 func (c *Cloud) At(i int) Point { return c.pts[i] }
 
 // Points returns a copy of the underlying points.
+//
+//cooper:deadexport test fixture: the hub, lidar, roi and spod tests compare clouds point by point with it
 func (c *Cloud) Points() []Point {
 	out := make([]Point, len(c.pts))
 	copy(out, c.pts)
 	return out
 }
-
-// points exposes the backing slice to package-internal fast paths.
-func (c *Cloud) points() []Point { return c.pts }
 
 // Reset empties the cloud, keeping its capacity — the reuse hook for
 // per-frame staging buffers (see spod.DetectorScratch).
@@ -83,9 +84,6 @@ func (c *Cloud) ensure(n int) []Point {
 	}
 	return c.pts
 }
-
-// Append adds points to the cloud.
-func (c *Cloud) Append(pts ...Point) { c.pts = append(c.pts, pts...) }
 
 // AppendXYZR adds a single point given by coordinates.
 func (c *Cloud) AppendXYZR(x, y, z, r float64) {
@@ -128,49 +126,4 @@ func (c *Cloud) Merge(others ...*Cloud) *Cloud {
 		}
 	}
 	return out
-}
-
-// Bounds returns the axis-aligned bounding box of the cloud. The second
-// return value is false for an empty cloud.
-func (c *Cloud) Bounds() (geom.AABB, bool) {
-	if c.Len() == 0 {
-		return geom.AABB{}, false
-	}
-	minV := geom.V3(math.Inf(1), math.Inf(1), math.Inf(1))
-	maxV := geom.V3(math.Inf(-1), math.Inf(-1), math.Inf(-1))
-	for _, p := range c.pts {
-		minV.X = math.Min(minV.X, p.X)
-		minV.Y = math.Min(minV.Y, p.Y)
-		minV.Z = math.Min(minV.Z, p.Z)
-		maxV.X = math.Max(maxV.X, p.X)
-		maxV.Y = math.Max(maxV.Y, p.Y)
-		maxV.Z = math.Max(maxV.Z, p.Z)
-	}
-	return geom.AABB{Min: minV, Max: maxV}, true
-}
-
-// Centroid returns the mean position of the cloud's points. The second
-// return value is false for an empty cloud.
-func (c *Cloud) Centroid() (geom.Vec3, bool) {
-	if c.Len() == 0 {
-		return geom.Vec3{}, false
-	}
-	var s geom.Vec3
-	for _, p := range c.pts {
-		s = s.Add(p.Pos())
-	}
-	return s.Scale(1 / float64(c.Len())), true
-}
-
-// CountInBox returns how many points fall inside an oriented box. The
-// evaluation harness uses this to measure point support on ground-truth
-// objects.
-func (c *Cloud) CountInBox(b geom.Box) int {
-	n := 0
-	for _, p := range c.pts {
-		if b.Contains(p.Pos()) {
-			n++
-		}
-	}
-	return n
 }

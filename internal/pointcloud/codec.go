@@ -328,9 +328,6 @@ func decodeQuantizedInto(data []byte, dst *Cloud) error {
 	return nil
 }
 
-// EncodedSizeRaw returns the raw-format wire size in bytes for n points.
-func EncodedSizeRaw(n int) int { return rawHeaderSize + rawPointSize*n }
-
 // EncodedSizeQuantized returns the quantized-format wire size in bytes for
 // n points.
 func EncodedSizeQuantized(n int) int { return quantHeaderSize + quantPointSize*n }

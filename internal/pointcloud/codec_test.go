@@ -164,10 +164,10 @@ func TestDecodeRejectsNonFinite(t *testing.T) {
 		}
 	}
 	var dec DeltaDecoder
-	if _, err := dec.Decode(keyInf); !errors.Is(err, ErrNonFinite) {
+	if _, err := decodeDelta(&dec, keyInf); !errors.Is(err, ErrNonFinite) {
 		t.Errorf("DeltaDecoder: err = %v, want ErrNonFinite", err)
 	}
-	if _, ok := dec.KeyframeSeq(); ok {
+	if dec.hasKey {
 		t.Error("DeltaDecoder kept a keyframe with a non-finite origin")
 	}
 }
@@ -324,8 +324,8 @@ func mustEncodeQuantized(t *testing.T, c *Cloud) []byte {
 
 func TestEncodedSizes(t *testing.T) {
 	c := randomCloud(123, 55)
-	if got := len(EncodeRaw(c)); got != EncodedSizeRaw(123) {
-		t.Errorf("raw size = %d, want %d", got, EncodedSizeRaw(123))
+	if got, want := len(EncodeRaw(c)), rawHeaderSize+rawPointSize*123; got != want {
+		t.Errorf("raw size = %d, want %d", got, want)
 	}
 	q, _ := EncodeQuantized(c)
 	if len(q) != EncodedSizeQuantized(123) {

@@ -360,19 +360,6 @@ type DeltaDecoder struct {
 	keySeq uint64
 }
 
-// KeyframeSeq returns the sequence number of the retained keyframe and
-// whether one has been seen.
-func (d *DeltaDecoder) KeyframeSeq() (uint64, bool) { return d.keySeq, d.hasKey }
-
-// Decode reconstructs the frame into a fresh cloud. See DecodeInto.
-func (d *DeltaDecoder) Decode(data []byte) (*Cloud, error) {
-	out := &Cloud{}
-	if err := d.DecodeInto(data, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // DecodeInto reconstructs a CPD1 frame into dst, reusing dst's capacity.
 // The result is bit-identical to decoding the frame's full CPQ1 encoding.
 // Deltas that do not match the retained keyframe return ErrNeedsKeyframe

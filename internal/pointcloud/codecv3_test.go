@@ -82,7 +82,7 @@ func TestDeltaStreamBitIdentical(t *testing.T) {
 		if key {
 			keyframes++
 		}
-		got, err := dec.Decode(data)
+		got, err := decodeDelta(&dec, data)
 		if err != nil {
 			t.Fatalf("frame %d: Decode: %v", i, err)
 		}
@@ -178,7 +178,7 @@ func TestDeltaForceKeyframe(t *testing.T) {
 	if !key {
 		t.Fatal("ForceKeyframe did not force a keyframe")
 	}
-	got, err := dec.Decode(data)
+	got, err := decodeDelta(&dec, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestDeltaBiasAbsorbsEgoMotion(t *testing.T) {
 	if err := dec.DecodeInto(kf, &Cloud{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dec.Decode(data)
+	got, err := decodeDelta(&dec, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestDeltaDecoderErrors(t *testing.T) {
 		if err := dec.DecodeInto(kf, &Cloud{}); err != nil {
 			t.Fatal(err)
 		}
-		got, err := dec.Decode(delta)
+		got, err := decodeDelta(&dec, delta)
 		if err != nil {
 			t.Fatalf("delta after re-key: %v", err)
 		}
@@ -395,7 +395,7 @@ func TestDeltaEmptyFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seq %d: %v", seq, err)
 		}
-		got, err := dec.Decode(data)
+		got, err := decodeDelta(&dec, data)
 		if err != nil {
 			t.Fatalf("seq %d: %v", seq, err)
 		}
@@ -409,7 +409,7 @@ func TestDeltaEmptyFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dec.Decode(data)
+	got, err := decodeDelta(&dec, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestDeltaEmptyFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err = dec.Decode(data); err != nil || got.Len() != 0 {
+	if got, err = decodeDelta(&dec, data); err != nil || got.Len() != 0 {
 		t.Fatalf("back to empty: len=%v err=%v", got.Len(), err)
 	}
 }
@@ -438,4 +438,10 @@ func TestDeltaDecodeIntoReusesCapacity(t *testing.T) {
 		}
 		requireBitIdentical(t, frame, dst)
 	}
+}
+
+// decodeDelta decodes one CPD1 frame into a fresh cloud.
+func decodeDelta(d *DeltaDecoder, data []byte) (*Cloud, error) {
+	out := &Cloud{}
+	return out, d.DecodeInto(data, out)
 }

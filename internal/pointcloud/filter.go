@@ -27,24 +27,6 @@ func (c *Cloud) FilterInto(dst *Cloud, keep func(Point) bool) *Cloud {
 	return dst
 }
 
-// CropAABB returns the points inside the axis-aligned box.
-func (c *Cloud) CropAABB(b geom.AABB) *Cloud {
-	return c.Filter(func(p Point) bool { return b.Contains(p.Pos()) })
-}
-
-// CropBox returns the points inside an oriented box.
-func (c *Cloud) CropBox(b geom.Box) *Cloud {
-	return c.Filter(func(p Point) bool { return b.Contains(p.Pos()) })
-}
-
-// CropRange returns the points with sensor range in [minR, maxR].
-func (c *Cloud) CropRange(minR, maxR float64) *Cloud {
-	return c.Filter(func(p Point) bool {
-		r := p.Range()
-		return r >= minR && r <= maxR
-	})
-}
-
 // CropFOV returns the points whose azimuth (angle in the ground plane,
 // measured from +x toward +y) lies within ±halfFOV of the given centre
 // azimuth. The paper's ROI category 2 exchanges a 120° front field of view,
@@ -88,11 +70,6 @@ func (c *Cloud) CropFOV(centerAz, halfFOV float64) *Cloud {
 		}
 		return inFOV(p)
 	})
-}
-
-// CropHeight returns the points with z in [minZ, maxZ].
-func (c *Cloud) CropHeight(minZ, maxZ float64) *Cloud {
-	return c.Filter(func(p Point) bool { return p.Z >= minZ && p.Z <= maxZ })
 }
 
 // RemoveGroundPlane removes points within tol of the estimated ground

@@ -13,8 +13,7 @@ func TestCropAABB(t *testing.T) {
 		{X: 5, Y: 5, Z: 5},
 		{X: -1, Y: 0, Z: 0},
 	})
-	box := geom.NewAABB(geom.V3(-0.5, -0.5, -0.5), geom.V3(1, 1, 1))
-	got := c.CropAABB(box)
+	got := cropAABB(c, geom.V3(-0.5, -0.5, -0.5), geom.V3(1, 1, 1))
 	if got.Len() != 1 || got.At(0).X != 0 {
 		t.Errorf("CropAABB kept %d points", got.Len())
 	}
@@ -26,7 +25,7 @@ func TestCropRange(t *testing.T) {
 		{X: 10, Y: 0, Z: 0},
 		{X: 100, Y: 0, Z: 0},
 	})
-	got := c.CropRange(5, 50)
+	got := cropRange(c, 5, 50)
 	if got.Len() != 1 || got.At(0).X != 10 {
 		t.Errorf("CropRange kept wrong points: %+v", got.Points())
 	}
@@ -62,7 +61,7 @@ func TestCropFOVWrapsAroundPi(t *testing.T) {
 
 func TestCropHeight(t *testing.T) {
 	c := FromPoints([]Point{{Z: -2}, {Z: 0.5}, {Z: 3}})
-	got := c.CropHeight(0, 2)
+	got := cropHeight(c, 0, 2)
 	if got.Len() != 1 || got.At(0).Z != 0.5 {
 		t.Errorf("CropHeight kept wrong points")
 	}
@@ -132,4 +131,24 @@ func TestFilterDoesNotMutate(t *testing.T) {
 	if c.Len() != before {
 		t.Error("Filter mutated the receiver")
 	}
+}
+
+// cropAABB returns the points inside the axis-aligned box [lo, hi].
+func cropAABB(c *Cloud, lo, hi geom.Vec3) *Cloud {
+	return c.Filter(func(p Point) bool {
+		return p.X >= lo.X && p.X <= hi.X && p.Y >= lo.Y && p.Y <= hi.Y && p.Z >= lo.Z && p.Z <= hi.Z
+	})
+}
+
+// cropRange returns the points with sensor range in [minR, maxR].
+func cropRange(c *Cloud, minR, maxR float64) *Cloud {
+	return c.Filter(func(p Point) bool {
+		r := p.Range()
+		return r >= minR && r <= maxR
+	})
+}
+
+// cropHeight returns the points with z in [minZ, maxZ].
+func cropHeight(c *Cloud, minZ, maxZ float64) *Cloud {
+	return c.Filter(func(p Point) bool { return p.Z >= minZ && p.Z <= maxZ })
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // GridIndex is a uniform-grid spatial index over a cloud, supporting
-// radius and nearest-neighbour queries. The clustering detector baseline
-// and the ICP refinement both use it to avoid quadratic neighbour scans.
+// radius and nearest-neighbour queries. The ICP refinement uses it to
+// avoid quadratic neighbour scans.
 //
 // Cells are cubes of the given size, grouped into XY columns: one voxel
 // table probe, keyed VoxelKey{X, Y, 0}, serves a whole column, whose
@@ -21,7 +21,6 @@ type GridIndex struct {
 	cols     voxelTable // XY column → column id
 	spans    []colSpan  // column id → its entries
 	entries  []gridEntry
-	cloud    *Cloud
 }
 
 // colSpan is a column's [lo, hi) range in GridIndex.entries.
@@ -44,7 +43,6 @@ func NewGridIndex(c *Cloud, cellSize float64) *GridIndex {
 	g := &GridIndex{
 		cellSize: cellSize,
 		entries:  make([]gridEntry, n),
-		cloud:    c,
 	}
 	// Counting sort by column, ids in order of first appearance: count,
 	// then scatter each point to its column's next free slot.
@@ -94,6 +92,8 @@ func (g *GridIndex) column(x, y int32) []gridEntry {
 }
 
 // Radius returns the indices of all points within r of q.
+//
+//cooper:deadexport test fixture: the spod clustering baseline (cluster_test.go) gathers neighbours with it
 func (g *GridIndex) Radius(q geom.Vec3, r float64) []int {
 	if r <= 0 {
 		return nil
@@ -121,24 +121,11 @@ func (g *GridIndex) Radius(q geom.Vec3, r float64) []int {
 	return out
 }
 
-// Nearest returns the index of the point closest to q and its distance.
-// It returns (-1, +Inf) for an empty index. Among points at the same
-// distance it returns the one in the innermost ring of cells around q,
-// then the first in x→y→z cell order, then the lowest index.
-func (g *GridIndex) Nearest(q geom.Vec3) (int, float64) {
-	// A sparse index can still force thousands of empty ring scans before
-	// the first hit; callers that only care about bounded matches should
-	// use NearestWithin instead.
-	const maxRings = 1 << 12
-	return g.nearest(q, maxRings)
-}
-
-// NearestWithin is Nearest restricted to a search radius: it returns the
-// closest indexed point whenever one lies within r, or (-1, +Inf) when no
-// point lies within the scanned rings. Cell granularity can also admit a
-// best that lies farther than r, so callers enforcing a strict cutoff
-// must still check the returned distance. Unlike Nearest, the scan never
-// expands past the cells that can hold a point within r, so queries far
+// NearestWithin returns the closest indexed point whenever one lies
+// within r, or (-1, +Inf) when no point lies within the scanned rings.
+// Cell granularity can also admit a best that lies farther than r, so
+// callers enforcing a strict cutoff must still check the returned
+// distance. The scan never expands past the cells that can hold a point within r, so queries far
 // from any point cost O(r³/cell³) instead of crawling the whole grid.
 func (g *GridIndex) NearestWithin(q geom.Vec3, r float64) (int, float64) {
 	if r <= 0 {
@@ -196,6 +183,3 @@ func (g *GridIndex) scanShell(q geom.Vec3, c VoxelKey, ring int32, best int, bes
 	}
 	return best, bestD2
 }
-
-// Cloud returns the indexed cloud.
-func (g *GridIndex) Cloud() *Cloud { return g.cloud }

@@ -40,7 +40,7 @@ func TestGridIndexRadiusMatchesBruteForce(t *testing.T) {
 			got := idx.Radius(q, r)
 			var want []int
 			for i := 0; i < c.Len(); i++ {
-				if c.At(i).Pos().Dist(q) <= r {
+				if c.At(i).Pos().Sub(q).Norm() <= r {
 					want = append(want, i)
 				}
 			}
@@ -64,7 +64,7 @@ func TestGridIndexNearest(t *testing.T) {
 		{X: 0, Y: 10, Z: 0},
 	})
 	idx := NewGridIndex(c, 1)
-	i, d := idx.Nearest(geom.V3(9, 0.5, 0))
+	i, d := idx.nearestUnbounded(geom.V3(9, 0.5, 0))
 	if i != 1 {
 		t.Errorf("Nearest index = %d, want 1", i)
 	}
@@ -78,10 +78,10 @@ func TestGridIndexNearestMatchesBruteForce(t *testing.T) {
 	idx := NewGridIndex(c, 1.5)
 	queries := []geom.Vec3{{X: 1, Y: 2, Z: 0}, {X: -30, Y: 45, Z: 2}, {X: 60, Y: 60, Z: 0}}
 	for _, q := range queries {
-		gi, gd := idx.Nearest(q)
+		gi, gd := idx.nearestUnbounded(q)
 		bi, bd := -1, math.Inf(1)
 		for i := 0; i < c.Len(); i++ {
-			if d := c.At(i).Pos().Dist(q); d < bd {
+			if d := c.At(i).Pos().Sub(q).Norm(); d < bd {
 				bd, bi = d, i
 			}
 		}
@@ -100,7 +100,7 @@ func TestGridIndexNearestWithinMatchesBruteForce(t *testing.T) {
 			gi, gd := idx.NearestWithin(q, r)
 			bi, bd := -1, math.Inf(1)
 			for i := 0; i < c.Len(); i++ {
-				if d := c.At(i).Pos().Dist(q); d < bd {
+				if d := c.At(i).Pos().Sub(q).Norm(); d < bd {
 					bd, bi = d, i
 				}
 			}
@@ -135,7 +135,7 @@ func TestGridIndexEmpty(t *testing.T) {
 	if got := idx.Radius(geom.V3(0, 0, 0), 5); got != nil {
 		t.Errorf("Radius on empty index = %v", got)
 	}
-	i, d := idx.Nearest(geom.V3(0, 0, 0))
+	i, d := idx.nearestUnbounded(geom.V3(0, 0, 0))
 	if i != -1 || !math.IsInf(d, 1) {
 		t.Errorf("Nearest on empty index = (%d, %v)", i, d)
 	}
@@ -169,7 +169,7 @@ func TestGridIndexNearestPastFirstHitRing(t *testing.T) {
 	c := FromPoints([]Point{{X: 1.99, Y: 1.99, Z: 1.99}, {X: 0.5, Y: 0.5, Z: 3.0}})
 	idx := NewGridIndex(c, 1)
 	q := geom.V3(0.5, 0.5, 0.5)
-	if i, d := idx.Nearest(q); i != 1 || d != 2.5 {
+	if i, d := idx.nearestUnbounded(q); i != 1 || d != 2.5 {
 		t.Errorf("Nearest = (%d, %v), want (1, 2.5)", i, d)
 	}
 	if i, d := idx.NearestWithin(q, 3); i != 1 || d != 2.5 {
@@ -192,7 +192,7 @@ func TestGridIndexNearestExactRandom(t *testing.T) {
 		for k := 0; k < 200; k++ {
 			q := geom.V3(rng.Float64()*50-25, rng.Float64()*50-25, rng.Float64()*14-7)
 			bi, bd := bruteNearest(c, q)
-			if gi, gd := idx.Nearest(q); gd != bd || !sameDist(c, gi, q, bd) {
+			if gi, gd := idx.nearestUnbounded(q); gd != bd || !sameDist(c, gi, q, bd) {
 				t.Fatalf("cell %v: Nearest(%v) = (%d, %v), brute force (%d, %v)", cell, q, gi, gd, bi, bd)
 			}
 			r := rng.Float64() * 6
@@ -268,4 +268,15 @@ func TestGridIndexMatchesMapIndex(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nearestUnbounded returns the index of the point closest to q and its
+// distance, or (-1, +Inf) for an empty index. Among points at the same
+// distance it returns the one in the innermost ring of cells around q,
+// then the first in x→y→z cell order, then the lowest index.
+func (g *GridIndex) nearestUnbounded(q geom.Vec3) (int, float64) {
+	// A sparse index can still force thousands of empty ring scans
+	// before the first hit.
+	const maxRings = 1 << 12
+	return g.nearest(q, maxRings)
 }

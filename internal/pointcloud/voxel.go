@@ -130,17 +130,12 @@ type voxelScratch struct {
 
 var voxelPool = sync.Pool{New: func() any { return new(voxelScratch) }}
 
-// VoxelDownsample returns a cloud with at most one point per voxel of the
-// given edge length: the centroid of the points that fell in the voxel,
-// with the mean reflectance. Merged cooperative clouds are downsampled this
-// way to bound detector input size regardless of how many vehicles
-// contributed.
-func (c *Cloud) VoxelDownsample(voxelSize float64) *Cloud {
-	return c.VoxelDownsampleInto(&Cloud{}, voxelSize)
-}
-
-// VoxelDownsampleInto is VoxelDownsample writing into dst (reset first;
-// dst may be c). Voxels appear in first-point order and each accumulates
+// VoxelDownsampleInto writes into dst (reset first; dst may be c) a
+// cloud with at most one point per voxel of the given edge length: the
+// centroid of the points that fell in the voxel, with the mean
+// reflectance. Merged cooperative clouds are downsampled this way to
+// bound detector input size regardless of how many vehicles
+// contributed. Voxels appear in first-point order and each accumulates
 // its centroid in cloud point order, so the output is deterministic: the
 // voxel table only numbers the voxels and is never iterated. The table
 // and the accumulators come from a package pool, so a steady-state caller

@@ -59,7 +59,7 @@ func voxelRefCloud(n int, span, voxel float64, seed int64) *Cloud {
 	for i := 0; i < n; i++ {
 		switch {
 		case i > 0 && i%4 == 3:
-			c.Append(c.pts[rng.Intn(i)])
+			c.pts = append(c.pts, c.pts[rng.Intn(i)])
 		case i%8 == 5:
 			x := math.Floor(rng.Float64()*span/voxel-span/(2*voxel)) * voxel
 			c.AppendXYZR(math.Nextafter(x, math.Inf(-1)), -x, x, rng.Float64())

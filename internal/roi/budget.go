@@ -65,16 +65,6 @@ func (s Source) features() *spod.FeatureFrame {
 	return nil
 }
 
-// SelectPayload fits a sensor-frame cloud under a per-frame wire budget
-// by walking the raw rungs of the ROI ladder (see Select). It is the
-// cloud-only compatibility form: without a feature source the
-// stride-downsample rung is terminal and always succeeds — a budget
-// smaller than one encoding header simply yields an empty (header-only)
-// cloud.
-func SelectPayload(cloud *pointcloud.Cloud, budgetBytes int) (Selection, error) {
-	return Select(Source{Cloud: cloud}, budgetBytes)
-}
-
 // Select fits one vehicle's frame under a per-frame wire budget by
 // walking the ROI ladder, cheapest acceptable rung first:
 //

@@ -49,7 +49,7 @@ func TestSelectPayloadLadder(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			sel, err := SelectPayload(c, tc.budget)
+			sel, err := Select(Source{Cloud: c}, tc.budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,16 +73,16 @@ func TestSelectPayloadLadder(t *testing.T) {
 
 func TestSelectPayloadDeterministic(t *testing.T) {
 	c := budgetCloud(2000, 2)
-	a, err := SelectPayload(c, 4000)
+	a, err := Select(Source{Cloud: c}, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SelectPayload(c, 4000)
+	b, err := Select(Source{Cloud: c}, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Payload, b.Payload) {
-		t.Error("SelectPayload is not deterministic")
+		t.Error("cloud-only Select is not deterministic")
 	}
 }
 

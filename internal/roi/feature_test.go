@@ -119,11 +119,11 @@ func checkFeatureSelection(t *testing.T, sel Selection, f *spod.FeatureFrame, bu
 	if dec.Sites() != sel.Points {
 		t.Errorf("payload carries %d sites, Selection reports %d", dec.Sites(), sel.Points)
 	}
-	if dec.Sites() > f.Sites() || dec.Columns() > f.Columns() {
+	if dec.Sites() > f.Sites() || len(dec.Cols) > len(f.Cols) {
 		t.Errorf("trimmed frame (%d cols / %d sites) larger than source (%d / %d)",
-			dec.Columns(), dec.Sites(), f.Columns(), f.Sites())
+			len(dec.Cols), dec.Sites(), len(f.Cols), f.Sites())
 	}
-	if got, want := len(sel.Payload), spod.FeatureFrameSize(dec.Columns(), dec.Sites()); got != want {
+	if got, want := len(sel.Payload), spod.FeatureFrameSize(len(dec.Cols), dec.Sites()); got != want {
 		t.Errorf("payload is %d bytes, closed form says %d", got, want)
 	}
 }
@@ -210,7 +210,7 @@ func TestSelectFeatureDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SelectFeature(Source{Features: f.Clone()}, budget)
+	b, err := SelectFeature(Source{Features: featureFrameFor(t, c)}, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

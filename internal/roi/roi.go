@@ -1,8 +1,7 @@
 // Package roi implements Cooper's region-of-interest data extraction
-// (§IV-G): vehicles do not need to exchange whole scans — background that
-// every vehicle can map for itself (buildings, trees) is subtracted, and
-// the shared region is restricted to one of three exchange categories the
-// paper illustrates in Fig. 11:
+// (§IV-G): vehicles do not need to exchange whole scans — the shared
+// region is restricted to one of three exchange categories the paper
+// illustrates in Fig. 11:
 //
 //	Category 1 — opposite-direction passing: the full frame is shared
 //	             (no physical buffer between the vehicles; the costliest).
@@ -11,14 +10,14 @@
 //	Category 3 — lead/trailing: the leading vehicle shares its front view
 //	             one way; the trailing vehicle transmits nothing.
 //
-// The package also provides the background-subtraction filter and the
-// payload accounting used by the Fig. 12 data-volume experiment.
+// The package also provides the payload accounting used by the Fig. 12
+// data-volume experiment. The paper's other §IV-G reduction, subtracting
+// background each vehicle has mapped for itself, is not reproduced.
 package roi
 
 import (
 	"math"
 
-	"cooper/internal/geom"
 	"cooper/internal/pointcloud"
 )
 
@@ -82,73 +81,6 @@ func Transmissions(cat Category) int {
 		return 1
 	}
 	return 2
-}
-
-// BackgroundMap is a static occupancy map of immobile structure
-// (buildings, trees, barriers) that each vehicle accumulates over
-// repeated mapping passes (§IV-G: "these information can be constructed
-// by each vehicle after several times mapping measurement"). Shared
-// frames subtract points falling into mapped background cells.
-type BackgroundMap struct {
-	cellSize float64
-	cells    map[pointcloud.VoxelKey]int
-	minHits  int
-}
-
-// NewBackgroundMap creates a map with the given cell size; a cell is
-// considered background once it has been observed in at least minHits
-// mapping passes.
-func NewBackgroundMap(cellSize float64, minHits int) *BackgroundMap {
-	if cellSize <= 0 {
-		cellSize = 0.5
-	}
-	if minHits < 1 {
-		minHits = 1
-	}
-	return &BackgroundMap{
-		cellSize: cellSize,
-		cells:    make(map[pointcloud.VoxelKey]int),
-		minHits:  minHits,
-	}
-}
-
-// Observe accumulates one mapping pass. The cloud must be in world
-// coordinates (vehicles map while localised).
-func (m *BackgroundMap) Observe(world *pointcloud.Cloud) {
-	seen := make(map[pointcloud.VoxelKey]struct{}, world.Len()/4+1)
-	for i := 0; i < world.Len(); i++ {
-		p := world.At(i)
-		seen[pointcloud.KeyFor(p.X, p.Y, p.Z, m.cellSize)] = struct{}{}
-	}
-	for k := range seen {
-		m.cells[k]++
-	}
-}
-
-// IsBackground reports whether a world position falls in a mapped
-// background cell.
-func (m *BackgroundMap) IsBackground(p geom.Vec3) bool {
-	return m.cells[pointcloud.KeyFor(p.X, p.Y, p.Z, m.cellSize)] >= m.minHits
-}
-
-// MappedCells returns the number of cells at or above the background
-// threshold.
-func (m *BackgroundMap) MappedCells() int {
-	n := 0
-	for _, hits := range m.cells {
-		if hits >= m.minHits {
-			n++
-		}
-	}
-	return n
-}
-
-// Subtract removes the background points from a cloud. toWorld maps the
-// cloud's frame into the map's world frame.
-func (m *BackgroundMap) Subtract(cloud *pointcloud.Cloud, toWorld geom.Transform) *pointcloud.Cloud {
-	return cloud.Filter(func(p pointcloud.Point) bool {
-		return !m.IsBackground(toWorld.Apply(p.Pos()))
-	})
 }
 
 // PayloadBytes returns the quantized wire size of a cloud after category

@@ -95,68 +95,3 @@ func TestPayloadOrdering(t *testing.T) {
 		t.Errorf("total costs not ordered: %d, %d, %d", fullTotal, frontTotal, leadTotal)
 	}
 }
-
-func TestBackgroundMapSubtraction(t *testing.T) {
-	// A static wall observed in every pass becomes background; a car that
-	// appears only once does not.
-	wall := pointcloud.New(500)
-	for i := 0; i < 500; i++ {
-		wall.AppendXYZR(10, float64(i)*0.05, 1, 0.4)
-	}
-	m := NewBackgroundMap(0.5, 3)
-	for pass := 0; pass < 3; pass++ {
-		m.Observe(wall)
-	}
-	if m.MappedCells() == 0 {
-		t.Fatal("wall never became background")
-	}
-
-	mixed := wall.Clone()
-	for i := 0; i < 100; i++ {
-		mixed.AppendXYZR(20+float64(i%10)*0.3, -5, 0.5, 0.5) // transient car
-	}
-	got := m.Subtract(mixed, geom.IdentityTransform())
-	if got.Len() != 100 {
-		t.Errorf("subtraction kept %d points, want 100 (car only)", got.Len())
-	}
-}
-
-func TestBackgroundMapThreshold(t *testing.T) {
-	c := pointcloud.FromPoints([]pointcloud.Point{{X: 1, Y: 1, Z: 1}})
-	m := NewBackgroundMap(0.5, 2)
-	m.Observe(c)
-	if m.IsBackground(geom.V3(1, 1, 1)) {
-		t.Error("single observation should not be background at minHits=2")
-	}
-	m.Observe(c)
-	if !m.IsBackground(geom.V3(1, 1, 1)) {
-		t.Error("two observations should reach the threshold")
-	}
-}
-
-func TestBackgroundMapDefaults(t *testing.T) {
-	m := NewBackgroundMap(0, 0)
-	c := pointcloud.FromPoints([]pointcloud.Point{{X: 0.1}})
-	m.Observe(c)
-	if !m.IsBackground(geom.V3(0.1, 0, 0)) {
-		t.Error("defaults (minHits 1) should mark observed cell")
-	}
-}
-
-func TestSubtractReducesPayload(t *testing.T) {
-	// The §IV-G pipeline: background subtraction then ROI extraction
-	// shrinks the payload versus the raw frame.
-	scene := ringCloud(10000, 5)
-	m := NewBackgroundMap(0.5, 1)
-	m.Observe(scene)
-
-	// A fresh frame: same static scene plus a small new object.
-	frame := scene.Clone()
-	for i := 0; i < 50; i++ {
-		frame.AppendXYZR(3+0.05*float64(i), 0, 0, 0.6)
-	}
-	reduced := m.Subtract(frame, geom.IdentityTransform())
-	if reduced.Len() >= frame.Len()/10 {
-		t.Errorf("background subtraction kept %d of %d points", reduced.Len(), frame.Len())
-	}
-}

@@ -105,27 +105,6 @@ func (m Motion) PoseAt(base geom.Transform, t time.Duration) geom.Transform {
 	return m.Delta(0, t).Compose(base)
 }
 
-// VelocityAt returns the body's instantaneous world-frame velocity at
-// time t — the quantity a sender annotates its broadcast with for
-// motion compensation. Waypoint motion reports speed along the current
-// segment heading (zero past the path end); constant velocity reports
-// Velocity.
-func (m Motion) VelocityAt(t time.Duration) geom.Vec3 {
-	if m.IsZero() {
-		return geom.Vec3{}
-	}
-	if m.waypointPath() {
-		travelled := t.Seconds() * m.Speed
-		if travelled >= m.pathLength() {
-			return geom.Vec3{}
-		}
-		p := m.pathPose(t)
-		yaw := p.R.Yaw()
-		return geom.V3(m.Speed*math.Cos(yaw), m.Speed*math.Sin(yaw), 0)
-	}
-	return m.Velocity
-}
-
 // Dynamic reports whether any pose or object of the scenario moves.
 func (s *Scenario) Dynamic() bool {
 	for _, m := range s.PoseMotions {

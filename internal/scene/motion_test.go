@@ -60,9 +60,6 @@ func TestWaypointMotionBeyondHorizon(t *testing.T) {
 			t.Errorf("heading at %v = %g, want last-segment heading %g", dt, yaw, math.Pi/2)
 		}
 	}
-	if v := m.VelocityAt(time.Hour); v != (geom.Vec3{}) {
-		t.Errorf("velocity past horizon = %+v, want zero", v)
-	}
 }
 
 // TestScenarioAtNeverNaNOrTeleports samples every generated family's

@@ -6,6 +6,7 @@ import (
 
 	"cooper/internal/geom"
 	"cooper/internal/lidar"
+	"cooper/internal/pointcloud"
 )
 
 func TestKITTIScenariosStructure(t *testing.T) {
@@ -121,7 +122,7 @@ func TestScenariosProduceOcclusion(t *testing.T) {
 			boxSensor := car.Box.Transformed(toSensor)
 			grown := geom.NewBox(boxSensor.Center, boxSensor.Length+0.2,
 				boxSensor.Width+0.2, boxSensor.Height+0.2, boxSensor.Yaw)
-			if cloud.CountInBox(grown) < 10 {
+			if cloud.Filter(func(p pointcloud.Point) bool { return grown.Contains(p.Pos()) }).Len() < 10 {
 				occluded++
 			}
 		}
@@ -153,8 +154,15 @@ func TestScenarioPosesOnGround(t *testing.T) {
 			if p.T.Z != 0 {
 				t.Errorf("%s pose %d not on ground: z=%v", sc.Name, i, p.T.Z)
 			}
-			if !p.R.IsRotation(1e-9) {
-				t.Errorf("%s pose %d rotation invalid", sc.Name, i)
+			// A proper rotation equals the ZYX composition of its own
+			// Euler angles; a scaled or reflected matrix does not.
+			want := geom.EulerZYX(p.R.Yaw(), p.R.Pitch(), p.R.Roll())
+			for r := range want {
+				for c := range want[r] {
+					if math.Abs(p.R[r][c]-want[r][c]) > 1e-9 {
+						t.Errorf("%s pose %d rotation invalid", sc.Name, i)
+					}
+				}
 			}
 		}
 	}

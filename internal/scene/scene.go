@@ -105,16 +105,6 @@ func (s *Scene) Cars() []Object {
 	return out
 }
 
-// ObjectByID returns the object with the given ID.
-func (s *Scene) ObjectByID(id int) (Object, bool) {
-	for _, o := range s.Objects {
-		if o.ID == id {
-			return o, true
-		}
-	}
-	return Object{}, false
-}
-
 // Typical object dimensions (metres) and surface reflectivities used by
 // the procedural builders. Car dimensions follow the KITTI class means.
 const (

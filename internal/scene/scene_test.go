@@ -108,3 +108,13 @@ func TestVehiclePose(t *testing.T) {
 		t.Errorf("pose yaw = %v, want 0.5", got)
 	}
 }
+
+// ObjectByID returns the object with the given ID.
+func (s *Scene) ObjectByID(id int) (Object, bool) {
+	for _, o := range s.Objects {
+		if o.ID == id {
+			return o, true
+		}
+	}
+	return Object{}, false
+}

@@ -26,7 +26,6 @@ func TestDrivenCooperativeTimeline(t *testing.T) {
 	hidden := world.AddCar(32, -3.2, 0)
 	world.AddCar(15, 4, 0)
 
-	ego := core.NewVehicle("ego", lidar.VLP16(), fusion.VehicleState{GPS: geom.V3(0, 0, 0)}, 1)
 	parked := core.NewVehicle("parked", lidar.VLP16(),
 		fusion.VehicleState{GPS: geom.V3(45, 0, 0), Yaw: 3.14159}, 2)
 	parked.Sense(world.Targets(), world.GroundZ)
@@ -36,7 +35,7 @@ func TestDrivenCooperativeTimeline(t *testing.T) {
 	recovered := false
 	for now := time.Duration(0); now <= 2*time.Second; now += time.Second {
 		pose := traj.At(now)
-		ego.SetState(fusion.VehicleState{GPS: pose.T, Yaw: pose.R.Yaw()})
+		ego := core.NewVehicle("ego", lidar.VLP16(), fusion.VehicleState{GPS: pose.T, Yaw: pose.R.Yaw()}, 1)
 		ego.Sense(world.Targets(), world.GroundZ)
 
 		pkg, err := parked.PreparePackage(nil)
@@ -47,8 +46,9 @@ func TestDrivenCooperativeTimeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("detect: %v", err)
 		}
-		car, _ := world.ObjectByID(hidden)
-		gt := car.Box.Transformed(ego.SensorTransform())
+		car := world.Objects[hidden]
+		state := ego.State()
+		gt := car.Box.Transformed(lidar.SensorTransform(state.Pose(), state.MountHeight))
 		for _, d := range dets {
 			if d.Box.Center.DistXY(gt.Center) < 1.5 {
 				recovered = true

@@ -26,18 +26,6 @@ func NewTrajectory(speed float64, waypoints ...geom.Vec3) *Trajectory {
 	return &Trajectory{waypoints: wps, speed: speed}
 }
 
-// Duration returns how long the full path takes.
-func (t *Trajectory) Duration() time.Duration {
-	if len(t.waypoints) < 2 || t.speed <= 0 {
-		return 0
-	}
-	total := 0.0
-	for i := 1; i < len(t.waypoints); i++ {
-		total += t.waypoints[i].Sub(t.waypoints[i-1]).Norm()
-	}
-	return time.Duration(total / t.speed * float64(time.Second))
-}
-
 // At returns the pose at the given elapsed time: position on the path and
 // heading along it. Past the end the final position holds with the last
 // segment's heading — a finished trajectory parks, it never snaps its

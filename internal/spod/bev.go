@@ -18,18 +18,6 @@ type BEVMap struct {
 	TopZ       []float64
 }
 
-// Len returns the number of BEV cells.
-func (m *BEVMap) Len() int { return len(m.Cols) }
-
-// CellAt returns the (objectness, topZ) of the column at k, if occupied.
-func (m *BEVMap) CellAt(k pointcloud.VoxelKey) (objectness, topZ float64, ok bool) {
-	c := findCol(m.Cols, packXY(k.X, k.Y))
-	if c < 0 {
-		return 0, 0, false
-	}
-	return m.Objectness[c], m.TopZ[c], true
-}
-
 // projectBEV collapses a sparse tensor to the BEV map, reading voxel tops
 // from the grid.
 func projectBEV(t *SparseTensor, g *VoxelGrid) *BEVMap {

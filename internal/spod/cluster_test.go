@@ -8,7 +8,8 @@ import (
 )
 
 // ClusterDetector is the naive baseline the paper argues against for
-// sparse data: plain Euclidean clustering with a rigid size gate and no
+// sparse data, kept as the reference the pipeline tests measure SPOD
+// against: plain Euclidean clustering with a rigid size gate and no
 // sparsity-aware machinery — no dense re-representation, no occlusion-
 // aware anchor fitting, no cluster splitting. It works acceptably on
 // dense 64-beam clouds and degrades sharply on 16-beam ones, motivating

@@ -1,9 +1,5 @@
 package spod
 
-import (
-	"cooper/internal/pointcloud"
-)
-
 // convChannels is the width of the sparse feature maps: density, height
 // span and mean intensity.
 const convChannels = 3
@@ -22,36 +18,6 @@ type SparseTensor struct {
 	ColOff []int32
 	Zs     []int32
 	Feats  []float64
-}
-
-// Sites returns the number of occupied voxel sites.
-func (t *SparseTensor) Sites() int { return len(t.Zs) }
-
-// Feature returns site i's feature vector (aliasing the tensor).
-func (t *SparseTensor) Feature(i int) []float64 {
-	return t.Feats[i*convChannels : (i+1)*convChannels]
-}
-
-// FeatureAt returns the feature vector of the site at k, if occupied.
-// The slice aliases the tensor.
-func (t *SparseTensor) FeatureAt(k pointcloud.VoxelKey) ([]float64, bool) {
-	c := findCol(t.Cols, packXY(k.X, k.Y))
-	if c < 0 {
-		return nil, false
-	}
-	for i := t.ColOff[c]; i < t.ColOff[c+1]; i++ {
-		if t.Zs[i] == k.Z {
-			return t.Feature(int(i)), true
-		}
-	}
-	return nil, false
-}
-
-// NewSparseTensor lifts a voxel grid into the initial feature tensor —
-// the caller-owned form of what the detector builds in scratch.
-func NewSparseTensor(g *VoxelGrid) *SparseTensor {
-	t, _ := toSparseTensor(g, nil)
-	return t
 }
 
 // toSparseTensor lifts a voxel grid into the initial feature tensor,
@@ -126,23 +92,10 @@ func DefaultMiddleLayers() []ConvWeights {
 	return []ConvWeights{layer, layer}
 }
 
-// Apply runs the sparse convolution. Output sites are exactly the occupied
-// input sites: the "submanifold" sparse convolution that keeps compute
-// proportional to occupancy. The output shares the input's site layout
-// and allocates only its feature planes.
-func (w ConvWeights) Apply(in *SparseTensor) *SparseTensor {
-	out := &SparseTensor{
-		Cols:   in.Cols,
-		ColOff: in.ColOff,
-		Zs:     in.Zs,
-		Feats:  make([]float64, len(in.Feats)),
-	}
-	w.applyInto(in, out.Feats)
-	return out
-}
-
-// applyInto writes the convolution of in to the feature plane outFeats
-// (len(in.Feats)). Sites are processed column by column; within a site,
+// applyInto writes the sparse convolution of in to the feature plane
+// outFeats (len(in.Feats)). Output sites are exactly the occupied input
+// sites: the "submanifold" sparse convolution that keeps compute
+// proportional to occupancy. Sites are processed column by column; within a site,
 // taps accumulate in the fixed (dz, dy, dx) kernel order, skipping
 // unoccupied neighbours — the order is a constant of the layout, so the
 // floating-point sums are identical on every run.

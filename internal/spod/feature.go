@@ -8,11 +8,6 @@ import (
 	"cooper/internal/pointcloud"
 )
 
-// FeatureChannels is the width of an exported feature plane — the three
-// smoothed channels the sparse convolutional middle layers produce
-// (density, height span, mean intensity).
-const FeatureChannels = convChannels
-
 // FeatureFrame is the detector's post-convolution seam made portable: the
 // sparse feature tensor of one sensor frame, snapshotted out of the
 // scratch buffers into caller-owned storage. It is what a feature-level
@@ -21,8 +16,9 @@ const FeatureChannels = convChannels
 // it costs one copy and re-ingesting it skips stages 1–3 entirely.
 //
 // Sites live in the pipeline's fixed order: Cols ascending by packed
-// (x, y), z ascending within each column, and site i owning
-// Feats[i*FeatureChannels : (i+1)*FeatureChannels]. All coordinates are
+// (x, y), z ascending within each column, and site i owning the three
+// smoothed channels (density, height span, mean intensity) at
+// Feats[3i : 3i+3]. All coordinates are
 // in the producing sensor's frame; GroundZ anchors the z indices.
 type FeatureFrame struct {
 	// SizeXY and SizeZ are the voxel edge lengths, metres.
@@ -35,28 +31,12 @@ type FeatureFrame struct {
 	ColOff []int32
 	// Zs is each site's z layer, ascending within its column.
 	Zs []int32
-	// Feats holds FeatureChannels values per site, parallel to Zs.
+	// Feats holds three channel values per site, parallel to Zs.
 	Feats []float64
 }
 
-// Columns returns the number of occupied BEV columns.
-func (f *FeatureFrame) Columns() int { return len(f.Cols) }
-
 // Sites returns the number of occupied voxel sites.
 func (f *FeatureFrame) Sites() int { return len(f.Zs) }
-
-// Clone returns a deep copy.
-func (f *FeatureFrame) Clone() *FeatureFrame {
-	return &FeatureFrame{
-		SizeXY:  f.SizeXY,
-		SizeZ:   f.SizeZ,
-		GroundZ: f.GroundZ,
-		Cols:    slices.Clone(f.Cols),
-		ColOff:  slices.Clone(f.ColOff),
-		Zs:      slices.Clone(f.Zs),
-		Feats:   slices.Clone(f.Feats),
-	}
-}
 
 // columnDensity returns the channel-0 (density) sum of column c — the
 // column's eventual contribution to BEV objectness.

@@ -28,8 +28,7 @@ import (
 //	[56:60) site count    uint32
 //	[60:)   columns: {x int16, y int16, nSites uint8} × columns
 //	then    sites:   {z+zBias uint8, 3 × channel uint8} × sites
-type featureWire struct{}
-
+//
 // featureMagic identifies a version-3 feature-frame payload.
 var featureMagic = [4]byte{'C', 'P', 'F', '3'}
 

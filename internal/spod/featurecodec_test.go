@@ -36,8 +36,8 @@ func TestFeatureCodecRoundTrip(t *testing.T) {
 	if len(enc) != f.EncodedSize() {
 		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(enc), f.EncodedSize())
 	}
-	if len(enc) != FeatureFrameSize(f.Columns(), f.Sites()) {
-		t.Fatalf("encoded %d bytes, closed form says %d", len(enc), FeatureFrameSize(f.Columns(), f.Sites()))
+	if len(enc) != FeatureFrameSize(len(f.Cols), f.Sites()) {
+		t.Fatalf("encoded %d bytes, closed form says %d", len(enc), FeatureFrameSize(len(f.Cols), f.Sites()))
 	}
 	if !IsFeaturePayload(enc) {
 		t.Fatal("encoding does not carry the feature magic")
@@ -60,16 +60,16 @@ func TestFeatureCodecRoundTrip(t *testing.T) {
 	}
 	// Channels are quantized against per-frame max/255 scales: each value
 	// must round-trip within half a quantum of its channel.
-	var scales [FeatureChannels]float64
+	var scales [convChannels]float64
 	for i := 0; i < f.Sites(); i++ {
-		for c := 0; c < FeatureChannels; c++ {
-			if v := f.Feats[i*FeatureChannels+c]; v > scales[c] {
+		for c := 0; c < convChannels; c++ {
+			if v := f.Feats[i*convChannels+c]; v > scales[c] {
 				scales[c] = v
 			}
 		}
 	}
 	for i := range f.Feats {
-		tol := scales[i%FeatureChannels] / 255 * 0.5001
+		tol := scales[i%convChannels] / 255 * 0.5001
 		if d := math.Abs(got.Feats[i] - f.Feats[i]); d > tol {
 			t.Errorf("feat %d: got %g, want %g (tolerance %g)", i, got.Feats[i], f.Feats[i], tol)
 		}
@@ -186,16 +186,16 @@ func FuzzDecodeFeatureFrame(f *testing.F) {
 			}
 			return
 		}
-		if len(frame.ColOff) != frame.Columns()+1 || frame.ColOff[0] != 0 {
-			t.Fatalf("bad ColOff shape: %d columns, %d offsets", frame.Columns(), len(frame.ColOff))
+		if len(frame.ColOff) != len(frame.Cols)+1 || frame.ColOff[0] != 0 {
+			t.Fatalf("bad ColOff shape: %d columns, %d offsets", len(frame.Cols), len(frame.ColOff))
 		}
-		if int(frame.ColOff[frame.Columns()]) != frame.Sites() {
-			t.Fatalf("ColOff ends at %d, frame has %d sites", frame.ColOff[frame.Columns()], frame.Sites())
+		if int(frame.ColOff[len(frame.Cols)]) != frame.Sites() {
+			t.Fatalf("ColOff ends at %d, frame has %d sites", frame.ColOff[len(frame.Cols)], frame.Sites())
 		}
-		if len(frame.Feats) != frame.Sites()*FeatureChannels {
+		if len(frame.Feats) != frame.Sites()*convChannels {
 			t.Fatalf("%d feats for %d sites", len(frame.Feats), frame.Sites())
 		}
-		for c := 0; c < frame.Columns(); c++ {
+		for c := 0; c < len(frame.Cols); c++ {
 			if c > 0 && frame.Cols[c] <= frame.Cols[c-1] {
 				t.Fatalf("columns not ascending at %d", c)
 			}
@@ -220,9 +220,9 @@ func FuzzDecodeFeatureFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
-		if again.Columns() != frame.Columns() || again.Sites() != frame.Sites() {
+		if len(again.Cols) != len(frame.Cols) || again.Sites() != frame.Sites() {
 			t.Fatalf("re-encode changed shape: %d/%d -> %d/%d",
-				frame.Columns(), frame.Sites(), again.Columns(), again.Sites())
+				len(frame.Cols), frame.Sites(), len(again.Cols), again.Sites())
 		}
 		if !equalInt32(again.ColOff, frame.ColOff) || !equalInt32(again.Zs, frame.Zs) {
 			t.Fatal("re-encode changed CSR structure")

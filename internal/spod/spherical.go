@@ -269,24 +269,10 @@ func (img *RangeImage) inpaint() {
 	}
 }
 
-// Occupied returns the number of cells holding at least one echo.
-func (img *RangeImage) Occupied() int {
-	n := 0
-	for _, word := range img.nearOcc {
-		n += bits.OnesCount64(word)
-	}
-	return n
-}
-
-// ToCloud reconstructs a point cloud from the range image (both echoes).
-// This is the dense, duplicate-free representation the downstream stages
-// consume.
-func (img *RangeImage) ToCloud() *pointcloud.Cloud {
-	return img.ToCloudInto(pointcloud.New(img.Occupied()))
-}
-
-// ToCloudInto is ToCloud appending into dst (reset first) so a reused
-// cloud buffer makes the reconstruction allocation-free. It walks the
+// ToCloudInto reconstructs a point cloud from the range image (both
+// echoes) into dst (reset first), so a reused cloud buffer makes the
+// reconstruction allocation-free. This is the dense, duplicate-free
+// representation the downstream stages consume. It walks the
 // occupied cells in cell order and emits each cell's near echo, then its
 // far one (a far echo implies a near one).
 func (img *RangeImage) ToCloudInto(dst *pointcloud.Cloud) *pointcloud.Cloud {

@@ -160,7 +160,7 @@ func wrapRing(cfg SphericalConfig, rng *rand.Rand) *pointcloud.Cloud {
 	c := pointcloud.New(0)
 	for row := 10; row < 14; row++ {
 		for col := row % 2; col < cfg.Cols; col += 2 {
-			c.Append(cellPoint(cfg, row, col, 20+0.3*rng.Float64()))
+			appendPoint(c, cellPoint(cfg, row, col, 20+0.3*rng.Float64()))
 		}
 	}
 	return c
@@ -175,9 +175,9 @@ func echoStack(cfg SphericalConfig, rng *rand.Rand, cells int) *pointcloud.Cloud
 		row, col := rng.Intn(cfg.Rows), rng.Intn(cfg.Cols)
 		for k := rng.Intn(5) + 1; k > 0; k-- {
 			p := cellPoint(cfg, row, col, 3+rng.Float64()*50)
-			c.Append(p)
+			appendPoint(c, p)
 			if rng.Intn(4) == 0 {
-				c.Append(p)
+				appendPoint(c, p)
 			}
 		}
 	}
@@ -252,10 +252,10 @@ func TestProjectSphericalMatchesReference(t *testing.T) {
 				cfg.Workers, cfg.InpaintGaps = workers, inpaint
 				want := refProjectSpherical(f.cloud, cfg)
 				img := projectSpherical(f.cloud, cfg, s)
-				if got, ref := img.Occupied(), want.occupied(); got != ref {
+				if got, ref := img.occupied(), want.occupied(); got != ref {
 					t.Fatalf("%s (workers %d, inpaint %v): Occupied %d, reference %d", f.name, workers, inpaint, got, ref)
 				}
-				got, ref := img.ToCloud(), want.toCloud()
+				got, ref := img.toCloud(), want.toCloud()
 				if !sameBits(got.Points(), ref.Points()) {
 					t.Fatalf("%s (workers %d, inpaint %v): cloud of %d points differs from the reference's %d",
 						f.name, workers, inpaint, got.Len(), ref.Len())
@@ -315,4 +315,8 @@ func TestBinElevationEdges(t *testing.T) {
 			t.Errorf("%s: row %d, want %d", tc.name, idx/cfg.Cols, tc.wantRw)
 		}
 	}
+}
+
+func appendPoint(c *pointcloud.Cloud, p pointcloud.Point) {
+	c.AppendXYZR(p.X, p.Y, p.Z, p.Reflectance)
 }

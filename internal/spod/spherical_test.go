@@ -31,7 +31,7 @@ func TestProjectSphericalRoundTripGeometry(t *testing.T) {
 	cfg.InpaintGaps = false
 	c := sphericalTestCloud(2000, 1)
 	img := projectSpherical(c, cfg, NewScratch())
-	back := img.ToCloud()
+	back := img.toCloud()
 	if back.Len() == 0 {
 		t.Fatal("empty reprojection")
 	}
@@ -40,7 +40,7 @@ func TestProjectSphericalRoundTripGeometry(t *testing.T) {
 	idx := pointcloud.NewGridIndex(c, 1.0)
 	for i := 0; i < back.Len(); i += 25 {
 		p := back.At(i)
-		_, d := idx.Nearest(p.Pos())
+		_, d := idx.NearestWithin(p.Pos(), 1)
 		if d > 0.8 {
 			t.Fatalf("reprojected point %v is %v m from any original", p.Pos(), d)
 		}
@@ -53,8 +53,8 @@ func TestProjectSphericalDedups(t *testing.T) {
 	cfg.InpaintGaps = false
 	c := sphericalTestCloud(3000, 2)
 	dup := c.Merge(c.Clone())
-	single := projectSpherical(c, cfg, NewScratch()).ToCloud()
-	doubled := projectSpherical(dup, cfg, NewScratch()).ToCloud()
+	single := projectSpherical(c, cfg, NewScratch()).toCloud()
+	doubled := projectSpherical(dup, cfg, NewScratch()).toCloud()
 	if doubled.Len() > single.Len()*105/100 {
 		t.Errorf("duplicate merge grew projection: %d vs %d", doubled.Len(), single.Len())
 	}
@@ -70,7 +70,7 @@ func TestProjectSphericalKeepsSecondEcho(t *testing.T) {
 	c.AppendXYZR(10, 0, 0, 0.5)    // near surface
 	c.AppendXYZR(30, 0.05, 0, 0.5) // far surface, same cell
 	img := projectSpherical(c, cfg, NewScratch())
-	back := img.ToCloud()
+	back := img.toCloud()
 	if back.Len() != 2 {
 		t.Fatalf("expected both echoes, got %d points", back.Len())
 	}
@@ -83,7 +83,7 @@ func TestProjectSphericalDropsThirdSurface(t *testing.T) {
 	c.AppendXYZR(10, 0, 0, 0.5)
 	c.AppendXYZR(30, 0.05, 0, 0.5)
 	c.AppendXYZR(50, 0.08, 0, 0.5)
-	back := projectSpherical(c, cfg, NewScratch()).ToCloud()
+	back := projectSpherical(c, cfg, NewScratch()).toCloud()
 	if back.Len() != 2 {
 		t.Fatalf("cell should keep exactly 2 echoes, got %d", back.Len())
 	}
@@ -107,9 +107,9 @@ func TestInpaintFillsSingleGaps(t *testing.T) {
 		c.AppendXYZR(r*math.Cos(az), r*math.Sin(az), 0, 0.5)
 	}
 	cfg.InpaintGaps = false
-	plain := projectSpherical(c, cfg, NewScratch()).ToCloud()
+	plain := projectSpherical(c, cfg, NewScratch()).toCloud()
 	cfg.InpaintGaps = true
-	inpainted := projectSpherical(c, cfg, NewScratch()).ToCloud()
+	inpainted := projectSpherical(c, cfg, NewScratch()).toCloud()
 	if inpainted.Len() <= plain.Len() {
 		t.Errorf("inpainting added no points: %d vs %d", inpainted.Len(), plain.Len())
 	}
@@ -124,7 +124,7 @@ func TestInpaintRespectsRangeJump(t *testing.T) {
 	az := cfg.MaxEl // dummy
 	_ = az
 	c.AppendXYZR(40*math.Cos(geom.Deg2Rad(0.4)), 40*math.Sin(geom.Deg2Rad(0.4)), 0, 0.5)
-	back := projectSpherical(c, cfg, NewScratch()).ToCloud()
+	back := projectSpherical(c, cfg, NewScratch()).toCloud()
 	if back.Len() != 2 {
 		t.Errorf("range jump was bridged: %d points", back.Len())
 	}
@@ -137,14 +137,14 @@ func TestOccupied(t *testing.T) {
 	c.AppendXYZR(10, 0, 0, 0.5)
 	c.AppendXYZR(0, 15, 1, 0.5)
 	img := projectSpherical(c, cfg, NewScratch())
-	if got := img.Occupied(); got != 2 {
+	if got := img.occupied(); got != 2 {
 		t.Errorf("Occupied = %d, want 2", got)
 	}
 }
 
 func TestProjectEmptyCloud(t *testing.T) {
 	img := projectSpherical(&pointcloud.Cloud{}, DefaultSphericalConfig(), NewScratch())
-	if img.Occupied() != 0 || img.ToCloud().Len() != 0 {
+	if img.occupied() != 0 || img.toCloud().Len() != 0 {
 		t.Error("empty cloud should produce empty image")
 	}
 }

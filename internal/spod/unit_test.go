@@ -16,11 +16,11 @@ func TestVoxelizeFeatures(t *testing.T) {
 		{X: 0.15, Y: 0.05, Z: 0.3, Reflectance: 0.6},
 		{X: 5, Y: 5, Z: 1, Reflectance: 1.0},
 	})
-	g := Voxelize(c, 0.2, 0.5, 0, 1)
+	g := voxelizeFresh(c, 0.2, 0.5, 0, 1)
 	if g.OccupiedVoxels() != 2 {
 		t.Fatalf("occupied = %d, want 2", g.OccupiedVoxels())
 	}
-	f, ok := g.Feature(pointcloud.VoxelKey{X: 0, Y: 0, Z: 0})
+	f, ok := g.feature(pointcloud.VoxelKey{X: 0, Y: 0, Z: 0})
 	if !ok {
 		t.Fatal("missing first voxel")
 	}
@@ -43,7 +43,7 @@ func TestVoxelizeFeatures(t *testing.T) {
 
 func TestVoxelizeGroundRelativeHeights(t *testing.T) {
 	c := pointcloud.FromPoints([]pointcloud.Point{{X: 0, Y: 0, Z: -1.5}})
-	g := Voxelize(c, 0.2, 0.25, -1.73, 1)
+	g := voxelizeFresh(c, 0.2, 0.25, -1.73, 1)
 	for _, f := range g.Feats {
 		if math.Abs(f.MeanZ-0.23) > 1e-9 {
 			t.Errorf("ground-relative meanZ = %v, want 0.23", f.MeanZ)
@@ -56,7 +56,7 @@ func TestVoxelizeColumnPoints(t *testing.T) {
 		{X: 0.1, Y: 0.1, Z: 0.1},
 		{X: 0.1, Y: 0.1, Z: 2.0}, // same column, different z voxel
 	})
-	g := Voxelize(c, 0.2, 0.25, 0, 1)
+	g := voxelizeFresh(c, 0.2, 0.25, 0, 1)
 	if got := len(g.ColumnPoints(0, 0)); got != 2 {
 		t.Errorf("column points = %d, want 2", got)
 	}
@@ -86,12 +86,12 @@ func TestSparseConvPreservesSites(t *testing.T) {
 		{X: 0, Y: 0, Z: 0}: {1, 0.5, 0.2},
 		{X: 5, Y: 5, Z: 1}: {2, 1.0, 0.4},
 	})
-	out := DefaultMiddleLayers()[0].Apply(in)
-	if out.Sites() != in.Sites() {
-		t.Fatalf("site count changed: %d -> %d", in.Sites(), out.Sites())
+	out := DefaultMiddleLayers()[0].apply(in)
+	if len(out.Zs) != len(in.Zs) {
+		t.Fatalf("site count changed: %d -> %d", len(in.Zs), len(out.Zs))
 	}
 	for _, k := range []pointcloud.VoxelKey{{X: 0, Y: 0, Z: 0}, {X: 5, Y: 5, Z: 1}} {
-		if _, ok := out.FeatureAt(k); !ok {
+		if _, ok := out.featureAt(k); !ok {
 			t.Errorf("site %v vanished", k)
 		}
 	}
@@ -108,8 +108,8 @@ func TestSparseConvSmoothsNeighbours(t *testing.T) {
 		{X: 1, Y: 0, Z: 0}: {1, 0, 0},
 	})
 	layer := DefaultMiddleLayers()[0]
-	isoF, _ := layer.Apply(isolated).FeatureAt(pointcloud.VoxelKey{})
-	jointF, _ := layer.Apply(pair).FeatureAt(pointcloud.VoxelKey{})
+	isoF, _ := layer.apply(isolated).featureAt(pointcloud.VoxelKey{})
+	jointF, _ := layer.apply(pair).featureAt(pointcloud.VoxelKey{})
 	if jointF[0] <= isoF[0] {
 		t.Errorf("neighbour did not reinforce: %v <= %v", jointF[0], isoF[0])
 	}
@@ -123,7 +123,7 @@ func TestSparseConvReLU(t *testing.T) {
 	in := tensorFromMap(map[pointcloud.VoxelKey][]float64{
 		{X: 0, Y: 0, Z: 0}: {1, 0, 0},
 	})
-	out, _ := w.Apply(in).FeatureAt(pointcloud.VoxelKey{})
+	out, _ := w.apply(in).featureAt(pointcloud.VoxelKey{})
 	if out[0] != 0 {
 		t.Errorf("negative activation survived ReLU: %v", out[0])
 	}
@@ -137,10 +137,10 @@ func TestProjectBEVColumnAggregation(t *testing.T) {
 		{X: 9, Y: 9, Z: 2}: {2.0, 0, 0},
 	})
 	bev := projectBEV(tensor, g)
-	if bev.Len() != 2 {
-		t.Fatalf("BEV cells = %d, want 2", bev.Len())
+	if len(bev.Cols) != 2 {
+		t.Fatalf("BEV cells = %d, want 2", len(bev.Cols))
 	}
-	obj, topZ, ok := bev.CellAt(pointcloud.VoxelKey{X: 3, Y: 4})
+	obj, topZ, ok := bev.cellAt(pointcloud.VoxelKey{X: 3, Y: 4})
 	if !ok {
 		t.Fatal("missing BEV cell (3, 4)")
 	}

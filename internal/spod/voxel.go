@@ -55,20 +55,6 @@ type VoxelGrid struct {
 // OccupiedVoxels returns the number of occupied voxels.
 func (g *VoxelGrid) OccupiedVoxels() int { return len(g.Zs) }
 
-// Feature returns the feature of the voxel at k, if occupied.
-func (g *VoxelGrid) Feature(k pointcloud.VoxelKey) (VoxelFeature, bool) {
-	c := findCol(g.Cols, packXY(k.X, k.Y))
-	if c < 0 {
-		return VoxelFeature{}, false
-	}
-	for i := g.ColOff[c]; i < g.ColOff[c+1]; i++ {
-		if g.Zs[i] == k.Z {
-			return g.Feats[i], true
-		}
-	}
-	return VoxelFeature{}, false
-}
-
 // ColumnPoints returns the raw point indices of BEV column (x, y), in
 // cloud point order. The slice aliases the grid; callers must not mutate
 // or retain it past the grid's lifetime.
@@ -87,19 +73,14 @@ type voxAcc struct {
 	n                      int
 }
 
-// Voxelize encodes a cloud into the sparse voxel grid. Points are assumed
-// ground-removed; groundZ anchors the height features. The per-point
-// voxel-key computation fans out over at most workers goroutines (< 1
-// selects one per CPU). Points are then grouped by column with a stable
-// counting sort, so every voxel accumulates its features in cloud point
-// order — floating-point sums are order-sensitive — and the grid is
-// identical at any worker count.
-func Voxelize(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64, workers int) *VoxelGrid {
-	return voxelize(c, sizeXY, sizeZ, groundZ, workers, NewScratch())
-}
-
-// voxelize builds the grid inside the scratch's buffers. The returned
-// grid is &s.grid: valid until the scratch's next frame.
+// voxelize encodes a cloud into the sparse voxel grid, built inside the
+// scratch's buffers: the returned grid is &s.grid, valid until the
+// scratch's next frame. Points are assumed ground-removed; groundZ
+// anchors the height features. The per-point voxel-key computation fans
+// out over at most workers goroutines (< 1 selects one per CPU). Points
+// are then grouped by column with a stable counting sort, so every voxel
+// accumulates its features in cloud point order — floating-point sums
+// are order-sensitive — and the grid is identical at any worker count.
 func voxelize(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64, workers int, s *DetectorScratch) *VoxelGrid {
 	g := &s.grid
 	g.SizeXY, g.SizeZ, g.GroundZ = sizeXY, sizeZ, groundZ

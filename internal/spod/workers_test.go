@@ -45,9 +45,9 @@ func TestProjectSphericalWorkersIdentical(t *testing.T) {
 // so DeepEqual compares the whole structure byte for byte.
 func TestVoxelizeWorkersIdentical(t *testing.T) {
 	cloud := noisyCloud(30000)
-	ref := Voxelize(cloud, 0.2, 0.25, 0, 1)
+	ref := voxelizeFresh(cloud, 0.2, 0.25, 0, 1)
 	for _, workers := range []int{0, 5} {
-		got := Voxelize(cloud, 0.2, 0.25, 0, workers)
+		got := voxelizeFresh(cloud, 0.2, 0.25, 0, workers)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: voxel grid differs from sequential", workers)
 		}

@@ -27,9 +27,6 @@ func OpenDir(path string) (*Dir, error) {
 	return &Dir{path: path}, nil
 }
 
-// Path returns the directory's filesystem path.
-func (d *Dir) Path() string { return d.path }
-
 // validID permits letters, digits, dot, dash and underscore — no
 // separators, so an id is always a single file name inside the dir.
 func validID(id string) bool {
@@ -56,6 +53,8 @@ func (d *Dir) file(id string) (string, error) {
 }
 
 // Create starts a new episode log under the given id.
+//
+//cooper:deadexport test fixture: the store and hub tests file episodes into a Dir with it
 func (d *Dir) Create(id string, h Header) (*EpisodeWriter, error) {
 	path, err := d.file(id)
 	if err != nil {

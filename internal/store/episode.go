@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -653,9 +654,11 @@ type Episode struct {
 	End      End
 }
 
-// ReadEpisode decodes a whole log from r. A truncated tail (no End
-// record) is not an error — the decoded prefix is returned with
-// Complete false — but a corrupt record is.
+// ReadEpisode decodes a whole log from r. A truncated tail is not an
+// error: a log without its End record, or cut inside a record as a
+// crash mid-append leaves it, returns the prefix of whole records with
+// Complete false. A corrupt record (failed checksum, or a body that does
+// not decode) is an error.
 func ReadEpisode(r io.Reader) (*Episode, error) {
 	lr, err := NewReader(r)
 	if err != nil {
@@ -665,7 +668,7 @@ func ReadEpisode(r io.Reader) (*Episode, error) {
 	first := true
 	for {
 		rec, err := lr.Next()
-		if err == io.EOF {
+		if err == io.EOF || errors.Is(err, ErrTruncated) {
 			return ep, nil
 		}
 		if err != nil {

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	"cooper/internal/fusion"
 	"cooper/internal/spod"
@@ -131,15 +130,6 @@ func ReplayEpisode(ep *Episode) ([]Detections, ReplayStats, error) {
 		}
 	}
 	return out, stats, nil
-}
-
-// ReplayReader decodes a log from r and replays it.
-func ReplayReader(r io.Reader) ([]Detections, ReplayStats, error) {
-	ep, err := ReadEpisode(r)
-	if err != nil {
-		return nil, ReplayStats{}, err
-	}
-	return ReplayEpisode(ep)
 }
 
 // ReplayFile decodes the log at path and replays it.

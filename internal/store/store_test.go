@@ -209,7 +209,11 @@ func TestEpisodeFinishOnce(t *testing.T) {
 // the recorded fused detections byte for byte.
 func TestReplayByteIdentical(t *testing.T) {
 	raw := synthEpisode(t)
-	dets, stats, err := ReplayReader(bytes.NewReader(raw))
+	ep, err := ReadEpisode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dets, stats, err := ReplayEpisode(ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +225,6 @@ func TestReplayByteIdentical(t *testing.T) {
 	}
 	// And the recomputation is non-trivial: the cooperative round saw
 	// the merged cloud, not just the receiver's own points.
-	ep, _ := ReadEpisode(bytes.NewReader(raw))
 	if len(ep.Rounds[1].Payloads) == 0 {
 		t.Fatal("cooperative round stored no payloads")
 	}
@@ -257,14 +260,51 @@ func TestReplayDetectsTampering(t *testing.T) {
 
 func TestTruncatedLogNeverPanics(t *testing.T) {
 	raw := synthEpisode(t)
-	// Every possible truncation point must produce a clean error or a
-	// clean prefix — never a panic.
-	for cut := 0; cut <= len(raw); cut++ {
-		ep, err := ReadEpisode(bytes.NewReader(raw[:cut]))
-		if err == nil && ep.Complete && cut != len(raw) {
-			t.Fatalf("truncated log at %d/%d read as complete", cut, len(raw))
+	// A cut inside the 8-byte file header leaves no log to read: a clean
+	// error, never a panic.
+	for cut := 0; cut < 8; cut++ {
+		if _, err := ReadEpisode(bytes.NewReader(raw[:cut])); err == nil {
+			t.Fatalf("log cut inside its file header at %d read without error", cut)
 		}
 	}
+	// Every later cut — at a record boundary or inside a record, as a
+	// crash mid-append leaves the log — reads back the prefix of whole
+	// records: no error, record counts that never shrink as the cut
+	// moves on, and the full log at the end.
+	counts := func(ep *Episode) [5]int {
+		return [5]int{len(ep.Frames), len(ep.Rounds), len(ep.Detections), len(ep.Tracks), btoi(ep.Complete)}
+	}
+	var prev [5]int
+	for cut := 8; cut <= len(raw); cut++ {
+		ep, err := ReadEpisode(bytes.NewReader(raw[:cut]))
+		if err != nil {
+			t.Fatalf("log cut at %d/%d: %v", cut, len(raw), err)
+		}
+		if ep.Complete && cut != len(raw) {
+			t.Fatalf("truncated log at %d/%d read as complete", cut, len(raw))
+		}
+		got := counts(ep)
+		for i := range got {
+			if got[i] < prev[i] {
+				t.Fatalf("log cut at %d/%d decoded %v records, fewer than the shorter cut's %v", cut, len(raw), got, prev)
+			}
+		}
+		prev = got
+	}
+	full, err := ReadEpisode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prev != counts(full) || !full.Complete || len(full.Rounds) == 0 {
+		t.Fatalf("full log decoded %v records, want the complete episode", prev)
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestCorruptRecordDetected(t *testing.T) {

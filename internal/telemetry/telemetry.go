@@ -256,6 +256,8 @@ func (r *Registry) Snapshot() Snapshot {
 
 // MaskEnvelope returns the snapshot with the wall-clock envelope
 // zeroed — the form transcripts diff and goldens freeze.
+//
+//cooper:deadexport test fixture and facade API: tests diff masked snapshots, as the CI soak does with jq
 func (s Snapshot) MaskEnvelope() Snapshot {
 	s.Envelope = Envelope{}
 	return s

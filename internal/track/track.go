@@ -76,16 +76,6 @@ type Track struct {
 	updated time.Duration
 }
 
-// predictedBox returns the track's box extrapolated to time now.
-func (t *Track) predictedBox(now time.Duration) geom.Box {
-	dt := (now - t.updated).Seconds()
-	px, _ := t.kx.predictState(dt)
-	py, _ := t.ky.predictState(dt)
-	b := t.Box
-	b.Center = geom.V3(px, py, t.Box.Center.Z)
-	return b
-}
-
 // Tracker associates per-frame detections into tracks.
 type Tracker struct {
 	cfg    Config
@@ -235,15 +225,4 @@ func (tr *Tracker) Step(now time.Duration, dets []spod.Detection) []int {
 		trackOf[di] = t.ID
 	}
 	return trackOf
-}
-
-// Predict returns every live track's box extrapolated to the query time
-// — the latency-compensated world state a planner would consume while
-// the next fused frame is still on the channel.
-func (tr *Tracker) Predict(at time.Duration) []geom.Box {
-	out := make([]geom.Box, len(tr.tracks))
-	for i, t := range tr.tracks {
-		out[i] = t.predictedBox(at)
-	}
-	return out
 }

