@@ -218,16 +218,6 @@ func NewEpisodeLab(sc *scene.Scenario) *EpisodeLab {
 	return &EpisodeLab{sc: sc, captures: make(map[labKey]*labEntry)}
 }
 
-// detectorConfig mirrors PoseVehicleSeeded's detector setup, pinned to
-// one goroutine: episode parallelism fans out across frames instead.
-func (l *EpisodeLab) detectorConfig() spod.Config {
-	cfg := spod.DefaultConfig()
-	cfg.VerticalFOVTop = l.sc.LiDAR.MaxElevation()
-	cfg.MaxDetectionRange = AreaRange(l.sc.Dataset)
-	cfg.Workers = 1
-	return cfg
-}
-
 // capture senses pose i at episode time t (once). The sensing seed mixes
 // the scenario seed, the pose and the timestamp, so every capture owns a
 // noise stream independent of evaluation order.
@@ -263,7 +253,7 @@ func (l *EpisodeLab) capture(i int, t time.Duration) *labEntry {
 // the winner's identity never shows in the output.
 func (l *EpisodeLab) singleDetect(e *labEntry, s *spod.DetectorScratch) []spod.Detection {
 	e.detOnce.Do(func() {
-		e.dets, _ = spod.New(l.detectorConfig()).Detect(l.cropFOV(e.scan.Cloud), nil, s)
+		e.dets, _ = spod.New(scenarioDetectorConfig(l.sc)).Detect(l.cropFOV(e.scan.Cloud), nil, s)
 	})
 	return e.dets
 }
@@ -403,7 +393,7 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 		wire []byte
 		key  int
 	}
-	det := spod.New(l.detectorConfig())
+	det := spod.New(scenarioDetectorConfig(l.sc))
 	air := make([][]broadcast, len(senders)) // [sender slot][frame]
 	if err := parallel.ForErr(opts.Workers, len(senders), func(si int) error {
 		air[si] = make([]broadcast, opts.Frames)
@@ -503,7 +493,7 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 		frame EpisodeFrame
 		FusedFrame
 	}
-	detCfg := l.detectorConfig()
+	detCfg := scenarioDetectorConfig(l.sc)
 	scratches := spod.NewScratches(parallel.WorkerCount(opts.Workers, opts.Frames))
 	evals, err := parallel.MapErrWorker(opts.Workers, opts.Frames, func(w, k int) (frameEval, error) {
 		scratch := scratches[w]

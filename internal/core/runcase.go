@@ -147,10 +147,11 @@ func (r *ScenarioRunner) Vehicle(i int) *Vehicle { return r.vehicles[i] }
 
 // SetWorkers bounds the goroutines RunAll (and pose pre-sensing) uses for
 // case-level fan-out; < 1 selects one per CPU. Calling it also pins every
-// vehicle's inner scanner/detector stages to one goroutine: case-level
-// parallelism already saturates the cores, and nested fan-out would only
-// add scheduling overhead. SetWorkers(1) therefore yields the fully
-// sequential baseline. Outcomes are identical at any worker count.
+// vehicle's scanner to one goroutine: case-level parallelism already
+// saturates the cores, and nested fan-out would only add scheduling
+// overhead. Detection always runs on the case's goroutine, so
+// SetWorkers(1) yields the fully sequential baseline. Outcomes are
+// identical at any worker count.
 func (r *ScenarioRunner) SetWorkers(n int) *ScenarioRunner {
 	r.workers = n
 	for _, v := range r.vehicles {
@@ -265,9 +266,9 @@ func (r *ScenarioRunner) runCase(c scene.CoopCase, opts RunOptions, scratch *spo
 			return nil, fmt.Errorf("case %s: %w", c.Name, err)
 		}
 		p.SenderID = vs.ID
-		out.SenderPayloads = append(out.SenderPayloads, backend.Cost(p))
+		out.SenderPayloads = append(out.SenderPayloads, len(p.Data))
 		out.SenderCloudPoints = append(out.SenderCloudPoints, p.Points)
-		out.PayloadBytes += backend.Cost(p)
+		out.PayloadBytes += len(p.Data)
 		if driftRNG != nil {
 			p.State = fusion.ApplyDrift(p.State, opts.Drift, driftRNG)
 		}

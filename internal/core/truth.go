@@ -197,9 +197,16 @@ func PoseVehicle(sc *scene.Scenario, poseIdx int) *Vehicle {
 // vehicles.
 func PoseVehicleSeeded(sc *scene.Scenario, poseIdx int, seed int64) *Vehicle {
 	v := NewVehicle(sc.PoseLabels[poseIdx], sc.LiDAR, PoseState(sc.Poses[poseIdx], sc.LiDAR.MountHeight), seed)
+	v.SetDetector(spod.New(scenarioDetectorConfig(sc)))
+	return v
+}
+
+// scenarioDetectorConfig is the detector configuration of every vehicle
+// a scenario pose embodies: the defaults plus the sensor's vertical FOV
+// and the dataset's detection area.
+func scenarioDetectorConfig(sc *scene.Scenario) spod.Config {
 	cfg := spod.DefaultConfig()
 	cfg.VerticalFOVTop = sc.LiDAR.MaxElevation()
 	cfg.MaxDetectionRange = AreaRange(sc.Dataset)
-	v.SetDetector(spod.New(cfg))
-	return v
+	return cfg
 }

@@ -48,14 +48,12 @@ func NewVehicle(id string, cfg lidar.Config, state fusion.VehicleState, seed int
 // SetDetector replaces the vehicle's detector (for ablations).
 func (v *Vehicle) SetDetector(d *spod.Detector) { v.detector = d }
 
-// SetWorkers bounds the goroutines the vehicle's scanner and detector use
-// internally (< 1 selects one per CPU). Sensing and detection results are
-// identical at any worker count; the knob only changes wall-clock time.
+// SetWorkers bounds the goroutines the vehicle's scanner uses to ray-cast
+// a revolution (< 1 selects one per CPU). Scans are identical at any
+// worker count; the knob only changes wall-clock time. Detection always
+// runs on the caller's goroutine.
 func (v *Vehicle) SetWorkers(n int) *Vehicle {
 	v.scanner.SetWorkers(n)
-	cfg := v.detector.Config()
-	cfg.Workers = n
-	v.detector = spod.New(cfg)
 	return v
 }
 

@@ -76,8 +76,6 @@ type Backend interface {
 	// encoding are accepted: the wire magic discriminates, so a raw
 	// session degrades gracefully when a feature-only peer contributes.
 	Fuse(receiver SensorFrame, payloads []Payload) (*FusedInput, error)
-	// Cost returns the wire size charged against a bandwidth budget.
-	Cost(p Payload) int
 }
 
 // FusedInput is a backend's fused product, ready for detection: a cloud
@@ -192,9 +190,6 @@ func (b RawBackend) Fuse(receiver SensorFrame, payloads []Payload) (*FusedInput,
 	return in, nil
 }
 
-// Cost implements Backend.
-func (RawBackend) Cost(p Payload) int { return len(p.Data) }
-
 // FeatureBackend is the F-Cooper strategy: senders run stages 1–3 of the
 // detector and transmit the sparse post-convolution feature planes — an
 // order of magnitude fewer bytes than the raw cloud — and the receiver
@@ -241,9 +236,6 @@ func (b FeatureBackend) Select(f SensorFrame, budgetBytes int, s *spod.DetectorS
 func (FeatureBackend) Fuse(receiver SensorFrame, payloads []Payload) (*FusedInput, error) {
 	return RawBackend{}.Fuse(receiver, payloads)
 }
-
-// Cost implements Backend.
-func (FeatureBackend) Cost(p Payload) int { return len(p.Data) }
 
 // decodeRemote decodes a feature payload into an aligned remote
 // contribution for the receiver.

@@ -1,7 +1,9 @@
 // Package parallel provides the bounded fan-out/fan-in primitives the
 // Cooper evaluation engine uses to spread independent work — pose
-// sensing, cooperative cases, figure generators, ray casting, detector
-// stages — across CPU cores while keeping outputs deterministic.
+// sensing, cooperative cases, episode frames, figure generators, ray
+// casting — across CPU cores while keeping outputs deterministic. The
+// SPOD detector is not among them: each pass runs on its caller's
+// goroutine, one pass per worker slot.
 //
 // Every primitive is ordered: work item i writes only slot i of its
 // result slice, so results are positionally identical to a sequential

@@ -22,7 +22,7 @@ func middleTensor(b *testing.B) (*SparseTensor, [3]float64) {
 	cloud = cloud.Filter(func(p pointcloud.Point) bool { return p.Range() <= 40 })
 	ground := cloud.EstimateGroundZ()
 	nonGround := cloud.RemoveGroundPlane(ground, 0.25)
-	grid := voxelize(nonGround, 0.2, 0.25, ground, 1, NewScratch())
+	grid := voxelize(nonGround, 0.2, 0.25, ground, NewScratch())
 	lo := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
 	hi := [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
 	for i := 0; i < nonGround.Len(); i++ {

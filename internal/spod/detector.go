@@ -50,10 +50,6 @@ type Config struct {
 	ScoreThreshold float64
 	// NMSIoU is the BEV IoU above which overlapping detections merge.
 	NMSIoU float64
-	// Workers bounds the goroutines used inside the pipeline's
-	// parallelizable stages (spherical projection, voxel feature build);
-	// < 1 selects one per CPU. Detections are identical at any count.
-	Workers int
 }
 
 // DefaultConfig returns the configuration used throughout the evaluation.
@@ -120,23 +116,23 @@ func CoopConfig(base Config, interVehicleDist float64) Config {
 // Config returns the detector's configuration.
 func (d *Detector) Config() Config { return d.cfg }
 
-// Detect runs the pipeline on a sensor-frame cloud and reports stage
-// instrumentation. A nil scratch borrows working memory from a shared
-// pool; a caller detecting in a loop holds one scratch per goroutine
-// (the scratch must not be used concurrently) and the pass then
-// allocates nothing in steady state outside the returned detections,
-// which are fresh and safe to retain.
+// Detect runs the pipeline on a sensor-frame cloud, on the caller's
+// goroutine, and reports stage instrumentation. A nil scratch borrows
+// working memory from a shared pool; a caller detecting in a loop holds
+// one scratch per goroutine (the scratch must not be used concurrently)
+// and the pass then allocates nothing in steady state outside the
+// returned detections, which are fresh and safe to retain.
 //
 // A non-empty remotes makes the pass the receive half of feature-level
 // fusion: stages 1–3 run on the receiver's own cloud, every remote site
 // is re-binned into the receiver's voxel coordinates through its
 // sender's alignment transform, and all tensors fuse by element-wise max
 // — the F-Cooper fusion rule, chosen because max is insensitive to
-// accumulation order and so keeps the pipeline byte-identical at any
-// worker count — before the proposal and fit stages. Remote sites also
-// contribute pseudo-points (one per site, at the transformed voxel
-// centre) so the anchor-fitting stage has geometry for cars only a
-// sender saw.
+// accumulation order, so the fused tensor is the same whichever order
+// the remotes arrive in — before the proposal and fit stages. Remote
+// sites also contribute pseudo-points (one per site, at the transformed
+// voxel centre) so the anchor-fitting stage has geometry for cars only
+// a sender saw.
 func (d *Detector) Detect(cloud *pointcloud.Cloud, remotes []RemoteFeatures, s *DetectorScratch) ([]Detection, Stats) {
 	if s == nil {
 		s = scratchPool.Get().(*DetectorScratch)
@@ -169,9 +165,7 @@ func (d *Detector) frontHalf(cloud *pointcloud.Cloud, s *DetectorScratch, st *St
 	t0 := nowWall()
 	work := cloud
 	if d.cfg.UseSpherical {
-		sph := d.cfg.Spherical
-		sph.Workers = d.cfg.Workers
-		work = projectSpherical(cloud, sph, s).ToCloudInto(s.workCloud())
+		work = projectSpherical(cloud, d.cfg.Spherical, s).ToCloudInto(s.workCloud())
 	} else if d.cfg.DedupVoxel > 0 {
 		work = cloud.VoxelDownsampleInto(s.workCloud(), d.cfg.DedupVoxel)
 	}
@@ -183,7 +177,7 @@ func (d *Detector) frontHalf(cloud *pointcloud.Cloud, s *DetectorScratch, st *St
 
 	// Stage 2 — voxel feature encoding.
 	t0 = nowWall()
-	grid := voxelize(nonGround, d.cfg.VoxelSizeXY, d.cfg.VoxelSizeZ, groundZ, d.cfg.Workers, s)
+	grid := voxelize(nonGround, d.cfg.VoxelSizeXY, d.cfg.VoxelSizeZ, groundZ, s)
 	st.VoxelCount = grid.OccupiedVoxels()
 	st.VoxelTime = sinceWall(t0)
 

@@ -35,11 +35,11 @@ type stageOutputs struct {
 
 // runStages executes voxelize → middle layers → BEV → proposals on a
 // fresh scratch, deep-copying every output so runs can be compared.
-func runStages(cloud *pointcloud.Cloud, cfg Config, workers int) stageOutputs {
+func runStages(cloud *pointcloud.Cloud, cfg Config) stageOutputs {
 	s := NewScratch()
 	groundZ := cloud.EstimateGroundZ()
 	nonGround := cloud.RemoveGroundPlane(groundZ, cfg.GroundTolerance)
-	grid := voxelize(nonGround, cfg.VoxelSizeXY, cfg.VoxelSizeZ, groundZ, workers, s)
+	grid := voxelize(nonGround, cfg.VoxelSizeXY, cfg.VoxelSizeZ, groundZ, s)
 	tensor, featA := toSparseTensor(grid, s.featA)
 	s.featA = featA
 	tensor = runMiddleLayers(tensor, cfg.MiddleLayers, s)
@@ -75,65 +75,54 @@ func runStages(cloud *pointcloud.Cloud, cfg Config, workers int) stageOutputs {
 // float accumulation bug (bev.go summed column objectness in map
 // iteration order; conv.go and voxel.go were one map-range away from the
 // same class): fifty fresh runs over a generated scenario must produce
-// byte-identical grids, features, BEV maps and proposal groupings, and
-// the parallel key build must match the sequential one.
+// byte-identical grids, features, BEV maps and proposal groupings.
 func TestStagesByteIdentical50x(t *testing.T) {
 	cloud := generatedFrameCloud(t)
 	cfg := DefaultConfig()
-	ref := runStages(cloud, cfg, 1)
+	ref := runStages(cloud, cfg)
 	if ref.grid.OccupiedVoxels() == 0 || ref.comps.Len() == 0 {
 		t.Fatalf("degenerate reference: %d voxels, %d proposals",
 			ref.grid.OccupiedVoxels(), ref.comps.Len())
 	}
 	for run := 0; run < 50; run++ {
-		workers := 1
-		if run%2 == 1 {
-			workers = 4 // alternate: workers must be invisible
-		}
-		got := runStages(cloud, cfg, workers)
+		got := runStages(cloud, cfg)
 		if !reflect.DeepEqual(got.grid, ref.grid) {
-			t.Fatalf("run %d (workers=%d): voxel grid differs", run, workers)
+			t.Fatalf("run %d: voxel grid differs", run)
 		}
 		if !reflect.DeepEqual(got.feats, ref.feats) {
-			t.Fatalf("run %d (workers=%d): convolved features differ", run, workers)
+			t.Fatalf("run %d: convolved features differ", run)
 		}
 		if !reflect.DeepEqual(got.bev, ref.bev) {
-			t.Fatalf("run %d (workers=%d): BEV map differs", run, workers)
+			t.Fatalf("run %d: BEV map differs", run)
 		}
 		if !reflect.DeepEqual(got.comps, ref.comps) {
-			t.Fatalf("run %d (workers=%d): proposal components differ", run, workers)
+			t.Fatalf("run %d: proposal components differ", run)
 		}
 	}
 }
 
 // TestDetectByteIdentical50x runs the full detector fifty times on a
-// generated scenario — alternating worker counts and cycling a reused
-// scratch against fresh ones — and requires identical detections every
-// time: scratch reuse must leave no state behind, and worker count must
-// be invisible.
+// generated scenario — cycling a reused scratch against fresh ones — and
+// requires identical detections every time: scratch reuse must leave no
+// state behind.
 func TestDetectByteIdentical50x(t *testing.T) {
 	cloud := generatedFrameCloud(t)
-	cfg := DefaultConfig()
-	cfg.Workers = 1
-	ref, _ := New(cfg).Detect(cloud, nil, nil)
+	det := New(DefaultConfig())
+	ref, _ := det.Detect(cloud, nil, nil)
 	if len(ref) == 0 {
 		t.Fatal("reference run found no cars; scenario too sparse for the stress test")
 	}
 	reused := NewScratch()
 	for run := 0; run < 50; run++ {
-		runCfg := cfg
-		if run%2 == 1 {
-			runCfg.Workers = 4
-		}
 		var got []Detection
 		if run%3 == 0 {
-			got, _ = New(runCfg).Detect(cloud, nil, reused)
+			got, _ = det.Detect(cloud, nil, reused)
 		} else {
-			got, _ = New(runCfg).Detect(cloud, nil, nil)
+			got, _ = det.Detect(cloud, nil, nil)
 		}
 		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("run %d (workers=%d, reused=%v): detections differ\n got: %v\nwant: %v",
-				run, runCfg.Workers, run%3 == 0, got, ref)
+			t.Fatalf("run %d (reused=%v): detections differ\n got: %v\nwant: %v",
+				run, run%3 == 0, got, ref)
 		}
 	}
 }
@@ -142,16 +131,11 @@ func TestDetectByteIdentical50x(t *testing.T) {
 // cooperative passes use: same guarantee, different preprocessing.
 func TestCoopDetectByteIdentical(t *testing.T) {
 	cloud := generatedFrameCloud(t)
-	cfg := CoopConfig(DefaultConfig(), 15)
-	cfg.Workers = 1
-	ref, _ := New(cfg).Detect(cloud, nil, nil)
+	det := New(CoopConfig(DefaultConfig(), 15))
+	ref, _ := det.Detect(cloud, nil, nil)
 	reused := NewScratch()
 	for run := 0; run < 10; run++ {
-		runCfg := cfg
-		if run%2 == 1 {
-			runCfg.Workers = 3
-		}
-		got, _ := New(runCfg).Detect(cloud, nil, reused)
+		got, _ := det.Detect(cloud, nil, reused)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("run %d: cooperative detections differ", run)
 		}

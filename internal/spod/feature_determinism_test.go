@@ -39,23 +39,21 @@ func featureStressSetup(t testing.TB) (receiver, sender *pointcloud.Cloud, tr ge
 // TestFeatureFuseByteIdentical50x is the feature backend's counterpart of
 // TestDetectByteIdentical50x: fifty full transmit→wire→fuse→detect rounds
 // — encode the sender's feature frame, serialise it, decode it at the
-// receiver and run feature-level cooperative detection — alternating
-// worker counts and cycling a reused scratch against fresh ones. Every
-// round must produce byte-identical wire frames and identical detections:
-// worker count, scratch reuse and encode order must all be invisible.
+// receiver and run feature-level cooperative detection — cycling a
+// reused scratch against fresh ones. Every round must produce
+// byte-identical wire frames and identical detections: scratch reuse and
+// encode order must both be invisible.
 func TestFeatureFuseByteIdentical50x(t *testing.T) {
 	receiverCloud, senderCloud, tr, dist := featureStressSetup(t)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
-	coopCfg := FeatureCoopConfig(cfg, dist)
-	coopCfg.Workers = 1
+	tx, rx := New(cfg), New(FeatureCoopConfig(cfg, dist))
 
-	refWire := New(cfg).EncodeFeatureFrame(senderCloud, nil).Encode()
+	refWire := tx.EncodeFeatureFrame(senderCloud, nil).Encode()
 	refFrame, err := DecodeFeatureFrame(refWire)
 	if err != nil {
 		t.Fatalf("reference wire frame does not decode: %v", err)
 	}
-	refDets, _ := New(coopCfg).Detect(receiverCloud,
+	refDets, _ := rx.Detect(receiverCloud,
 		[]RemoteFeatures{{Frame: refFrame, Transform: tr}}, nil)
 	if len(refDets) == 0 {
 		t.Fatal("reference fusion found no cars; scenario too sparse for the stress test")
@@ -64,29 +62,24 @@ func TestFeatureFuseByteIdentical50x(t *testing.T) {
 	reusedTx := NewScratch()
 	reusedRx := NewScratch()
 	for run := 0; run < 50; run++ {
-		txCfg, rxCfg := cfg, coopCfg
-		if run%2 == 1 {
-			txCfg.Workers = 4
-			rxCfg.Workers = 4
-		}
 		var txScratch, rxScratch *DetectorScratch
 		if run%3 == 0 {
 			txScratch, rxScratch = reusedTx, reusedRx
 		}
 
-		wire := New(txCfg).EncodeFeatureFrame(senderCloud, txScratch).Encode()
+		wire := tx.EncodeFeatureFrame(senderCloud, txScratch).Encode()
 		if !bytes.Equal(wire, refWire) {
-			t.Fatalf("run %d (workers=%d, reused=%v): wire frame differs", run, txCfg.Workers, run%3 == 0)
+			t.Fatalf("run %d (reused=%v): wire frame differs", run, run%3 == 0)
 		}
 		frame, err := DecodeFeatureFrame(wire)
 		if err != nil {
 			t.Fatalf("run %d: wire frame does not decode: %v", run, err)
 		}
-		dets, _ := New(rxCfg).Detect(receiverCloud,
+		dets, _ := rx.Detect(receiverCloud,
 			[]RemoteFeatures{{Frame: frame, Transform: tr}}, rxScratch)
 		if !reflect.DeepEqual(dets, refDets) {
-			t.Fatalf("run %d (workers=%d, reused=%v): fused detections differ\n got: %v\nwant: %v",
-				run, rxCfg.Workers, run%3 == 0, dets, refDets)
+			t.Fatalf("run %d (reused=%v): fused detections differ\n got: %v\nwant: %v",
+				run, run%3 == 0, dets, refDets)
 		}
 	}
 }
@@ -97,9 +90,7 @@ func TestFeatureFuseByteIdentical50x(t *testing.T) {
 func TestFeatureFusePayloadOrderInsensitive(t *testing.T) {
 	receiverCloud, senderCloud, tr, dist := featureStressSetup(t)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	coopCfg := FeatureCoopConfig(cfg, dist)
-	coopCfg.Workers = 1
 
 	frame := New(cfg).EncodeFeatureFrame(senderCloud, nil)
 	// A second, partial remote: the same sender trimmed to half its wire

@@ -24,7 +24,6 @@ import (
 type DetectorScratch struct {
 	// Stage 1 — preprocessing.
 	img       RangeImage
-	binned    []binnedEcho
 	work      *pointcloud.Cloud // projected / deduped cloud
 	nonGround *pointcloud.Cloud
 

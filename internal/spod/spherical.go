@@ -22,7 +22,6 @@ import (
 	"math/bits"
 
 	"cooper/internal/geom"
-	"cooper/internal/parallel"
 	"cooper/internal/pointcloud"
 )
 
@@ -75,11 +74,6 @@ type SphericalConfig struct {
 	InpaintGaps bool
 	// EchoGap is the minimum range separation for a second echo, metres.
 	EchoGap float64
-	// Workers bounds the goroutines used for the per-point projection
-	// math; < 1 selects one per CPU. Output is identical at any count:
-	// cell binning runs in parallel, echo insertion stays sequential in
-	// point order (insertion is order-sensitive).
-	Workers int
 }
 
 // DefaultSphericalConfig covers both HDL-64E and VLP-16 elevation ranges
@@ -94,13 +88,6 @@ func DefaultSphericalConfig() SphericalConfig {
 		InpaintGaps: true,
 		EchoGap:     1.0,
 	}
-}
-
-// binnedEcho stages one point's binned echo for the parallel projection
-// path; idx < 0 marks a point that fell outside the image.
-type binnedEcho struct {
-	e   echo
-	idx int32
 }
 
 // projectSpherical builds the range image inside the scratch's buffers:
@@ -118,45 +105,11 @@ func projectSpherical(c *pointcloud.Cloud, cfg SphericalConfig, s *DetectorScrat
 	img.MinEl, img.MaxEl = cfg.MinEl, cfg.MaxEl
 	img.elStep = (cfg.MaxEl - cfg.MinEl) / float64(cfg.Rows)
 	img.azStep = 2 * math.Pi / float64(cfg.Cols)
-	if parallel.Normalize(cfg.Workers) == 1 {
-		// Single-worker fast path: fused bin-and-insert with no staging
-		// buffer. The two-phase path below builds an identical image (see
-		// TestProjectSphericalWorkersIdentical).
-		for i := 0; i < c.Len(); i++ {
-			if e, idx, ok := img.bin(c.At(i), cfg); ok {
-				img.insert(idx, e, cfg.EchoGap)
-			}
-		}
-	} else {
-		// Phase 1 — the per-point trigonometry (range, elevation, azimuth,
-		// cell binning) is pure, so it fans out across point chunks; slot i
-		// holds point i's binned echo.
-		s.binned = grow(s.binned, c.Len())
-		binned := s.binned
-		const chunk = 4096
-		nChunks := (c.Len() + chunk - 1) / chunk
-		parallel.For(cfg.Workers, nChunks, func(ci int) {
-			lo, hi := ci*chunk, (ci+1)*chunk
-			if hi > c.Len() {
-				hi = c.Len()
-			}
-			for i := lo; i < hi; i++ {
-				e, idx, ok := img.bin(c.At(i), cfg)
-				if ok {
-					binned[i].e, binned[i].idx = e, int32(idx)
-				} else {
-					binned[i].idx = -1
-				}
-			}
-		})
-
-		// Phase 2 — echo insertion keeps near/far echoes whose selection
-		// depends on arrival order, so it replays sequentially in point
-		// order; the image is therefore byte-identical at any worker count.
-		for i := range binned {
-			if binned[i].idx >= 0 {
-				img.insert(int(binned[i].idx), binned[i].e, cfg.EchoGap)
-			}
+	// Bin and insert in one pass, in point order: which echoes a cell
+	// keeps depends on arrival order.
+	for i := 0; i < c.Len(); i++ {
+		if e, idx, ok := img.bin(c.At(i), cfg); ok {
+			img.insert(idx, e, cfg.EchoGap)
 		}
 	}
 	if cfg.InpaintGaps {
@@ -165,9 +118,8 @@ func projectSpherical(c *pointcloud.Cloud, cfg SphericalConfig, s *DetectorScrat
 	return img
 }
 
-// bin computes a point's range-image cell and echo — the pure per-point
-// work both projection paths share. Elevations outside [MinEl, MaxEl) are
-// dropped at both edges.
+// bin computes a point's range-image cell and echo. Elevations outside
+// [MinEl, MaxEl) are dropped at both edges.
 func (img *RangeImage) bin(p pointcloud.Point, cfg SphericalConfig) (echo, int, bool) {
 	r := p.Range()
 	if r == 0 {

@@ -213,9 +213,8 @@ func bandEdges(cfg SphericalConfig, rng *rand.Rand) *pointcloud.Cloud {
 
 // TestProjectSphericalMatchesReference pins the range image — insertion,
 // inpainting, Occupied and the reconstructed cloud — bit for bit to the
-// pre-bitmap projection, at one worker and on the two-phase parallel
-// path, with one scratch reused across every frame and image size so
-// stale echoes from earlier frames sit under clear bits.
+// pre-bitmap projection, with one scratch reused across every frame and
+// image size so stale echoes from earlier frames sit under clear bits.
 func TestProjectSphericalMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	def := DefaultSphericalConfig()
@@ -245,24 +244,22 @@ func TestProjectSphericalMatchesReference(t *testing.T) {
 		{"noisy again", def, noisy},
 	}
 	s := NewScratch()
-	for _, workers := range []int{1, 4} {
-		for _, inpaint := range []bool{false, true} {
-			for _, f := range frames {
-				cfg := f.cfg
-				cfg.Workers, cfg.InpaintGaps = workers, inpaint
-				want := refProjectSpherical(f.cloud, cfg)
-				img := projectSpherical(f.cloud, cfg, s)
-				if got, ref := img.occupied(), want.occupied(); got != ref {
-					t.Fatalf("%s (workers %d, inpaint %v): Occupied %d, reference %d", f.name, workers, inpaint, got, ref)
-				}
-				got, ref := img.toCloud(), want.toCloud()
-				if !sameBits(got.Points(), ref.Points()) {
-					t.Fatalf("%s (workers %d, inpaint %v): cloud of %d points differs from the reference's %d",
-						f.name, workers, inpaint, got.Len(), ref.Len())
-				}
-				if dst := img.ToCloudInto(pointcloud.New(0)); !sameBits(dst.Points(), ref.Points()) {
-					t.Fatalf("%s (workers %d, inpaint %v): ToCloudInto differs from the reference", f.name, workers, inpaint)
-				}
+	for _, inpaint := range []bool{false, true} {
+		for _, f := range frames {
+			cfg := f.cfg
+			cfg.InpaintGaps = inpaint
+			want := refProjectSpherical(f.cloud, cfg)
+			img := projectSpherical(f.cloud, cfg, s)
+			if got, ref := img.occupied(), want.occupied(); got != ref {
+				t.Fatalf("%s (inpaint %v): Occupied %d, reference %d", f.name, inpaint, got, ref)
+			}
+			got, ref := img.toCloud(), want.toCloud()
+			if !sameBits(got.Points(), ref.Points()) {
+				t.Fatalf("%s (inpaint %v): cloud of %d points differs from the reference's %d",
+					f.name, inpaint, got.Len(), ref.Len())
+			}
+			if dst := img.ToCloudInto(pointcloud.New(0)); !sameBits(dst.Points(), ref.Points()) {
+				t.Fatalf("%s (inpaint %v): ToCloudInto differs from the reference", f.name, inpaint)
 			}
 		}
 	}

@@ -12,8 +12,8 @@ import (
 
 // voxelizeFresh runs the voxel stage into a fresh scratch, so the grid
 // outlives later calls.
-func voxelizeFresh(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64, workers int) *VoxelGrid {
-	return voxelize(c, sizeXY, sizeZ, groundZ, workers, NewScratch())
+func voxelizeFresh(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64) *VoxelGrid {
+	return voxelize(c, sizeXY, sizeZ, groundZ, NewScratch())
 }
 
 // feature returns the feature of the voxel at k, if occupied.

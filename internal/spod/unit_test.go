@@ -16,7 +16,7 @@ func TestVoxelizeFeatures(t *testing.T) {
 		{X: 0.15, Y: 0.05, Z: 0.3, Reflectance: 0.6},
 		{X: 5, Y: 5, Z: 1, Reflectance: 1.0},
 	})
-	g := voxelizeFresh(c, 0.2, 0.5, 0, 1)
+	g := voxelizeFresh(c, 0.2, 0.5, 0)
 	if g.OccupiedVoxels() != 2 {
 		t.Fatalf("occupied = %d, want 2", g.OccupiedVoxels())
 	}
@@ -43,7 +43,7 @@ func TestVoxelizeFeatures(t *testing.T) {
 
 func TestVoxelizeGroundRelativeHeights(t *testing.T) {
 	c := pointcloud.FromPoints([]pointcloud.Point{{X: 0, Y: 0, Z: -1.5}})
-	g := voxelizeFresh(c, 0.2, 0.25, -1.73, 1)
+	g := voxelizeFresh(c, 0.2, 0.25, -1.73)
 	for _, f := range g.Feats {
 		if math.Abs(f.MeanZ-0.23) > 1e-9 {
 			t.Errorf("ground-relative meanZ = %v, want 0.23", f.MeanZ)
@@ -56,7 +56,7 @@ func TestVoxelizeColumnPoints(t *testing.T) {
 		{X: 0.1, Y: 0.1, Z: 0.1},
 		{X: 0.1, Y: 0.1, Z: 2.0}, // same column, different z voxel
 	})
-	g := voxelizeFresh(c, 0.2, 0.25, 0, 1)
+	g := voxelizeFresh(c, 0.2, 0.25, 0)
 	if got := len(g.ColumnPoints(0, 0)); got != 2 {
 		t.Errorf("column points = %d, want 2", got)
 	}

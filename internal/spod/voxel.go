@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 
-	"cooper/internal/parallel"
 	"cooper/internal/pointcloud"
 )
 
@@ -76,12 +75,10 @@ type voxAcc struct {
 // voxelize encodes a cloud into the sparse voxel grid, built inside the
 // scratch's buffers: the returned grid is &s.grid, valid until the
 // scratch's next frame. Points are assumed ground-removed; groundZ
-// anchors the height features. The per-point voxel-key computation fans
-// out over at most workers goroutines (< 1 selects one per CPU). Points
-// are then grouped by column with a stable counting sort, so every voxel
-// accumulates its features in cloud point order — floating-point sums
-// are order-sensitive — and the grid is identical at any worker count.
-func voxelize(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64, workers int, s *DetectorScratch) *VoxelGrid {
+// anchors the height features. Points are grouped by column with a
+// stable counting sort, so every voxel accumulates its features in cloud
+// point order — floating-point sums are order-sensitive.
+func voxelize(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64, s *DetectorScratch) *VoxelGrid {
 	g := &s.grid
 	g.SizeXY, g.SizeZ, g.GroundZ = sizeXY, sizeZ, groundZ
 	g.Cols = g.Cols[:0]
@@ -95,34 +92,17 @@ func voxelize(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64, workers int, 
 	if n == 0 {
 		return g
 	}
-	entry := func(i int) voxEntry {
-		p := c.At(i)
-		return voxEntry{
-			x:   int32(math.Floor(p.X / sizeXY)),
-			y:   int32(math.Floor(p.Y / sizeXY)),
-			z:   int32(math.Floor((p.Z - groundZ) / sizeZ)),
-			idx: int32(i),
-		}
-	}
 	// One allocation holds the entry table and the column sort's second
 	// buffer.
 	s.entries = grow(s.entries, 2*n)
 	entries := s.entries[:n]
-	if parallel.Normalize(workers) > 1 {
-		const chunk = 8192
-		nChunks := (n + chunk - 1) / chunk
-		parallel.For(workers, nChunks, func(ci int) {
-			lo, hi := ci*chunk, (ci+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				entries[i] = entry(i)
-			}
-		})
-	} else {
-		for i := 0; i < n; i++ {
-			entries[i] = entry(i)
+	for i := range entries {
+		p := c.At(i)
+		entries[i] = voxEntry{
+			x:   int32(math.Floor(p.X / sizeXY)),
+			y:   int32(math.Floor(p.Y / sizeXY)),
+			z:   int32(math.Floor((p.Z - groundZ) / sizeZ)),
+			idx: int32(i),
 		}
 	}
 	// Group by column, keeping cloud point order within each column: the

@@ -97,7 +97,7 @@ func spreadCloud(rng *rand.Rand, n int, half float64) *pointcloud.Cloud {
 
 // TestVoxelizeMatchesReference pins the counting-sort grid build bit for
 // bit to the comparison-sort one, on one scratch reused across frames of
-// different sizes, at one worker and on the parallel key path. The
+// different sizes. The
 // frames span one column, the usual two digit passes, three passes
 // (±2 km at 0.2 m voxels, a key span near 4·10^8) and six (coordinates
 // at the int32 voxel-index extremes), with many points per column so an
@@ -127,14 +127,12 @@ func TestVoxelizeMatchesReference(t *testing.T) {
 		{"noisy again", noisy},
 	}
 	s := NewScratch()
-	for _, workers := range []int{1, 4} {
-		for _, f := range frames {
-			want := refVoxelize(f.cloud, 0.2, 0.25, -1.73)
-			got := voxelize(f.cloud, 0.2, 0.25, -1.73, workers, s)
-			if !sameBits(*got, want) {
-				t.Fatalf("%s (workers %d): grid of %d columns differs from the reference's %d",
-					f.name, workers, len(got.Cols), len(want.Cols))
-			}
+	for _, f := range frames {
+		want := refVoxelize(f.cloud, 0.2, 0.25, -1.73)
+		got := voxelize(f.cloud, 0.2, 0.25, -1.73, s)
+		if !sameBits(*got, want) {
+			t.Fatalf("%s: grid of %d columns differs from the reference's %d",
+				f.name, len(got.Cols), len(want.Cols))
 		}
 	}
 }

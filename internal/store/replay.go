@@ -60,9 +60,6 @@ func detectorFor(r Round) spod.Config {
 	if r.MaxRange != 0 {
 		cfg.MaxDetectionRange = r.MaxRange
 	}
-	// Pinning the detector to one goroutine removes any dependence on
-	// the host's core count; producers fan out across rounds instead.
-	cfg.Workers = 1
 	return cfg
 }
 
