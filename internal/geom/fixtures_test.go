@@ -176,3 +176,14 @@ func det(m Mat3) float64 {
 		m[0][1]*(m[1][0]*m[2][2]-m[1][2]*m[2][0]) +
 		m[0][2]*(m[1][0]*m[2][1]-m[1][1]*m[2][0])
 }
+
+// IntersectConvex returns the intersection of two convex counterclockwise
+// polygons by Sutherland–Hodgman clipping, the loop IntersectionAreaBEV
+// runs on its fixed buffers.
+func IntersectConvex(subject, clip Polygon) Polygon {
+	out := subject
+	for i := 0; i < len(clip) && len(out) > 0; i++ {
+		out = clipAgainstEdge(nil, out, clip[i], clip[(i+1)%len(clip)])
+	}
+	return out
+}

@@ -1,5 +1,7 @@
 package geom
 
+import "slices"
+
 // Polygon is a simple 2D polygon with vertices in counterclockwise order.
 type Polygon []Vec2
 
@@ -20,13 +22,11 @@ func (p Polygon) Area() float64 {
 	return sum / 2
 }
 
-// clipAgainstEdge clips the subject polygon by the half-plane to the left
-// of the directed edge a→b (Sutherland–Hodgman step). The clip polygon must
-// be convex and counterclockwise for the full algorithm to be correct.
-func clipAgainstEdge(subject Polygon, a, b Vec2) Polygon {
-	if len(subject) == 0 {
-		return nil
-	}
+// clipAgainstEdge appends to dst the subject polygon clipped by the
+// half-plane to the left of the directed edge a→b (Sutherland–Hodgman
+// step), and returns the extended dst. The clip polygon must be convex
+// and counterclockwise for the full algorithm to be correct.
+func clipAgainstEdge(dst, subject Polygon, a, b Vec2) Polygon {
 	edge := b.Sub(a)
 	inside := func(p Vec2) bool { return edge.Cross(p.Sub(a)) >= 0 }
 	intersect := func(p, q Vec2) Vec2 {
@@ -40,7 +40,7 @@ func clipAgainstEdge(subject Polygon, a, b Vec2) Polygon {
 		return p.Add(d.Scale(t))
 	}
 
-	out := make(Polygon, 0, len(subject)+4)
+	out := dst
 	for i := 0; i < len(subject); i++ {
 		cur := subject[i]
 		prev := subject[(i+len(subject)-1)%len(subject)]
@@ -57,31 +57,16 @@ func clipAgainstEdge(subject Polygon, a, b Vec2) Polygon {
 	return out
 }
 
-// IntersectConvex returns the intersection of two convex counterclockwise
-// polygons using Sutherland–Hodgman clipping.
-func IntersectConvex(subject, clip Polygon) Polygon {
-	out := subject
-	for i := 0; i < len(clip) && len(out) > 0; i++ {
-		a := clip[i]
-		b := clip[(i+1)%len(clip)]
-		out = clipAgainstEdge(out, a, b)
-	}
-	return out
-}
-
-// ensureCCW returns the polygon with counterclockwise winding.
-func ensureCCW(p Polygon) Polygon {
+// makeCCW gives p counterclockwise winding, reversing it in place unless
+// its signed area is non-negative (a NaN area reverses it too).
+func makeCCW(p Polygon) {
 	sum := 0.0
 	for i := 0; i < len(p); i++ {
 		j := (i + 1) % len(p)
 		sum += p[i].Cross(p[j])
 	}
 	if sum >= 0 {
-		return p
+		return
 	}
-	rev := make(Polygon, len(p))
-	for i, v := range p {
-		rev[len(p)-1-i] = v
-	}
-	return rev
+	slices.Reverse(p)
 }

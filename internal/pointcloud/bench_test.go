@@ -177,15 +177,17 @@ func mergedViews(perView int, seed int64) *Cloud {
 // BenchmarkVoxelDownsample is the merged-cloud dedup that dominates the
 // spod.preprocess span of a cooperative detection: one op deduplicates a
 // ~110k-point four-view merge at the cooperative detector's 0.10 m
-// dedup voxel into a reused destination.
+// dedup voxel into a reused destination with a reused VoxelScratch, as
+// the detector's scratch holds one.
 func BenchmarkVoxelDownsample(b *testing.B) {
 	c := mergedViews(27500, 5)
 	dst := GetCloud()
 	defer PutCloud(dst)
+	var s VoxelScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.VoxelDownsampleInto(dst, 0.10)
+		c.VoxelDownsampleInto(dst, 0.10, &s)
 	}
 	b.ReportMetric(float64(dst.Len()), "voxels")
 }

@@ -3,7 +3,6 @@ package pointcloud
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // VoxelKey identifies a voxel cell by integer grid coordinates.
@@ -121,14 +120,15 @@ type voxelAcc struct {
 	n          int
 }
 
-// voxelScratch is VoxelDownsampleInto's per-call working set, recycled
-// across frames through voxelPool.
-type voxelScratch struct {
+// VoxelScratch is VoxelDownsampleInto's working set: the voxel table and
+// the per-voxel accumulators. Both grow to the largest cloud they have
+// seen and are then reused, so a caller that downsamples in a loop holds
+// one scratch and allocates nothing per frame. The zero value is ready
+// for use; a scratch serves one call at a time.
+type VoxelScratch struct {
 	tab  voxelTable
 	accs []voxelAcc
 }
-
-var voxelPool = sync.Pool{New: func() any { return new(voxelScratch) }}
 
 // VoxelDownsampleInto writes into dst (reset first; dst may be c) a
 // cloud with at most one point per voxel of the given edge length: the
@@ -137,17 +137,15 @@ var voxelPool = sync.Pool{New: func() any { return new(voxelScratch) }}
 // bound detector input size regardless of how many vehicles
 // contributed. Voxels appear in first-point order and each accumulates
 // its centroid in cloud point order, so the output is deterministic: the
-// voxel table only numbers the voxels and is never iterated. The table
-// and the accumulators come from a package pool, so a steady-state caller
-// that reuses dst allocates nothing.
-func (c *Cloud) VoxelDownsampleInto(dst *Cloud, voxelSize float64) *Cloud {
+// voxel table only numbers the voxels and is never iterated. s holds the
+// table and the accumulators, so a steady-state caller that reuses s and
+// dst allocates nothing.
+func (c *Cloud) VoxelDownsampleInto(dst *Cloud, voxelSize float64, s *VoxelScratch) *Cloud {
 	if voxelSize <= 0 || c.Len() == 0 {
 		src := c.pts
 		dst.pts = append(dst.pts[:0], src...)
 		return dst
 	}
-	s := voxelPool.Get().(*voxelScratch)
-	defer voxelPool.Put(s)
 	s.tab.reset(len(c.pts))
 	accs := s.accs[:0]
 	for _, p := range c.pts {

@@ -91,23 +91,23 @@ func TestVoxelDownsampleMatchesMapReference(t *testing.T) {
 			for _, n := range []int{1, 7, 300, 4000} {
 				c := voxelRefCloud(n, 40, voxel, seed)
 				want := mapVoxelDownsampleInto(c, &Cloud{}, voxel)
-				sameBits(t, "fresh dst", c.VoxelDownsampleInto(&Cloud{}, voxel), want)
+				sameBits(t, "fresh dst", c.VoxelDownsampleInto(&Cloud{}, voxel, new(VoxelScratch)), want)
 				in := c.Clone()
-				sameBits(t, "dst == c", in.VoxelDownsampleInto(in, voxel), want)
+				sameBits(t, "dst == c", in.VoxelDownsampleInto(in, voxel, new(VoxelScratch)), want)
 			}
 		}
 	}
 }
 
 // TestVoxelDownsampleReuseMatchesMapReference runs one destination and
-// the pooled voxel table through a shrinking and then a growing cloud, so
-// a slot or an accumulator left over from a larger frame would show.
+// one VoxelScratch through a shrinking and then a growing cloud, so a
+// slot or an accumulator left over from a larger frame would show.
 func TestVoxelDownsampleReuseMatchesMapReference(t *testing.T) {
-	dst := &Cloud{}
+	dst, s := &Cloud{}, &VoxelScratch{}
 	for i, n := range []int{20000, 5000, 300, 2, 300, 5000, 30000} {
 		c := voxelRefCloud(n, 60, 0.1, int64(100+i))
 		want := mapVoxelDownsampleInto(c, &Cloud{}, 0.1)
-		sameBits(t, "reused dst", c.VoxelDownsampleInto(dst, 0.1), want)
+		sameBits(t, "reused dst", c.VoxelDownsampleInto(dst, 0.1, s), want)
 	}
 }
 

@@ -19,7 +19,7 @@ func TestVoxelDownsampleMergesCell(t *testing.T) {
 		{X: 0.3, Y: 0.3, Z: 0.3, Reflectance: 0.6},
 		{X: 5, Y: 5, Z: 5, Reflectance: 1},
 	})
-	got := c.VoxelDownsampleInto(&Cloud{}, 1.0)
+	got := c.VoxelDownsampleInto(&Cloud{}, 1.0, new(VoxelScratch))
 	if got.Len() != 2 {
 		t.Fatalf("downsample len = %d, want 2", got.Len())
 	}
@@ -32,8 +32,8 @@ func TestVoxelDownsampleMergesCell(t *testing.T) {
 
 func TestVoxelDownsampleIdempotent(t *testing.T) {
 	c := randomCloud(500, 20)
-	once := c.VoxelDownsampleInto(&Cloud{}, 0.5)
-	twice := once.VoxelDownsampleInto(&Cloud{}, 0.5)
+	once := c.VoxelDownsampleInto(&Cloud{}, 0.5, new(VoxelScratch))
+	twice := once.VoxelDownsampleInto(&Cloud{}, 0.5, new(VoxelScratch))
 	// Downsampling an already-downsampled cloud at the same size cannot
 	// reduce further unless centroids hop cells; allow a tiny slack.
 	if twice.Len() < once.Len()*95/100 {
@@ -44,7 +44,7 @@ func TestVoxelDownsampleIdempotent(t *testing.T) {
 func TestVoxelDownsampleNeverGrows(t *testing.T) {
 	f := func(seed int64) bool {
 		c := randomCloud(200, seed)
-		return c.VoxelDownsampleInto(&Cloud{}, 0.3).Len() <= c.Len()
+		return c.VoxelDownsampleInto(&Cloud{}, 0.3, new(VoxelScratch)).Len() <= c.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -53,7 +53,7 @@ func TestVoxelDownsampleNeverGrows(t *testing.T) {
 
 func TestVoxelDownsampleNonPositiveSize(t *testing.T) {
 	c := randomCloud(10, 1)
-	got := c.VoxelDownsampleInto(&Cloud{}, 0)
+	got := c.VoxelDownsampleInto(&Cloud{}, 0, new(VoxelScratch))
 	if got.Len() != c.Len() {
 		t.Error("size<=0 should clone")
 	}
@@ -65,8 +65,8 @@ func TestVoxelDownsampleBoundsDetectorInput(t *testing.T) {
 	// detector latency flat as more vehicles contribute (Fig. 9).
 	base := randomCloud(1000, 30)
 	merged := base.Merge(base.Clone(), base.Clone(), base.Clone())
-	ds := merged.VoxelDownsampleInto(&Cloud{}, 0.4)
-	single := base.VoxelDownsampleInto(&Cloud{}, 0.4)
+	ds := merged.VoxelDownsampleInto(&Cloud{}, 0.4, new(VoxelScratch))
+	single := base.VoxelDownsampleInto(&Cloud{}, 0.4, new(VoxelScratch))
 	if ds.Len() > single.Len()*110/100 {
 		t.Errorf("downsampled merge has %d voxels, single scan %d", ds.Len(), single.Len())
 	}

@@ -36,12 +36,18 @@ func BenchmarkDetectFrame(b *testing.B) {
 	}
 }
 
+// twoViewMerge is a cooperative frame: two vehicles' views of a street,
+// sharing one car, merged into one cloud.
+func twoViewMerge() *pointcloud.Cloud {
+	viewA := sceneWithCars(5, 60, [3]float64{18, 2, 0.3}, [3]float64{9, -5, 1.1})
+	viewB := sceneWithCars(6, 60, [3]float64{18, 2, 0.3}, [3]float64{30, 4, 0.0})
+	return viewA.Merge(viewB)
+}
+
 // BenchmarkDetectFrameCoop measures the cooperative-merge configuration
 // (voxel dedup instead of spherical reprojection) on a two-view merge.
 func BenchmarkDetectFrameCoop(b *testing.B) {
-	viewA := sceneWithCars(5, 60, [3]float64{18, 2, 0.3}, [3]float64{9, -5, 1.1})
-	viewB := sceneWithCars(6, 60, [3]float64{18, 2, 0.3}, [3]float64{30, 4, 0.0})
-	merged := viewA.Merge(viewB)
+	merged := twoViewMerge()
 	det := New(CoopConfig(DefaultConfig(), 10))
 	s := warmScratch(det, merged)
 	b.ReportAllocs()

@@ -167,7 +167,7 @@ func (d *Detector) frontHalf(cloud *pointcloud.Cloud, s *DetectorScratch, st *St
 	if d.cfg.UseSpherical {
 		work = projectSpherical(cloud, d.cfg.Spherical, s).ToCloudInto(s.workCloud())
 	} else if d.cfg.DedupVoxel > 0 {
-		work = cloud.VoxelDownsampleInto(s.workCloud(), d.cfg.DedupVoxel)
+		work = cloud.VoxelDownsampleInto(s.workCloud(), d.cfg.DedupVoxel, &s.dedup)
 	}
 	st.ProjectedPoints = work.Len()
 	groundZ := work.EstimateGroundZ()

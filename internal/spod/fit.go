@@ -72,10 +72,10 @@ func (cp clusterPoints) len() int { return len(cp.xs) }
 
 // clusterPart is a cluster ready for anchor fitting: its points and,
 // when already searched, their L-shape yaw (minAreaYaw). splitCluster
-// hands back a cluster it leaves whole with the yaw its split test
-// searched; tiled parts and fragment-merge unions carry none, and
-// bestCandidate searches theirs only once the part passes the yaw-free
-// gate.
+// hands back a cluster its split test searched and left whole with that
+// yaw; clusters too small to tile, tiled parts and fragment-merge unions
+// carry none, and bestCandidate searches theirs only once the part
+// passes the yaw-free gate.
 type clusterPart struct {
 	clusterPoints
 	yaw    float64
@@ -183,6 +183,24 @@ func (cp clusterPoints) extents(yaw float64) (float64, float64) {
 		hi = math.Max(hi, v)
 	}
 	return lo, hi
+}
+
+// bevDiagonal returns the diagonal of the cluster's BEV bounding box plus
+// a rounding margin, an upper bound on the spread hi−lo that extents
+// returns at any yaw. Rounding moves the two ends of a projected spread
+// c·x+s·y by at most 8·2⁻⁵³ of the coordinates' magnitude, and the
+// diagonal itself by a few ulps; the 2⁻⁴⁴ margin covers both at least 64
+// times over. A NaN or infinite coordinate makes the bound NaN or +Inf,
+// which passes no threshold.
+func (cp clusterPoints) bevDiagonal() float64 {
+	loX, hiX := math.Inf(1), math.Inf(-1)
+	loY, hiY := math.Inf(1), math.Inf(-1)
+	for i := range cp.xs {
+		loX, hiX = min(loX, cp.xs[i]), max(hiX, cp.xs[i])
+		loY, hiY = min(loY, cp.ys[i]), max(hiY, cp.ys[i])
+	}
+	mag := max(-loX, hiX, -loY, hiY)
+	return math.Hypot(hiX-loX, hiY-loY) + 0x1p-44*(1+mag)
 }
 
 // partProfile is a part's yaw-free evidence: its height range and the
@@ -330,11 +348,17 @@ func fitAtYaw(cp clusterPoints, yaw float64, pr partProfile, groundZ float64, se
 // splitCluster tiles an oversized cluster along its principal axis into
 // car-length bins and returns the per-bin point subsets. Queued or
 // bumper-to-bumper vehicles form one connected proposal; tiling lets the
-// anchors separate them. The split test needs the whole cluster's
-// L-shape yaw, so a cluster that stays whole keeps it; tiled parts carry
-// no yaw, since most of them (wall and building bins) fail the yaw-free
-// gate and never need one.
+// anchors separate them. A cluster whose BEV diagonal bounds every
+// fitted extent within the split threshold is returned whole before any
+// yaw search. Otherwise the split test needs the whole cluster's L-shape
+// yaw, so a cluster that stays whole keeps it; tiled parts carry no yaw,
+// since most of them (wall and building bins) fail the yaw-free gate and
+// never need one.
 func splitCluster(cp clusterPoints) []clusterPart {
+	const maxWhole = anchorLength * 1.3
+	if cp.bevDiagonal() <= maxWhole {
+		return []clusterPart{{clusterPoints: cp}}
+	}
 	whole := clusterPart{clusterPoints: cp, yaw: cp.minAreaYaw(), hasYaw: true}
 	yaw := whole.yaw
 	if loA, hiA := cp.extents(yaw); true {
@@ -345,7 +369,7 @@ func splitCluster(cp clusterPoints) []clusterPart {
 	}
 	lo, hi := cp.extents(yaw)
 	extent := hi - lo
-	if extent <= anchorLength*1.3 {
+	if extent <= maxWhole {
 		return []clusterPart{whole}
 	}
 	bins := int(math.Ceil(extent / (anchorLength * 1.15)))

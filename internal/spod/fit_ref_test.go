@@ -209,19 +209,26 @@ func refBestCandidate(cfg Config, cp clusterPoints, groundZ float64) (scoredCand
 	return best, best.score >= 0
 }
 
-func refSplitCluster(cp clusterPoints) []clusterPoints {
-	yaw := refMinAreaYaw(cp)
+// refSplitTest is the reference split test: the axis a cluster tiles
+// along, its low end and extent there, and the bin count, which is below
+// 2 for a cluster left whole.
+func refSplitTest(cp clusterPoints) (yaw, lo, extent float64, bins int) {
+	yaw = refMinAreaYaw(cp)
 	if loA, hiA := refExtents(cp, yaw); true {
 		if loB, hiB := refExtents(cp, yaw+math.Pi/2); (hiB - loB) > (hiA - loA) {
 			yaw += math.Pi / 2
 		}
 	}
 	lo, hi := refExtents(cp, yaw)
-	extent := hi - lo
+	extent = hi - lo
 	if extent <= anchorLength*1.3 {
-		return []clusterPoints{cp}
+		return yaw, lo, extent, 1
 	}
-	bins := int(math.Ceil(extent / (anchorLength * 1.15)))
+	return yaw, lo, extent, int(math.Ceil(extent / (anchorLength * 1.15)))
+}
+
+func refSplitCluster(cp clusterPoints) []clusterPoints {
+	yaw, lo, extent, bins := refSplitTest(cp)
 	if bins < 2 {
 		return []clusterPoints{cp}
 	}
@@ -448,8 +455,8 @@ func TestFitMatchesReference(t *testing.T) {
 // gate ahead of the lazy yaw search, then the anchor fits and the
 // dimension gate — bit for bit to the pre-change selection, which searched
 // every part's yaw and applied one class gate to each fitted candidate.
-// Whole clusters are checked both with splitCluster's yaw and lazily, as
-// a fragment-merge union arrives.
+// Whole clusters are checked both as splitCluster returns them and
+// lazily, as a fragment-merge union arrives.
 func TestBestCandidateMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	narrow := DefaultConfig()
@@ -497,5 +504,164 @@ func TestBestCandidateMatchesReference(t *testing.T) {
 	if truncated == 0 || tall == 0 || low == 0 || tiledGated == 0 || kept == 0 {
 		t.Fatalf("regimes covered: %d truncated, %d tall, %d low, %d tiled parts gated, %d kept; want each",
 			truncated, tall, low, tiledGated, kept)
+	}
+}
+
+// alwaysSearchSplitCluster is splitCluster as it stood before a cluster
+// too small to tile skipped the whole-cluster yaw search: it searches
+// every cluster's yaw for the split test, and a cluster left whole keeps
+// it.
+func alwaysSearchSplitCluster(cp clusterPoints) []clusterPart {
+	if _, _, _, bins := refSplitTest(cp); bins < 2 {
+		return []clusterPart{{clusterPoints: cp, yaw: cp.minAreaYaw(), hasYaw: true}}
+	}
+	var parts []clusterPart
+	for _, b := range refSplitCluster(cp) {
+		parts = append(parts, clusterPart{clusterPoints: b})
+	}
+	return parts
+}
+
+// rawBEVDiagonal is the diagonal of a cluster's BEV bounding box, with no
+// rounding margin.
+func rawBEVDiagonal(cp clusterPoints) float64 {
+	loX, hiX := math.Inf(1), math.Inf(-1)
+	loY, hiY := math.Inf(1), math.Inf(-1)
+	for i := range cp.xs {
+		loX, hiX = math.Min(loX, cp.xs[i]), math.Max(hiX, cp.xs[i])
+		loY, hiY = math.Min(loY, cp.ys[i]), math.Max(hiY, cp.ys[i])
+	}
+	return math.Hypot(hiX-loX, hiY-loY)
+}
+
+// splitThresholdClusters returns clusters whose BEV diagonal sits just
+// below, at and just above the split threshold 1.3 × anchorLength, near
+// the origin and far from it: straight runs of points at each of the yaw
+// search's orientations (their fitted extent is the diagonal itself, up
+// to rounding), rectangles with their four corners occupied, and
+// car-sized clusters carrying NaN or ±Inf coordinates.
+func splitThresholdClusters(rng *rand.Rand) []clusterPoints {
+	thr := anchorLength * 1.3
+	var out []clusterPoints
+	for _, at := range []geom.Vec2{{}, {X: 12, Y: -7}, {X: 1e3, Y: 700}, {X: -3e5, Y: 2e5}, {X: 1e7, Y: -7e6}} {
+		// Offsets a few ulps of the coordinates either side of the
+		// threshold, then millimetres and centimetres.
+		ulp := math.Nextafter(math.Abs(at.X)+thr, math.Inf(1)) - (math.Abs(at.X) + thr)
+		for _, d := range []float64{-0.05, -1e-3, -4 * ulp, -ulp, 0, ulp, 4 * ulp, 1e-3, 0.05} {
+			l := thr + d
+			for k := 0; k < 60; k += 3 {
+				yaw := float64(k) * (math.Pi / 2) / 60
+				c, s := math.Cos(yaw), math.Sin(yaw)
+				var cp clusterPoints
+				const n = 24
+				for i := 0; i < n; i++ {
+					t := l * float64(i) / (n - 1)
+					cp.xs = append(cp.xs, at.X+c*t)
+					cp.ys = append(cp.ys, at.Y+s*t)
+					cp.zs = append(cp.zs, -1.7+1.5*float64(i%5)/4)
+				}
+				out = append(out, cp)
+			}
+			for _, aspect := range []float64{0.3, 0.41} {
+				w := l * aspect / math.Hypot(1, aspect)
+				ln := math.Sqrt(l*l - w*w)
+				var cp clusterPoints
+				for i := 0; i < 80; i++ {
+					lx, ly := rng.Float64()*ln, rng.Float64()*w
+					if i < 4 {
+						lx, ly = ln*float64(i&1), w*float64(i>>1)
+					}
+					cp.xs = append(cp.xs, at.X+lx)
+					cp.ys = append(cp.ys, at.Y+ly)
+					cp.zs = append(cp.zs, -1.7+rng.Float64()*1.5)
+				}
+				out = append(out, cp)
+			}
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, l := range []float64{2, thr - 1e-3, thr + 1e-3, 8} {
+			for ax := 0; ax < 2; ax++ {
+				var cp clusterPoints
+				for i := 0; i < 30; i++ {
+					cp.xs = append(cp.xs, 5+l*float64(i)/29)
+					cp.ys = append(cp.ys, 3+0.5*rng.Float64())
+					cp.zs = append(cp.zs, -1.7+rng.Float64()*1.5)
+				}
+				[][]float64{cp.xs, cp.ys}[ax][7] = v
+				out = append(out, cp)
+			}
+		}
+	}
+	return out
+}
+
+// TestDeferredYawMatchesAlwaysSearch pins splitCluster and bestCandidate,
+// bit for bit, to a split that searches every cluster's yaw up front:
+// the same parts, the same yaw for each, and the same best candidate
+// under each detector configuration and ground height. A cluster whose
+// bounding-box diagonal stays under the split threshold is returned
+// whole carrying no yaw, so bestCandidate gates it before any search.
+func TestDeferredYawMatchesAlwaysSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	narrow := DefaultConfig()
+	narrow.VerticalFOVTop = geom.Deg2Rad(2)
+	dets := []*Detector{NewDefault(), New(CoopConfig(DefaultConfig(), 10)), New(narrow)}
+	thr := anchorLength * 1.3
+	clusters := append(splitThresholdClusters(rng), fitTestClusters(rng)...)
+	var deferred, roundedPast, tiledNear, nonFinite, kept int
+	for ci, cp := range clusters {
+		parts, want := splitCluster(cp), alwaysSearchSplitCluster(cp)
+		diag := rawBEVDiagonal(cp)
+		if len(parts) != len(want) {
+			t.Fatalf("cluster %d (diagonal %v): %d parts, always-search %d", ci, diag, len(parts), len(want))
+		}
+		switch {
+		case math.IsNaN(diag) || math.IsInf(diag, 0):
+			nonFinite++
+		case diag <= thr && len(want) > 1:
+			// Rounding pushed the fitted extent past a diagonal that
+			// sits at the threshold: only the margin keeps this one
+			// searched.
+			roundedPast++
+		case diag > thr && diag < thr+0.1 && len(want) > 1:
+			tiledNear++
+		}
+		for pi, part := range parts {
+			if !sameBits(part.clusterPoints, want[pi].clusterPoints) {
+				t.Fatalf("cluster %d part %d: points differ from the always-search split", ci, pi)
+			}
+			if len(parts) == 1 && diag < thr-1e-6 {
+				if part.hasYaw {
+					t.Fatalf("cluster %d (diagonal %v): an untiled small cluster carries a searched yaw", ci, diag)
+				}
+				deferred++
+			}
+			if part.hasYaw && math.Float64bits(part.yaw) != math.Float64bits(want[pi].yaw) {
+				t.Fatalf("cluster %d part %d: carried yaw %v, always-search %v", ci, pi, part.yaw, want[pi].yaw)
+			}
+			if yaw, wy := part.lShapeYaw(), want[pi].lShapeYaw(); math.Float64bits(yaw) != math.Float64bits(wy) {
+				t.Fatalf("cluster %d part %d: yaw %v, always-search %v", ci, pi, yaw, wy)
+			}
+			for di, d := range dets {
+				for _, groundZ := range []float64{-1.73, -1.2} {
+					got, ok := d.bestCandidate(part, groundZ)
+					ref, refOK := d.bestCandidate(want[pi], groundZ)
+					if ok != refOK || !sameBits(got, ref) {
+						t.Fatalf("cluster %d part %d detector %d ground %v: (%+v, %v), always-search (%+v, %v)",
+							ci, pi, di, groundZ, got, ok, ref, refOK)
+					}
+					if ok {
+						kept++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d clusters: %d deferred whole, %d rounded past the threshold, %d tiled just above it, %d non-finite; %d candidates kept",
+		len(clusters), deferred, roundedPast, tiledNear, nonFinite, kept)
+	if deferred == 0 || roundedPast == 0 || tiledNear == 0 || nonFinite == 0 || kept == 0 {
+		t.Fatalf("regimes covered: %d deferred, %d rounded past, %d tiled near, %d non-finite, %d kept; want each",
+			deferred, roundedPast, tiledNear, nonFinite, kept)
 	}
 }

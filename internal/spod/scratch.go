@@ -7,12 +7,12 @@ import (
 )
 
 // DetectorScratch owns every reusable buffer of one detection pass: the
-// range image, the staging clouds, the voxel entry table, the grid /
-// tensor / BEV storage and the proposal workspace. A scratch is NOT safe
-// for concurrent use — it serves one detection at a time — but it may be
-// reused freely across frames, detectors and configurations; buffers grow
-// to the high-water mark of the frames they have seen and are then
-// allocation-free.
+// range image, the merged-cloud dedup table, the staging clouds, the
+// voxel entry table, the grid / tensor / BEV storage and the proposal
+// workspace. A scratch is NOT safe for concurrent use — it serves one
+// detection at a time — but it may be reused freely across frames,
+// detectors and configurations; buffers grow to the high-water mark of
+// the frames they have seen and are then allocation-free.
 //
 // Callers that detect in a loop (the case runner, the episode engine, the
 // hub's selftest rounds) hold one scratch per worker goroutine and pass
@@ -24,6 +24,7 @@ import (
 type DetectorScratch struct {
 	// Stage 1 — preprocessing.
 	img       RangeImage
+	dedup     pointcloud.VoxelScratch
 	work      *pointcloud.Cloud // projected / deduped cloud
 	nonGround *pointcloud.Cloud
 
