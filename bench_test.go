@@ -571,6 +571,7 @@ func BenchmarkAlignAndMerge(b *testing.B) {
 	vi, vj := runner.Vehicle(0), runner.Vehicle(1)
 	ci := vi.Sense(sc.Scene.Targets(), sc.Scene.GroundZ)
 	cj := vj.Sense(sc.Scene.Targets(), sc.Scene.GroundZ)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fusion.Fuse(vi.State(), vj.State(), ci, cj)

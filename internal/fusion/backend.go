@@ -3,6 +3,7 @@ package fusion
 import (
 	"fmt"
 
+	"cooper/internal/geom"
 	"cooper/internal/pointcloud"
 	"cooper/internal/roi"
 	"cooper/internal/spod"
@@ -147,12 +148,26 @@ func (RawBackend) Select(f SensorFrame, budgetBytes int, s *spod.DetectorScratch
 
 // Fuse implements Backend: align-and-merge, with feature payloads from
 // mixed fleets folded in past the convolution seam instead of erroring.
+//
+// Every raw payload is decoded first, so the merged cloud is allocated
+// once at its final size; each sender's points are then transformed
+// straight into it. With ICP on, the GPS/IMU alignment goes to a pooled
+// cloud, the refinement reads it, and the correction pass writes the
+// merged points. The two passes stay separate: one composed transform
+// would round differently.
 func (b RawBackend) Fuse(receiver SensorFrame, payloads []Payload) (*FusedInput, error) {
 	in := &FusedInput{Cloud: receiver.Cloud, MaxDist: maxSenderDist(receiver, payloads)}
-	var aligned []*pointcloud.Cloud
-	// The receiver's ICP reference (ground removal and index) is the
-	// same for every sender: prepare it once, on the first raw payload.
-	var icp *icpReference
+	type rawSender struct {
+		cloud *pointcloud.Cloud // decoded, in the sender's frame
+		align geom.Transform
+	}
+	var raws []rawSender
+	defer func() {
+		for _, r := range raws {
+			pointcloud.PutCloud(r.cloud)
+		}
+	}()
+	total := receiver.Cloud.Len()
 	for _, p := range payloads {
 		if spod.IsFeaturePayload(p.Data) {
 			r, err := decodeRemote(receiver, p)
@@ -162,31 +177,40 @@ func (b RawBackend) Fuse(receiver SensorFrame, payloads []Payload) (*FusedInput,
 			in.Remotes = append(in.Remotes, r)
 			continue
 		}
-		// Decode into a pooled cloud: alignment copies the points into
-		// the receiver frame anyway, so the decode buffer lives only to
-		// the Align call and the steady-state fuse loop stops paying a
-		// per-payload make([]Point, n).
 		tmp := pointcloud.GetCloud()
 		if err := pointcloud.DecodeInto(p.Data, tmp); err != nil {
 			pointcloud.PutCloud(tmp)
 			return nil, fmt.Errorf("fusion: raw payload from %s: %w", senderName(p), err)
 		}
-		al := Align(receiver.State, p.State, tmp)
-		pointcloud.PutCloud(tmp)
-		if b.UseICP {
-			if icp == nil {
-				icp = newICPReference(receiver.Cloud, DefaultICPConfig())
-			}
+		raws = append(raws, rawSender{cloud: tmp, align: AlignTransform(receiver.State, p.State)})
+		total += tmp.Len()
+	}
+	if len(raws) == 0 {
+		return in, nil
+	}
+	merged := pointcloud.New(total)
+	merged.Append(receiver.Cloud)
+	if !b.UseICP {
+		for _, r := range raws {
+			merged.AppendTransformed(r.cloud, r.align)
+		}
+	} else {
+		// The receiver's ICP reference (ground removal and index) is the
+		// same for every sender: prepare it once.
+		icp := newICPReference(receiver.Cloud, DefaultICPConfig())
+		defer icp.release()
+		al := pointcloud.GetCloud()
+		defer pointcloud.PutCloud(al)
+		for _, r := range raws {
+			al.Reset()
+			al.AppendTransformed(r.cloud, r.align)
 			corr := icp.refine(al)
-			al = al.Transform(corr)
+			merged.AppendTransformed(al, corr)
 			in.ICPCorrections = append(in.ICPCorrections, corr.T.Norm())
 		}
-		aligned = append(aligned, al)
 	}
-	if len(aligned) > 0 {
-		in.Cloud = Merge(receiver.Cloud, aligned...)
-		in.Merged = true
-	}
+	in.Cloud = merged
+	in.Merged = true
 	return in, nil
 }
 

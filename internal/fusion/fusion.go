@@ -58,9 +58,13 @@ func Merge(receiverCloud *pointcloud.Cloud, aligned ...*pointcloud.Cloud) *point
 	return receiverCloud.Merge(aligned...)
 }
 
-// Fuse is the full cooperative step for one transmitter: align then merge.
+// Fuse is the full cooperative step for one transmitter: align then
+// merge, the aligned points written straight into the merged cloud.
 func Fuse(receiver, transmitter VehicleState, receiverCloud, transmitterCloud *pointcloud.Cloud) *pointcloud.Cloud {
-	return Merge(receiverCloud, Align(receiver, transmitter, transmitterCloud))
+	out := pointcloud.New(receiverCloud.Len() + transmitterCloud.Len())
+	out.Append(receiverCloud)
+	out.AppendTransformed(transmitterCloud, AlignTransform(receiver, transmitter))
+	return out
 }
 
 // DriftMode enumerates the GPS skew regimes of the paper's robustness

@@ -47,8 +47,13 @@ type icpReference struct {
 	cfg   ICPConfig
 	cloud *pointcloud.Cloud
 	index *pointcloud.GridIndex
+	// refine's correspondence coordinates, sized for the largest source
+	// so far and reused by the next.
+	sxs, sys, rxs, rys []float64
 }
 
+// newICPReference prepares the reference; release returns its cloud to
+// the pool once no refine will run against it.
 func newICPReference(reference *pointcloud.Cloud, cfg ICPConfig) *icpReference {
 	r := &icpReference{cfg: cfg}
 	if reference.Len() == 0 {
@@ -56,13 +61,20 @@ func newICPReference(reference *pointcloud.Cloud, cfg ICPConfig) *icpReference {
 	}
 	// Ground returns dominate clouds and carry no lateral constraint;
 	// register on elevated structure only.
-	ref := reference.RemoveGroundPlane(reference.EstimateGroundZ(), 0.3)
+	ref := reference.RemoveGroundPlaneInto(pointcloud.GetCloud(), reference.EstimateGroundZ(), 0.3)
 	if ref.Len() < 10 {
+		pointcloud.PutCloud(ref)
 		return r
 	}
 	r.cloud = ref
 	r.index = pointcloud.NewGridIndex(ref, cfg.MaxPairDistance)
 	return r
+}
+
+// release returns the reference's cloud to the pool.
+func (r *icpReference) release() {
+	pointcloud.PutCloud(r.cloud)
+	r.cloud, r.index = nil, nil
 }
 
 // refine runs the ICP loop for one source cloud against the reference.
@@ -72,7 +84,8 @@ func (r *icpReference) refine(source *pointcloud.Cloud) geom.Transform {
 		return correction
 	}
 	cfg := r.cfg
-	src := source.RemoveGroundPlane(source.EstimateGroundZ(), 0.3)
+	src := source.RemoveGroundPlaneInto(pointcloud.GetCloud(), source.EstimateGroundZ(), 0.3)
+	defer pointcloud.PutCloud(src)
 	if src.Len() < 10 {
 		return correction
 	}
@@ -82,10 +95,13 @@ func (r *icpReference) refine(source *pointcloud.Cloud) geom.Transform {
 		stride = src.Len() / cfg.MaxPoints
 	}
 
-	var sxs, sys, rxs, rys []float64
+	if m := (src.Len() + stride - 1) / stride; cap(r.sxs) < m {
+		r.sxs, r.sys = make([]float64, 0, m), make([]float64, 0, m)
+		r.rxs, r.rys = make([]float64, 0, m), make([]float64, 0, m)
+	}
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
 		// Gather correspondences under the current correction.
-		sxs, sys, rxs, rys = sxs[:0], sys[:0], rxs[:0], rys[:0]
+		r.sxs, r.sys, r.rxs, r.rys = r.sxs[:0], r.sys[:0], r.rxs[:0], r.rys[:0]
 		for i := 0; i < src.Len(); i += stride {
 			p := correction.Apply(src.At(i).Pos())
 			// Bounded query: pairs beyond MaxPairDistance are discarded
@@ -98,12 +114,12 @@ func (r *icpReference) refine(source *pointcloud.Cloud) geom.Transform {
 				continue
 			}
 			q := r.cloud.At(j)
-			sxs = append(sxs, p.X)
-			sys = append(sys, p.Y)
-			rxs = append(rxs, q.X)
-			rys = append(rys, q.Y)
+			r.sxs = append(r.sxs, p.X)
+			r.sys = append(r.sys, p.Y)
+			r.rxs = append(r.rxs, q.X)
+			r.rys = append(r.rys, q.Y)
 		}
-		dyaw, tx, ty, ok := rigidFit2D(sxs, sys, rxs, rys)
+		dyaw, tx, ty, ok := rigidFit2D(r.sxs, r.sys, r.rxs, r.rys)
 		if !ok {
 			// Too few pairs, or a degenerate (coincident/collinear) pair
 			// set that cannot constrain a rotation: stop refining rather

@@ -7,6 +7,7 @@ package pointcloud
 
 import (
 	"math"
+	"slices"
 
 	"cooper/internal/geom"
 )
@@ -102,12 +103,31 @@ func (c *Cloud) Clone() *Cloud {
 // receiving vehicle applies to align a transmitter's cloud with its own
 // sensor frame.
 func (c *Cloud) Transform(tr geom.Transform) *Cloud {
-	out := &Cloud{pts: make([]Point, len(c.pts))}
-	for i, p := range c.pts {
-		v := tr.Apply(p.Pos())
-		out.pts[i] = Point{X: v.X, Y: v.Y, Z: v.Z, Reflectance: p.Reflectance}
-	}
+	out := &Cloud{}
+	out.AppendTransformed(c, tr)
 	return out
+}
+
+// AppendTransformed appends src's points mapped through tr to c, growing
+// c at most once: Transform writing into a cloud the caller owns, so a
+// sender's cloud can be aligned straight into a merged cloud. src must
+// not be c.
+func (c *Cloud) AppendTransformed(src *Cloud, tr geom.Transform) {
+	n := len(c.pts)
+	c.pts = slices.Grow(c.pts, src.Len())[:n+src.Len()]
+	out := c.pts[n:]
+	r, t := tr.R, tr.T // tr.Apply's arithmetic, without copying tr per point
+	for i, p := range src.pts {
+		v := r.Apply(p.Pos()).Add(t)
+		out[i] = Point{X: v.X, Y: v.Y, Z: v.Z, Reflectance: p.Reflectance}
+	}
+}
+
+// Append appends src's points to c.
+func (c *Cloud) Append(src *Cloud) {
+	if src != nil {
+		c.pts = append(c.pts, src.pts...)
+	}
 }
 
 // Merge returns the union of the receiver's cloud with the given clouds
@@ -118,12 +138,10 @@ func (c *Cloud) Merge(others ...*Cloud) *Cloud {
 	for _, o := range others {
 		total += o.Len()
 	}
-	out := &Cloud{pts: make([]Point, 0, total)}
-	out.pts = append(out.pts, c.pts...)
+	out := New(total)
+	out.Append(c)
 	for _, o := range others {
-		if o != nil {
-			out.pts = append(out.pts, o.pts...)
-		}
+		out.Append(o)
 	}
 	return out
 }

@@ -233,3 +233,29 @@ func centroid(c *Cloud) (geom.Vec3, bool) {
 func countInBox(c *Cloud, b geom.Box) int {
 	return c.Filter(func(p Point) bool { return b.Contains(p.Pos()) }).Len()
 }
+
+// TestAppendTransformedMatchesApply pins AppendTransformed (and so
+// Transform) to geom.Transform.Apply bit for bit, signed zeros and
+// non-finite coordinates included, appending after existing points.
+func TestAppendTransformedMatchesApply(t *testing.T) {
+	src := randomCloud(200, 5)
+	nan, inf := math.NaN(), math.Inf(1)
+	src.AppendXYZR(math.Copysign(0, -1), 0, math.Copysign(0, -1), 0.5)
+	src.AppendXYZR(nan, 1, 2, 0.1)
+	src.AppendXYZR(-inf, inf, 0, 0.9)
+	tr := geom.NewTransform(0.7, 0.1, -0.2, geom.V3(10, -4, 1))
+	dst := randomCloud(30, 6)
+	head := dst.Len()
+	dst.AppendTransformed(src, tr)
+	if dst.Len() != head+src.Len() {
+		t.Fatalf("appended %d points, want %d", dst.Len()-head, src.Len())
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := 0; i < src.Len(); i++ {
+		w := tr.Apply(src.At(i).Pos())
+		g := dst.At(head + i)
+		if !same(g.X, w.X) || !same(g.Y, w.Y) || !same(g.Z, w.Z) || !same(g.Reflectance, src.At(i).Reflectance) {
+			t.Fatalf("point %d = %+v, Apply gives %v", i, g, w)
+		}
+	}
+}

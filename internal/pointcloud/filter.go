@@ -72,15 +72,9 @@ func (c *Cloud) CropFOV(centerAz, halfFOV float64) *Cloud {
 	})
 }
 
-// RemoveGroundPlane removes points within tol of the estimated ground
-// height. The estimate is the given plane z = groundZ; use EstimateGroundZ
-// to fit it from the data.
-func (c *Cloud) RemoveGroundPlane(groundZ, tol float64) *Cloud {
-	return c.Filter(func(p Point) bool { return p.Z > groundZ+tol })
-}
-
-// RemoveGroundPlaneInto is RemoveGroundPlane writing into dst (see
-// FilterInto).
+// RemoveGroundPlaneInto writes into dst (see FilterInto) the points
+// more than tol above the ground plane z = groundZ; use EstimateGroundZ
+// to fit the plane from the data.
 func (c *Cloud) RemoveGroundPlaneInto(dst *Cloud, groundZ, tol float64) *Cloud {
 	return c.FilterInto(dst, func(p Point) bool { return p.Z > groundZ+tol })
 }
@@ -99,9 +93,9 @@ func (c *Cloud) EstimateGroundZ() float64 {
 		lo      = -5.0
 		hi      = 5.0
 		binSize = 0.05
+		nBins   = int((hi - lo) / binSize)
 	)
-	nBins := int((hi - lo) / binSize)
-	hist := make([]int, nBins)
+	var hist [nBins]int
 	counted := 0
 	for _, p := range c.pts {
 		// Written so NaN fails the range test too.

@@ -118,9 +118,9 @@ func TestRemoveGroundPlane(t *testing.T) {
 	c := FromPoints([]Point{
 		{Z: -1.7}, {Z: -1.65}, {Z: -0.5}, {Z: 0.4},
 	})
-	got := c.RemoveGroundPlane(-1.7, 0.2)
+	got := c.RemoveGroundPlaneInto(New(0), -1.7, 0.2)
 	if got.Len() != 2 {
-		t.Errorf("RemoveGroundPlane kept %d points, want 2", got.Len())
+		t.Errorf("RemoveGroundPlaneInto kept %d points, want 2", got.Len())
 	}
 }
 

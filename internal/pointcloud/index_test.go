@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"cooper/internal/geom"
 )
@@ -155,7 +156,7 @@ func bruteNearest(c *Cloud, q geom.Vec3) (int, float64) {
 	best, bestD2 := -1, math.Inf(1)
 	for i, p := range c.pts {
 		dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
-		if d2 := dx*dx + dy*dy + dz*dz; d2 < bestD2 {
+		if d2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz); d2 < bestD2 {
 			best, bestD2 = i, d2
 		}
 	}
@@ -214,7 +215,7 @@ func sameDist(c *Cloud, i int, q geom.Vec3, d float64) bool {
 	}
 	p := c.pts[i]
 	dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
-	return math.Sqrt(dx*dx+dy*dy+dz*dz) == d
+	return math.Sqrt(float64(dx*dx)+float64(dy*dy)+float64(dz*dz)) == d
 }
 
 // TestGridIndexMatchesMapIndex pins the column layout to the per-cell map
@@ -279,4 +280,253 @@ func (g *GridIndex) nearestUnbounded(q geom.Vec3) (int, float64) {
 	// before the first hit.
 	const maxRings = 1 << 12
 	return g.nearest(q, maxRings)
+}
+
+// wallCloud is n points of two walls over scattered clutter, the shape
+// of an NLOS reference cloud.
+func wallCloud(rng *rand.Rand, n int) *Cloud {
+	c := New(n)
+	for i := 0; i < n; i++ {
+		switch i % 4 {
+		case 0:
+			c.AppendXYZR(rng.Float64()*30-15, 6+rng.NormFloat64()*0.03, rng.Float64()*3-1, 0)
+		case 1:
+			c.AppendXYZR(-10+rng.NormFloat64()*0.03, rng.Float64()*30-15, rng.Float64()*3-1, 0)
+		default:
+			c.AppendXYZR(rng.Float64()*30-15, rng.Float64()*30-15, rng.Float64()*2-1, 0)
+		}
+	}
+	return c
+}
+
+// latticeCloud is n points on a 0.25 m lattice, every tenth a duplicate
+// of an earlier point, so distances tie exactly.
+func latticeCloud(rng *rand.Rand, n int) *Cloud {
+	c := New(n)
+	q := func(span float64) float64 { return math.Round((rng.Float64()*2*span-span)*4) / 4 }
+	for i := 0; i < n; i++ {
+		if i > 0 && i%10 == 0 {
+			p := c.At(rng.Intn(i))
+			c.AppendXYZR(p.X, p.Y, p.Z, 0)
+			continue
+		}
+		c.AppendXYZR(q(5), q(5), q(2), 0)
+	}
+	return c
+}
+
+// withNonFinite returns c with NaN and ±Inf points spliced in.
+func withNonFinite(c *Cloud) *Cloud {
+	nan, inf := math.NaN(), math.Inf(1)
+	out := New(c.Len() + 6)
+	for i := 0; i < c.Len(); i++ {
+		if i%40 == 3 {
+			out.AppendXYZR(nan, 0, 0, 0)
+			out.AppendXYZR(1, -inf, 0.5, 0)
+			out.AppendXYZR(inf, inf, nan, 0)
+		}
+		p := c.At(i)
+		out.AppendXYZR(p.X, p.Y, p.Z, 0)
+	}
+	return out
+}
+
+// TestGridIndexMatchesRingScan pins NearestWithin to the ring-by-ring
+// scan it replaced, bit for bit: the same index and the same distance on
+// wall-and-clutter clouds, lattice ties and duplicates, NaN and ±Inf
+// points and queries, and radii well under, at and over the cell size.
+// The build must also lay entries out in the same (column, z cell,
+// index) order.
+func TestGridIndexMatchesRingScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	nan, inf := math.NaN(), math.Inf(1)
+	odd := []geom.Vec3{
+		{X: nan, Y: 0, Z: 0}, {X: 0, Y: nan, Z: 0}, {X: 0, Y: 0, Z: nan},
+		{X: inf, Y: 0, Z: 0}, {X: -inf, Y: 1, Z: 0}, {X: 1, Y: 1, Z: inf},
+		{X: 0.2, Y: -inf, Z: -inf},
+	}
+	for trial := 0; trial < 18; trial++ {
+		var c *Cloud
+		switch trial % 3 {
+		case 0:
+			c = wallCloud(rng, 200+rng.Intn(800))
+		case 1:
+			c = latticeCloud(rng, 50+rng.Intn(400))
+		default:
+			c = withNonFinite(latticeCloud(rng, 100+rng.Intn(200)))
+		}
+		for _, cell := range []float64{0.25, 0.3, 1, 2.5} {
+			got, want := NewGridIndex(c, cell), newRingGridIndex(c, cell)
+			if len(got.spans) != len(want.spans) || len(got.entries) != len(want.entries) {
+				t.Fatalf("trial %d cell %v: %d columns %d entries, ring scan %d %d", trial, cell, len(got.spans), len(got.entries), len(want.spans), len(want.entries))
+			}
+			for k, s := range got.spans {
+				if s.lo != want.spans[k].lo || s.hi != want.spans[k].hi {
+					t.Fatalf("trial %d cell %v: column %d spans [%d, %d), ring scan %v", trial, cell, k, s.lo, s.hi, want.spans[k])
+				}
+			}
+			for k, e := range got.entries {
+				if w := want.entries[k]; e.zc != w.zc || e.i != w.i {
+					t.Fatalf("trial %d cell %v: entry %d is (z cell %d, point %d), ring scan (%d, %d)", trial, cell, k, e.zc, e.i, w.zc, w.i)
+				}
+			}
+			for k := 0; k < 150; k++ {
+				var q geom.Vec3
+				switch {
+				case k < len(odd):
+					q = odd[k]
+				case k%3 == 0:
+					q = c.At(rng.Intn(c.Len())).Pos() // exact hit or non-finite point
+				case trial%3 == 0:
+					p := c.At(rng.Intn(c.Len())).Pos()
+					q = geom.V3(p.X+rng.Float64()-0.5, p.Y+rng.Float64()-0.5, p.Z+rng.Float64()-0.5)
+				default:
+					l := func(span float64) float64 { return math.Round((rng.Float64()*2*span-span)*4) / 4 }
+					q = geom.V3(l(6), l(6), l(3))
+				}
+				// Where the int32 conversion of an infinite coordinate
+				// saturates, the query lands on key math.MaxInt32, which the
+				// ring scan never returns from; a query with an infinite
+				// coordinate has no nearest point.
+				k := KeyFor(q.X, q.Y, q.Z, cell)
+				wrap := k.X == math.MaxInt32 || k.Y == math.MaxInt32
+				for _, f := range []float64{0.01, 0.5, 1, 2.5} {
+					r := f * cell
+					gi, gd := got.NearestWithin(q, r)
+					wi, wd := -1, math.Inf(1)
+					if !wrap {
+						wi, wd = want.NearestWithin(q, r)
+					}
+					if gi != wi || math.Float64bits(gd) != math.Float64bits(wd) {
+						t.Fatalf("trial %d cell %v: NearestWithin(%v, %v) = (%d, %v), ring scan (%d, %v)", trial, cell, q, r, gi, gd, wi, wd)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGridIndexNearestTieOrder pins the pruned scan to the ring scan's
+// tie order on hand-built ties at cell 1: a point in the query's own
+// cell beats an equally close point in a neighbouring cell, and a
+// neighbour column earlier in x→y order beats an equally close point in
+// the query's column that ring 0 did not reach.
+func TestGridIndexNearestTieOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		q    geom.Vec3
+		pts  []Point
+		want int
+	}{
+		{"own cell beats the cell below it", geom.V3(0.5, 0.5, 0.25), []Point{{X: 0.5, Y: 0.5, Z: -0.25}, {X: 0.5, Y: 0.5, Z: 0.75}}, 1},
+		{"earlier column beats the query's column", geom.V3(0.5, 0.5, 0.5), []Point{{X: 0.5, Y: 0.5, Z: 1.5}, {X: -0.5, Y: 0.5, Z: 0.5}}, 1},
+		{"earlier column beats the query's column, box corner", geom.V3(0.5, 0.5, 0.5), []Point{{X: 0.5, Y: 0.5, Z: 1.5}, {X: -0.5, Y: 1.5, Z: 1.5}, {X: -0.5, Y: 0.5, Z: 0.5}}, 2},
+		{"own cell beats an earlier column", geom.V3(0.25, 0.5, 0.5), []Point{{X: -0.25, Y: 0.5, Z: 0.5}, {X: 0.75, Y: 0.5, Z: 0.5}}, 1},
+		{"first of duplicates", geom.V3(0.5, 0.5, 0.5), []Point{{X: 1.5, Y: 0.5, Z: 0.5}, {X: 0.5, Y: 1.5, Z: 0.5}, {X: 0.5, Y: 1.5, Z: 0.5}}, 1},
+	} {
+		q := tc.q
+		c := FromPoints(tc.pts)
+		wi, wd := newRingGridIndex(c, 1).NearestWithin(q, 1)
+		if wi != tc.want {
+			t.Fatalf("%s: ring scan picks %d, the case expects %d", tc.name, wi, tc.want)
+		}
+		if gi, gd := NewGridIndex(c, 1).NearestWithin(q, 1); gi != wi || gd != wd {
+			t.Errorf("%s: NearestWithin = (%d, %v), ring scan (%d, %v)", tc.name, gi, gd, wi, wd)
+		}
+	}
+}
+
+// TestGridIndexPruneUsesPointBounds builds a column whose nearest point
+// lies one ulp below the cell's lower x edge as computed in floats
+// (x/cell still floors into the cell). A bound taken from the cell edge
+// instead of the stored points would put the column exactly at the best
+// distance and skip it, returning the farther point.
+func TestGridIndexPruneUsesPointBounds(t *testing.T) {
+	const cell = 0.1
+	var edge, x float64
+	for k := 1; k < 1000; k++ {
+		edge = float64(k) * cell
+		if x = math.Nextafter(edge, 0); math.Floor(x/cell) == float64(k) {
+			break
+		}
+		x = 0
+	}
+	if x == 0 {
+		t.Fatal("no coordinate floors into a cell below its edge")
+	}
+	const h = 1.0 / 1024
+	qx := x - h // the query sits in the next cell down; x is h away
+	u := edge - x
+	far := qx - (h + u) // in the query's cell, as far as the cell edge
+	c := FromPoints([]Point{{X: far, Y: 0.05, Z: 0.05}, {X: x, Y: 0.05, Z: 0.05}})
+	q := geom.V3(qx, 0.05, 0.05)
+	if KeyFor(far, 0, 0, cell).X != KeyFor(qx, 0, 0, cell).X || KeyFor(x, 0, 0, cell).X != KeyFor(qx, 0, 0, cell).X+1 {
+		t.Fatalf("construction: cells %v %v %v", KeyFor(far, 0, 0, cell), KeyFor(qx, 0, 0, cell), KeyFor(x, 0, 0, cell))
+	}
+	wi, wd := newRingGridIndex(c, cell).NearestWithin(q, cell)
+	if wi != 1 {
+		t.Fatalf("ring scan picks %d at %v; the case needs the point past the edge", wi, wd)
+	}
+	if gi, gd := NewGridIndex(c, cell).NearestWithin(q, cell); gi != wi || gd != wd {
+		t.Errorf("NearestWithin = (%d, %v), ring scan (%d, %v)", gi, gd, wi, wd)
+	}
+}
+
+// TestGridIndexKeyLimits queries at the int32 key limits, where int32
+// ring loops wrap and never end: every query must return and match
+// brute force.
+func TestGridIndexKeyLimits(t *testing.T) {
+	const top, bot = float64(math.MaxInt32), float64(math.MinInt32)
+	pts := []Point{
+		{X: top - 0.5, Y: 0.5, Z: 0.5},             // key MaxInt32−1
+		{X: top + 0.75, Y: 0.25, Z: 0.6},           // key MaxInt32
+		{X: top + 0.1, Y: top + 0.9, Z: top + 0.3}, // MaxInt32 on every axis
+		{X: bot + 0.5, Y: bot + 0.5, Z: bot + 0.5}, // key MinInt32
+		{X: bot + 1.2, Y: 0.5, Z: 0.5},             // key MinInt32+1
+		{X: 0.5, Y: top - 0.2, Z: bot + 0.9},
+	}
+	c := FromPoints(pts)
+	queries := []geom.Vec3{
+		{X: top + 0.25, Y: 0.5, Z: 0},
+		{X: top - 0.5, Y: 0.5, Z: 0.5},
+		{X: top + 0.5, Y: top + 0.5, Z: top + 0.5},
+		{X: bot + 0.25, Y: bot + 0.75, Z: bot + 0.1},
+		{X: bot + 0.9, Y: 0.5, Z: 0.5},
+		{X: 0.5, Y: top + 0.6, Z: bot + 0.2},
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, cell := range []float64{1, 2.5} {
+			idx := NewGridIndex(c, cell)
+			for _, q := range queries {
+				bi, bd := bruteNearest(c, q)
+				for _, r := range []float64{0.5, 1, 2.5, 4} {
+					gi, gd := idx.NearestWithin(q, r)
+					if bd <= r && (gd != bd || !sameDist(c, gi, q, bd)) {
+						t.Errorf("cell %v: NearestWithin(%v, %v) = (%d, %v), brute force (%d, %v)", cell, q, r, gi, gd, bi, bd)
+					}
+					if bd > r && gi >= 0 && gd <= r {
+						t.Errorf("cell %v: NearestWithin(%v, %v) = (%d, %v) inside an empty radius", cell, q, r, gi, gd)
+					}
+					var want []int
+					for i, p := range pts {
+						if dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z; dx*dx+dy*dy+dz*dz <= r*r {
+							want = append(want, i)
+						}
+					}
+					got := idx.Radius(q, r)
+					sort.Ints(got)
+					if !slices.Equal(got, want) {
+						t.Errorf("cell %v: Radius(%v, %v) = %v, brute force %v", cell, q, r, got, want)
+					}
+				}
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a query at the int32 key limit did not return")
+	}
 }

@@ -21,7 +21,7 @@ func middleTensor(b *testing.B) (*SparseTensor, [3]float64) {
 	cloud := lidar.NewScanner(sc.LiDAR, 1).ScanFrom(sc.Poses[0], sc.Scene.Targets(), sc.Scene.GroundZ).Cloud
 	cloud = cloud.Filter(func(p pointcloud.Point) bool { return p.Range() <= 40 })
 	ground := cloud.EstimateGroundZ()
-	nonGround := cloud.RemoveGroundPlane(ground, 0.25)
+	nonGround := cloud.RemoveGroundPlaneInto(pointcloud.New(0), ground, 0.25)
 	grid := voxelize(nonGround, 0.2, 0.25, ground, NewScratch())
 	lo := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
 	hi := [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}

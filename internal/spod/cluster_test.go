@@ -31,7 +31,7 @@ func NewClusterDetector() *ClusterDetector {
 // Detect runs Euclidean clustering and returns car-sized clusters.
 func (cd *ClusterDetector) Detect(cloud *pointcloud.Cloud) []Detection {
 	groundZ := cloud.EstimateGroundZ()
-	nonGround := cloud.RemoveGroundPlane(groundZ, 0.25)
+	nonGround := cloud.RemoveGroundPlaneInto(pointcloud.New(0), groundZ, 0.25)
 	if nonGround.Len() == 0 {
 		return nil
 	}

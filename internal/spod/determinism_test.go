@@ -38,7 +38,7 @@ type stageOutputs struct {
 func runStages(cloud *pointcloud.Cloud, cfg Config) stageOutputs {
 	s := NewScratch()
 	groundZ := cloud.EstimateGroundZ()
-	nonGround := cloud.RemoveGroundPlane(groundZ, cfg.GroundTolerance)
+	nonGround := cloud.RemoveGroundPlaneInto(pointcloud.New(0), groundZ, cfg.GroundTolerance)
 	grid := voxelize(nonGround, cfg.VoxelSizeXY, cfg.VoxelSizeZ, groundZ, s)
 	tensor, featA := toSparseTensor(grid, s.featA)
 	s.featA = featA
