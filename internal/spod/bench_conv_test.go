@@ -11,11 +11,10 @@ import (
 
 // --- Ablation: sparse vs dense convolution over realistic occupancy ---
 
-// middleTensor voxelizes one 16-beam TJ-Scenario frame into the middle
-// layers' input tensor and returns it with the extent of the non-ground
-// points. The frame is cropped to 40 m so the dense-equivalent grid
-// stays tractable.
-func middleTensor(b *testing.B) (*SparseTensor, [3]float64) {
+// middleGrid voxelizes one 16-beam TJ-Scenario frame, the middle layers'
+// input, and returns it with the extent of the non-ground points. The
+// frame is cropped to 40 m so the dense-equivalent grid stays tractable.
+func middleGrid(b *testing.B) (*VoxelGrid, [3]float64) {
 	b.Helper()
 	sc := scene.TJScenarios()[0]
 	cloud := lidar.NewScanner(sc.LiDAR, 1).ScanFrom(sc.Poses[0], sc.Scene.Targets(), sc.Scene.GroundZ).Cloud
@@ -31,26 +30,63 @@ func middleTensor(b *testing.B) (*SparseTensor, [3]float64) {
 			lo[d], hi[d] = min(lo[d], v), max(hi[d], v)
 		}
 	}
-	t, _ := toSparseTensor(grid, nil)
-	return t, [3]float64{hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]}
+	return grid, [3]float64{hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]}
 }
 
-func BenchmarkSparseConv(b *testing.B) {
-	tensor, _ := middleTensor(b)
-	layer := DefaultMiddleLayers()[0]
-	out := make([]float64, len(tensor.Feats))
+// BenchmarkSpodConv measures the fusedbench span spod.conv on the
+// middleGrid frame: lifting the grid to the feature tensor, building its
+// rulebook and running both DefaultMiddleLayers, on a warmed scratch.
+func BenchmarkSpodConv(b *testing.B) {
+	grid, _ := middleGrid(b)
+	layers := DefaultMiddleLayers()
+	s := NewScratch()
+	conv := func() *SparseTensor {
+		t, featA := toSparseTensor(grid, s.featA)
+		s.featA = featA
+		return runMiddleLayers(t, layers, s)
+	}
+	conv()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		layer.applyInto(tensor, out)
+		conv()
+	}
+}
+
+// BenchmarkProposalComponents measures the fusedbench span
+// spod.proposal on the middleGrid frame: the BEV projection of the
+// convolved tensor and the region proposal, on a warmed scratch.
+func BenchmarkProposalComponents(b *testing.B) {
+	grid, _ := middleGrid(b)
+	s := NewScratch()
+	t, featA := toSparseTensor(grid, s.featA)
+	s.featA = featA
+	t = runMiddleLayers(t, DefaultMiddleLayers(), s)
+	thr := DefaultConfig().ObjectnessThreshold
+	propose := func() *proposalSet {
+		s.bevObj = grow(s.bevObj, len(t.Cols))
+		s.bevTop = grow(s.bevTop, len(t.Cols))
+		bev := projectBEVInto(t, grid, s.bevObj, s.bevTop)
+		return proposalComponentsScratch(bev, thr, grid.Cols, nil, s)
+	}
+	if propose().Len() == 0 {
+		b.Fatal("benchmark frame produced no proposals")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		propose()
 	}
 }
 
 func BenchmarkDenseConvEquivalent(b *testing.B) {
-	// The same convolution evaluated densely over the tensor's bounding
-	// grid — what a non-sparse middle layer would pay. The paper adopts
-	// sparse convolution precisely because LiDAR voxel grids are mostly
-	// empty.
-	tensor, size := middleTensor(b)
+	// One layer of the same convolution evaluated densely over the
+	// tensor's bounding grid — what a non-sparse middle layer would pay,
+	// against the two sparse layers BenchmarkSpodConv times. The paper
+	// adopts sparse convolution precisely because LiDAR voxel grids are
+	// mostly empty.
+	grid, size := middleGrid(b)
+	tensor, _ := toSparseTensor(grid, nil)
 	layer := DefaultMiddleLayers()[0]
 	nx := int(size[0]/0.2) + 1
 	ny := int(size[1]/0.2) + 1

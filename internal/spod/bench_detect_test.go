@@ -20,11 +20,7 @@ import (
 // emptied by the GC and is per-P, so drawing from it makes B/op depend
 // on GC timing.
 func BenchmarkDetectFrame(b *testing.B) {
-	cloud := sceneWithCars(1, 120,
-		[3]float64{12, 3, 0.4},
-		[3]float64{22, -6, 1.0},
-		[3]float64{-15, 8, 2.2},
-	)
+	cloud := detectFrameCloud()
 	det := NewDefault()
 	s := warmScratch(det, cloud)
 	b.ReportAllocs()
@@ -34,6 +30,16 @@ func BenchmarkDetectFrame(b *testing.B) {
 			b.Fatal("benchmark frame produced no detections")
 		}
 	}
+}
+
+// detectFrameCloud is BenchmarkDetectFrame's input: three synthetic cars
+// on a road disc.
+func detectFrameCloud() *pointcloud.Cloud {
+	return sceneWithCars(1, 120,
+		[3]float64{12, 3, 0.4},
+		[3]float64{22, -6, 1.0},
+		[3]float64{-15, 8, 2.2},
+	)
 }
 
 // twoViewMerge is a cooperative frame: two vehicles' views of a street,
@@ -79,12 +85,9 @@ func syntheticWall(c *pointcloud.Cloud, rng *rand.Rand, x0, y0, x1, y1, height f
 	}
 }
 
-// BenchmarkDetectFrameCanyon measures the fit stage's worst case, the
-// fusedbench span spod.fit on an urban canyon: a two-view merge of cars
-// parked beside long walls 5–6 m tall. Each wall is one oversized
-// proposal that splitCluster tiles into car-length parts, and the fit
-// stage rejects every one of them as too tall.
-func BenchmarkDetectFrameCanyon(b *testing.B) {
+// canyonMerge is BenchmarkDetectFrameCanyon's input: a two-view merge of
+// cars parked beside long walls 5–6 m tall.
+func canyonMerge() *pointcloud.Cloud {
 	view := func(seed int64, cars ...[3]float64) *pointcloud.Cloud {
 		c := sceneWithCars(seed, 60, cars...)
 		rng := rand.New(rand.NewSource(seed + 100))
@@ -95,7 +98,16 @@ func BenchmarkDetectFrameCanyon(b *testing.B) {
 	}
 	viewA := view(7, [3]float64{14, 6.5, 0}, [3]float64{24, -6.5, math.Pi}, [3]float64{-8, 6.5, 0.05})
 	viewB := view(8, [3]float64{14, 6.5, 0}, [3]float64{32, 6.5, 0}, [3]float64{4, -6.5, 0})
-	merged := viewA.Merge(viewB)
+	return viewA.Merge(viewB)
+}
+
+// BenchmarkDetectFrameCanyon measures the fit stage's worst case, the
+// fusedbench span spod.fit on an urban canyon: a two-view merge of cars
+// parked beside long walls 5–6 m tall. Each wall is one oversized
+// proposal that splitCluster tiles into car-length parts, and the fit
+// stage rejects every one of them as too tall.
+func BenchmarkDetectFrameCanyon(b *testing.B) {
+	merged := canyonMerge()
 	det := New(CoopConfig(DefaultConfig(), 10))
 	s := warmScratch(det, merged)
 	b.ReportAllocs()
@@ -114,15 +126,7 @@ func BenchmarkDetectFrameCanyon(b *testing.B) {
 // inpainting, reconstruction and the column sort of the voxelizer — as
 // every feature-level sender runs before it publishes.
 func BenchmarkDetectFrameHDL64(b *testing.B) {
-	sc, err := scene.Generate(scene.GenParams{Family: "intersection", Fleet: 4, Seed: 11, Traffic: 6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sensor := lidar.HDL64()
-	cloud := lidar.NewScanner(sensor, sc.Seed).SetWorkers(1).
-		ScanFrom(sc.Poses[0], sc.Scene.Targets(), sc.Scene.GroundZ).Cloud
-	cfg := DefaultConfig()
-	cfg.VerticalFOVTop = sensor.MaxElevation()
+	cloud, cfg := hdl64Frame(b)
 	det := New(cfg)
 	s := warmScratch(det, cloud)
 	b.ReportAllocs()
@@ -132,4 +136,21 @@ func BenchmarkDetectFrameHDL64(b *testing.B) {
 			b.Fatal("benchmark frame produced no detections")
 		}
 	}
+}
+
+// hdl64Frame is BenchmarkDetectFrameHDL64's input and configuration: a
+// ray-cast HDL-64E frame of a generated intersection, through
+// DefaultConfig with the sensor's field-of-view ceiling.
+func hdl64Frame(tb testing.TB) (*pointcloud.Cloud, Config) {
+	tb.Helper()
+	sc, err := scene.Generate(scene.GenParams{Family: "intersection", Fleet: 4, Seed: 11, Traffic: 6})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sensor := lidar.HDL64()
+	cloud := lidar.NewScanner(sensor, sc.Seed).SetWorkers(1).
+		ScanFrom(sc.Poses[0], sc.Scene.Targets(), sc.Scene.GroundZ).Cloud
+	cfg := DefaultConfig()
+	cfg.VerticalFOVTop = sensor.MaxElevation()
+	return cloud, cfg
 }

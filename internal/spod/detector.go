@@ -202,7 +202,11 @@ func (d *Detector) backHalf(tensor *SparseTensor, grid *VoxelGrid, nonGround *po
 	s.bevObj = grow(s.bevObj, len(tensor.Cols))
 	s.bevTop = grow(s.bevTop, len(tensor.Cols))
 	bev := projectBEVInto(tensor, grid, s.bevObj, s.bevTop)
-	props := proposalComponentsScratch(bev, d.cfg.ObjectnessThreshold, s)
+	var psCols []colKey
+	if ps != nil {
+		psCols = ps.cols
+	}
+	props := proposalComponentsScratch(bev, d.cfg.ObjectnessThreshold, grid.Cols, psCols, s)
 	st.ProposalCount = props.Len()
 	st.ProposalTime = sinceWall(t0)
 
@@ -213,12 +217,12 @@ func (d *Detector) backHalf(tensor *SparseTensor, grid *VoxelGrid, nonGround *po
 		idxs := s.ptBuf[:0]
 		pseudo := 0
 		for _, cell := range props.Component(ci) {
-			k := props.Key(cell)
-			idxs = append(idxs, grid.ColumnPoints(k.X, k.Y)...)
-			if ps != nil {
-				lo, hi := ps.column(packXY(k.X, k.Y))
-				pseudo += int(hi - lo)
+			l := props.links[cell]
+			if l.grid >= 0 {
+				idxs = append(idxs, grid.ColumnPoints(l.grid)...)
 			}
+			lo, hi := ps.column(l.pseudo)
+			pseudo += int(hi - lo)
 		}
 		s.ptBuf = idxs
 		if len(idxs)+pseudo < d.cfg.MinClusterPoints {
@@ -229,8 +233,7 @@ func (d *Detector) backHalf(tensor *SparseTensor, grid *VoxelGrid, nonGround *po
 			// Append the component's pseudo-points in the same fixed cell
 			// order the own-point gather used.
 			for _, cell := range props.Component(ci) {
-				k := props.Key(cell)
-				lo, hi := ps.column(packXY(k.X, k.Y))
+				lo, hi := ps.column(props.links[cell].pseudo)
 				cp.xs = append(cp.xs, ps.xs[lo:hi]...)
 				cp.ys = append(cp.ys, ps.ys[lo:hi]...)
 				cp.zs = append(cp.zs, ps.zs[lo:hi]...)

@@ -46,7 +46,7 @@ func runStages(cloud *pointcloud.Cloud, cfg Config) stageOutputs {
 	s.bevObj = grow(s.bevObj, len(tensor.Cols))
 	s.bevTop = grow(s.bevTop, len(tensor.Cols))
 	bev := projectBEVInto(tensor, grid, s.bevObj, s.bevTop)
-	comps := proposalComponentsScratch(bev, cfg.ObjectnessThreshold, s)
+	comps := proposalComponentsScratch(bev, cfg.ObjectnessThreshold, grid.Cols, nil, s)
 
 	var out stageOutputs
 	out.grid = *grid
@@ -65,6 +65,7 @@ func runStages(cloud *pointcloud.Cloud, cfg Config) stageOutputs {
 	}
 	out.comps = proposalSet{
 		keys:  append([]colKey(nil), comps.keys...),
+		links: append([]candLinks(nil), comps.links...),
 		cells: append([]int32(nil), comps.cells...),
 		off:   append([]int32(nil), comps.off...),
 	}

@@ -118,16 +118,12 @@ func FeatureCoopConfig(base Config, interVehicleDist float64) Config {
 	return base
 }
 
-// fuseEntry stages one voxel site for the max-merge: its receiver-frame
-// column and z layer, its feature vector, and — for remote sites — the
-// aligned centre position that becomes a pseudo-point. seq is the
-// creation order, the deterministic tie-break for equal (col, z).
-type fuseEntry struct {
-	col        colKey
-	z, seq     int32
-	remote     bool
-	f          [convChannels]float64
-	px, py, pz float64
+// fuseSite stages one remote site for the merge: its aligned centre
+// (which becomes a pseudo-point) and its feature vector. The sort moves
+// only the site's 16-byte voxEntry record, whose idx points here.
+type fuseSite struct {
+	p [3]float64
+	f [convChannels]float64
 }
 
 // pseudoSet indexes the remote pseudo-points by receiver BEV column
@@ -138,34 +134,39 @@ type pseudoSet struct {
 	xs, ys, zs []float64
 }
 
-// column returns the pseudo-point index range [lo, hi) of column key.
-func (ps *pseudoSet) column(key colKey) (lo, hi int32) {
-	if ps == nil {
-		return 0, 0
-	}
-	c := findCol(ps.cols, key)
-	if c < 0 {
+// column returns the pseudo-point index range [lo, hi) of column index
+// c; a nil set or c < 0 (no pseudo column) has none.
+func (ps *pseudoSet) column(c int32) (lo, hi int32) {
+	if ps == nil || c < 0 {
 		return 0, 0
 	}
 	return ps.off[c], ps.off[c+1]
 }
 
 // fuseFeatureTensors merges the receiver's own tensor with every remote
-// frame re-binned into the receiver's voxel coordinates. The merge is a
-// sort + fold: all sites (own and aligned remote) are staged as entries,
-// sorted by (column, z, creation order), and runs of equal (column, z)
-// fold by element-wise max. Max is order-insensitive, so the fused tensor
-// is identical however the payloads were produced. The returned tensor
-// and pseudo set alias the scratch.
+// frame re-binned into the receiver's voxel coordinates, and runs of
+// equal (column, z) fold by element-wise max. Own sites are already in
+// (column, z) order, so only the remote sites are sorted: staged as
+// voxEntry records in creation order and ordered by sortByColumnZ, a
+// stable radix sort (a z pass, then the column passes) that is exact
+// over the whole int32 range. A merge then walks both lists, own sites
+// first on a (column, z) tie, remote sites in creation order. Max is
+// order-insensitive, so the fused tensor is identical however the
+// payloads were produced. The returned tensor and pseudo set alias the
+// scratch.
 func fuseFeatureTensors(own *SparseTensor, grid *VoxelGrid, groundZ float64, remotes []RemoteFeatures, s *DetectorScratch) (*SparseTensor, *pseudoSet) {
-	entries := s.fuseEntries[:0]
-	for ci := range own.Cols {
-		for site := own.ColOff[ci]; site < own.ColOff[ci+1]; site++ {
-			e := fuseEntry{col: own.Cols[ci], z: own.Zs[site], seq: int32(len(entries))}
-			copy(e.f[:], own.Feats[int(site)*convChannels:int(site+1)*convChannels])
-			entries = append(entries, e)
+	n := 0
+	for _, r := range remotes {
+		if r.Frame != nil {
+			n += len(r.Frame.Zs)
 		}
 	}
+	// voxelize is done with the entry table: the records and the sort's
+	// second buffer reuse it.
+	s.entries = grow(s.entries, 2*n)
+	s.fuseSites = grow(s.fuseSites, n)
+	recs, sites := s.entries[:n], s.fuseSites
+	i := 0
 	sizeXY, sizeZ := grid.SizeXY, grid.SizeZ
 	for _, r := range remotes {
 		f := r.Frame
@@ -179,32 +180,19 @@ func fuseFeatureTensors(own *SparseTensor, grid *VoxelGrid, groundZ float64, rem
 			for site := f.ColOff[ci]; site < f.ColOff[ci+1]; site++ {
 				cz := f.GroundZ + (float64(f.Zs[site])+0.5)*f.SizeZ
 				p := r.Transform.Apply(geom.V3(cx, cy, cz))
-				e := fuseEntry{
-					col:    packXY(int32(math.Floor(p.X/sizeXY)), int32(math.Floor(p.Y/sizeXY))),
-					z:      int32(math.Floor((p.Z - groundZ) / sizeZ)),
-					seq:    int32(len(entries)),
-					remote: true,
-					px:     p.X, py: p.Y, pz: p.Z,
+				recs[i] = voxEntry{
+					x:   int32(math.Floor(p.X / sizeXY)),
+					y:   int32(math.Floor(p.Y / sizeXY)),
+					z:   int32(math.Floor((p.Z - groundZ) / sizeZ)),
+					idx: int32(i),
 				}
-				copy(e.f[:], f.Feats[int(site)*convChannels:int(site+1)*convChannels])
-				entries = append(entries, e)
+				sites[i].p = [3]float64{p.X, p.Y, p.Z}
+				copy(sites[i].f[:], f.Feats[int(site)*convChannels:int(site+1)*convChannels])
+				i++
 			}
 		}
 	}
-	slices.SortFunc(entries, func(a, b fuseEntry) int {
-		switch {
-		case a.col != b.col:
-			if a.col < b.col {
-				return -1
-			}
-			return 1
-		case a.z != b.z:
-			return int(a.z - b.z)
-		default:
-			return int(a.seq - b.seq)
-		}
-	})
-	s.fuseEntries = entries
+	recs = sortByColumnZ(recs, s.entries[n:2*n], &s.radixCount)
 
 	s.fuseCols = s.fuseCols[:0]
 	s.fuseOff = append(s.fuseOff[:0], 0)
@@ -214,42 +202,68 @@ func fuseFeatureTensors(own *SparseTensor, grid *VoxelGrid, groundZ float64, rem
 	s.psOff = append(s.psOff[:0], 0)
 	s.psXs, s.psYs, s.psZs = s.psXs[:0], s.psYs[:0], s.psZs[:0]
 
-	for lo := 0; lo < len(entries); {
-		col := entries[lo].col
-		hi := lo
-		for hi < len(entries) && entries[hi].col == col {
-			hi++
+	oc, ri := 0, 0
+	for oc < len(own.Cols) || ri < len(recs) {
+		// The next column of either list.
+		var col colKey
+		switch {
+		case ri == len(recs):
+			col = own.Cols[oc]
+		case oc == len(own.Cols):
+			col = packXY(recs[ri].x, recs[ri].y)
+		default:
+			col = min(own.Cols[oc], packXY(recs[ri].x, recs[ri].y))
 		}
-		for i := lo; i < hi; {
-			z := entries[i].z
+		o, oEnd := int32(0), int32(0)
+		if oc < len(own.Cols) && own.Cols[oc] == col {
+			o, oEnd = own.ColOff[oc], own.ColOff[oc+1]
+			oc++
+		}
+		rStart := ri
+		for ri < len(recs) && packXY(recs[ri].x, recs[ri].y) == col {
+			ri++
+		}
+		run := recs[rStart:ri]
+		for r := 0; o < oEnd || r < len(run); {
+			var z int32
+			if r == len(run) || (o < oEnd && own.Zs[o] <= run[r].z) {
+				z = own.Zs[o]
+			} else {
+				z = run[r].z
+			}
 			var f [convChannels]float64
-			for ; i < hi && entries[i].z == z; i++ {
-				for c := 0; c < convChannels; c++ {
-					if entries[i].f[c] > f[c] {
-						f[c] = entries[i].f[c]
-					}
-				}
+			for ; o < oEnd && own.Zs[o] == z; o++ {
+				maxInto(&f, own.Feats[int(o)*convChannels:])
+			}
+			for ; r < len(run) && run[r].z == z; r++ {
+				maxInto(&f, sites[run[r].idx].f[:])
 			}
 			s.fuseZs = append(s.fuseZs, z)
 			s.fuseFeats = append(s.fuseFeats, f[:]...)
 		}
-		for i := lo; i < hi; i++ {
-			if !entries[i].remote {
-				continue
+		if len(run) > 0 {
+			for _, e := range run {
+				p := &sites[e.idx].p
+				s.psXs = append(s.psXs, p[0])
+				s.psYs = append(s.psYs, p[1])
+				s.psZs = append(s.psZs, p[2])
 			}
-			s.psXs = append(s.psXs, entries[i].px)
-			s.psYs = append(s.psYs, entries[i].py)
-			s.psZs = append(s.psZs, entries[i].pz)
-		}
-		if n := int32(len(s.psXs)); n > s.psOff[len(s.psOff)-1] {
 			s.psCols = append(s.psCols, col)
-			s.psOff = append(s.psOff, n)
+			s.psOff = append(s.psOff, int32(len(s.psXs)))
 		}
 		s.fuseCols = append(s.fuseCols, col)
 		s.fuseOff = append(s.fuseOff, int32(len(s.fuseZs)))
-		lo = hi
 	}
 	fused := &SparseTensor{Cols: s.fuseCols, ColOff: s.fuseOff, Zs: s.fuseZs, Feats: s.fuseFeats}
 	ps := &pseudoSet{cols: s.psCols, off: s.psOff, xs: s.psXs, ys: s.psYs, zs: s.psZs}
 	return fused, ps
+}
+
+// maxInto folds the feature vector v into f by element-wise max.
+func maxInto(f *[convChannels]float64, v []float64) {
+	for c := range f {
+		if v[c] > f[c] {
+			f[c] = v[c]
+		}
+	}
 }

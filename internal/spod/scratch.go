@@ -29,41 +29,50 @@ type DetectorScratch struct {
 	nonGround *pointcloud.Cloud
 
 	// Stage 2 — voxel feature encoding: the entry table (with the column
-	// sort's second buffer) and the sort's digit counts.
+	// sort's second buffer) and the sort's digit counts. The feature fuse
+	// reuses both for its remote sites once the grid is built.
 	entries    []voxEntry
 	radixCount [1 << radixBits]int32
 	grid       VoxelGrid
 	zvals      []int32
 	zaccs      []voxAcc
 
-	// Stage 3 — sparse convolution (double-buffered feature planes).
+	// Stage 3 — sparse convolution: the layout's rulebook, shared by
+	// every layer, and the double-buffered feature planes.
+	rules        rulebook
 	featA, featB []float64
 
-	// Stage 4 — BEV projection and region proposal.
+	// Stage 4 — BEV projection and region proposal: the thresholded
+	// columns and their row starts, the candidates, the DFS state.
 	bevObj, bevTop []float64
+	propSrc        []colKey
+	propRows       []int32
 	cand           []colKey
+	candLinks      []candLinks
 	visited        []bool
 	stack          []int32
 	compCells      []int32
 	compOff        []int32
+	props          proposalSet
 
 	// Stage 5 — cluster gathering, scoring, NMS.
 	ptBuf []int32
 	pool  []scored
 	dets  []Detection
 
-	// Feature-level fusion (Detect with remotes): staged merge
-	// entries, the fused tensor's storage and the remote pseudo-point CSR.
-	fuseEntries []fuseEntry
-	fuseCols    []colKey
-	fuseOff     []int32
-	fuseZs      []int32
-	fuseFeats   []float64
-	psCols      []colKey
-	psOff       []int32
-	psXs        []float64
-	psYs        []float64
-	psZs        []float64
+	// Feature-level fusion (Detect with remotes): the staged remote
+	// sites (their sort records reuse entries), the fused tensor's
+	// storage and the remote pseudo-point CSR.
+	fuseSites []fuseSite
+	fuseCols  []colKey
+	fuseOff   []int32
+	fuseZs    []int32
+	fuseFeats []float64
+	psCols    []colKey
+	psOff     []int32
+	psXs      []float64
+	psYs      []float64
+	psZs      []float64
 }
 
 // NewScratch returns an empty scratch; buffers are allocated lazily as

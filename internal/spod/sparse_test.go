@@ -1,6 +1,7 @@
 package spod
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -28,7 +29,7 @@ func tensorFromMap(m map[pointcloud.VoxelKey][]float64) *SparseTensor {
 			}
 			return 1
 		default:
-			return int(a.z - b.z)
+			return cmp.Compare(a.z, b.z)
 		}
 	})
 	t := &SparseTensor{ColOff: []int32{0}}
@@ -82,21 +83,5 @@ func TestPackXYOrder(t *testing.T) {
 			}
 			prev, first = k, false
 		}
-	}
-}
-
-func TestFindCol(t *testing.T) {
-	cols := []colKey{packXY(-3, 5), packXY(0, 0), packXY(2, -1)}
-	slices.Sort(cols)
-	for i, c := range cols {
-		if got := findCol(cols, c); got != i {
-			t.Errorf("findCol(%d) = %d, want %d", c, got, i)
-		}
-	}
-	if got := findCol(cols, packXY(9, 9)); got != -1 {
-		t.Errorf("missing column found at %d", got)
-	}
-	if got := findCol(nil, packXY(0, 0)); got != -1 {
-		t.Errorf("empty set found at %d", got)
 	}
 }

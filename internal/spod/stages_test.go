@@ -2,6 +2,7 @@ package spod
 
 import (
 	"math/bits"
+	"slices"
 
 	"cooper/internal/pointcloud"
 )
@@ -18,8 +19,8 @@ func voxelizeFresh(c *pointcloud.Cloud, sizeXY, sizeZ, groundZ float64) *VoxelGr
 
 // feature returns the feature of the voxel at k, if occupied.
 func (g *VoxelGrid) feature(k pointcloud.VoxelKey) (VoxelFeature, bool) {
-	c := findCol(g.Cols, packXY(k.X, k.Y))
-	if c < 0 {
+	c, ok := slices.BinarySearch(g.Cols, packXY(k.X, k.Y))
+	if !ok {
 		return VoxelFeature{}, false
 	}
 	for i := g.ColOff[c]; i < g.ColOff[c+1]; i++ {
@@ -33,8 +34,8 @@ func (g *VoxelGrid) feature(k pointcloud.VoxelKey) (VoxelFeature, bool) {
 // featureAt returns the feature vector of the site at k, if occupied.
 // The slice aliases the tensor.
 func (t *SparseTensor) featureAt(k pointcloud.VoxelKey) ([]float64, bool) {
-	c := findCol(t.Cols, packXY(k.X, k.Y))
-	if c < 0 {
+	c, ok := slices.BinarySearch(t.Cols, packXY(k.X, k.Y))
+	if !ok {
 		return nil, false
 	}
 	for i := t.ColOff[c]; i < t.ColOff[c+1]; i++ {
@@ -49,15 +50,29 @@ func (t *SparseTensor) featureAt(k pointcloud.VoxelKey) ([]float64, bool) {
 // shares the input's site layout.
 func (w ConvWeights) apply(in *SparseTensor) *SparseTensor {
 	out := &SparseTensor{Cols: in.Cols, ColOff: in.ColOff, Zs: in.Zs, Feats: make([]float64, len(in.Feats))}
-	w.applyInto(in, out.Feats)
+	var rb rulebook
+	rb.build(in)
+	w.applyInto(in, &rb, out.Feats)
 	return out
+}
+
+// projectBEV collapses a sparse tensor to a fresh BEV map, reading voxel
+// tops from the grid.
+func projectBEV(t *SparseTensor, g *VoxelGrid) *BEVMap {
+	return projectBEVInto(t, g, make([]float64, len(t.Cols)), make([]float64, len(t.Cols)))
+}
+
+// proposalComponents runs the region proposal stage on a fresh scratch,
+// with no grid or pseudo columns to link.
+func proposalComponents(m *BEVMap, threshold float64) *proposalSet {
+	return proposalComponentsScratch(m, threshold, nil, nil, NewScratch())
 }
 
 // cellAt returns the (objectness, topZ) of the BEV column at k, if
 // occupied.
 func (m *BEVMap) cellAt(k pointcloud.VoxelKey) (objectness, topZ float64, ok bool) {
-	c := findCol(m.Cols, packXY(k.X, k.Y))
-	if c < 0 {
+	c, ok := slices.BinarySearch(m.Cols, packXY(k.X, k.Y))
+	if !ok {
 		return 0, 0, false
 	}
 	return m.Objectness[c], m.TopZ[c], true

@@ -57,7 +57,7 @@ func TestVoxelizeColumnPoints(t *testing.T) {
 		{X: 0.1, Y: 0.1, Z: 2.0}, // same column, different z voxel
 	})
 	g := voxelizeFresh(c, 0.2, 0.25, 0)
-	if got := len(g.ColumnPoints(0, 0)); got != 2 {
+	if got := len(g.ColumnPoints(0)); got != 2 {
 		t.Errorf("column points = %d, want 2", got)
 	}
 }

@@ -54,14 +54,10 @@ type VoxelGrid struct {
 // OccupiedVoxels returns the number of occupied voxels.
 func (g *VoxelGrid) OccupiedVoxels() int { return len(g.Zs) }
 
-// ColumnPoints returns the raw point indices of BEV column (x, y), in
-// cloud point order. The slice aliases the grid; callers must not mutate
-// or retain it past the grid's lifetime.
-func (g *VoxelGrid) ColumnPoints(x, y int32) []int32 {
-	c := findCol(g.Cols, packXY(x, y))
-	if c < 0 {
-		return nil
-	}
+// ColumnPoints returns the raw point indices of column index c (an
+// index into Cols), in cloud point order. The slice aliases the grid;
+// callers must not mutate or retain it past the grid's lifetime.
+func (g *VoxelGrid) ColumnPoints(c int32) []int32 {
 	return g.PtIdx[g.PtOff[c]:g.PtOff[c+1]]
 }
 
@@ -176,9 +172,9 @@ const radixBits = 12
 // frame's bounding box, (x−minX)·ny + (y−minY), which orders columns as
 // packXY does, and the sort runs one 12-bit digit pass per digit of the
 // key's span: two while the bounding box holds under 2^24 columns (about
-// 800 m square at 0.2 m voxels), at most six at the int32 extremes. tmp
-// is a second buffer of len(entries); the result is in entries or in tmp,
-// and the other holds garbage.
+// 800 m square at 0.2 m voxels), at most six at the int32 extremes.
+// entries must not be empty. tmp is a second buffer of len(entries); the
+// result is in entries or in tmp, and the other holds garbage.
 func sortByColumn(entries, tmp []voxEntry, count *[1 << radixBits]int32) []voxEntry {
 	minX, maxX := entries[0].x, entries[0].x
 	minY, maxY := entries[0].y, entries[0].y
@@ -189,17 +185,54 @@ func sortByColumn(entries, tmp []voxEntry, count *[1 << radixBits]int32) []voxEn
 	// uint32 of an int32 difference is exact even where the int32
 	// subtraction wraps, so the key spans the full int32 range of both
 	// coordinates without overflow: at most 2^64 − 1.
-	ny := uint64(uint32(maxY-minY)) + 1
-	key := func(e voxEntry) uint64 {
-		return uint64(uint32(e.x-minX))*ny + uint64(uint32(e.y-minY))
+	k := radixKey{minX: minX, minY: minY, ny: uint64(uint32(maxY-minY)) + 1}
+	sorted, _ := radixSort(entries, tmp, count, k, k.of(voxEntry{x: maxX, y: maxY}))
+	return sorted
+}
+
+// sortByColumnZ orders entries by (column, z), stably: a z sort first,
+// then sortByColumn, whose stable passes keep each column's entries z
+// ascending and, on equal z, in their original order. The z key is the
+// offset above the smallest z, exact over the whole int32 range. Buffers
+// and result are as for sortByColumn.
+func sortByColumnZ(entries, tmp []voxEntry, count *[1 << radixBits]int32) []voxEntry {
+	if len(entries) == 0 {
+		return entries
 	}
-	passes := (bits.Len64(key(voxEntry{x: maxX, y: maxY})) + radixBits - 1) / radixBits
-	src, dst := entries, tmp
+	minZ, maxZ := entries[0].z, entries[0].z
+	for _, e := range entries[1:] {
+		minZ, maxZ = min(minZ, e.z), max(maxZ, e.z)
+	}
+	k := radixKey{byZ: true, minZ: minZ}
+	sorted, spare := radixSort(entries, tmp, count, k, k.of(voxEntry{z: maxZ}))
+	return sortByColumn(sorted, spare, count)
+}
+
+// radixKey is the unsigned sort key of a voxEntry: its z offset above
+// minZ when byZ, else its column's compact bounding-box index.
+type radixKey struct {
+	byZ              bool
+	minX, minY, minZ int32
+	ny               uint64
+}
+
+func (k radixKey) of(e voxEntry) uint64 {
+	if k.byZ {
+		return uint64(uint32(e.z - k.minZ))
+	}
+	return uint64(uint32(e.x-k.minX))*k.ny + uint64(uint32(e.y-k.minY))
+}
+
+// radixSort sorts src stably on k with one 12-bit counting pass per digit
+// of maxKey, ping-ponging with dst. It returns the sorted buffer and the
+// other one.
+func radixSort(src, dst []voxEntry, count *[1 << radixBits]int32, k radixKey, maxKey uint64) (sorted, spare []voxEntry) {
+	passes := (bits.Len64(maxKey) + radixBits - 1) / radixBits
 	for pass := 0; pass < passes; pass++ {
 		shift := uint(pass * radixBits)
 		clear(count[:])
 		for _, e := range src {
-			count[key(e)>>shift&(1<<radixBits-1)]++
+			count[k.of(e)>>shift&(1<<radixBits-1)]++
 		}
 		at := int32(0)
 		for d, c := range count {
@@ -207,11 +240,11 @@ func sortByColumn(entries, tmp []voxEntry, count *[1 << radixBits]int32) []voxEn
 			at += c
 		}
 		for _, e := range src {
-			d := key(e) >> shift & (1<<radixBits - 1)
+			d := k.of(e) >> shift & (1<<radixBits - 1)
 			dst[count[d]] = e
 			count[d]++
 		}
 		src, dst = dst, src
 	}
-	return src
+	return src, dst
 }
