@@ -13,10 +13,12 @@ import (
 	"cooper/internal/spod"
 )
 
-// referenceFuse is RawBackend.Fuse as it was before the copy-once merge,
-// kept as the reference Fuse must match bit for bit: every raw payload
-// decoded into a fresh cloud, aligned into another (Align), refined,
-// corrected into a third (Transform) and merged at the end (Merge).
+// referenceFuse is RawBackend.Fuse as it was before the copy-once merge
+// and the certified reuse of ICP correspondences, kept as the reference
+// Fuse must match bit for bit: every raw payload decoded into a fresh
+// cloud, aligned into another (Align), refined with a grid search for
+// every query (searchRefine), corrected into a third (Transform) and
+// merged at the end (Merge).
 func referenceFuse(b RawBackend, receiver SensorFrame, payloads []Payload) (*FusedInput, error) {
 	in := &FusedInput{Cloud: receiver.Cloud, MaxDist: maxSenderDist(receiver, payloads)}
 	var aligned []*pointcloud.Cloud
@@ -39,7 +41,7 @@ func referenceFuse(b RawBackend, receiver SensorFrame, payloads []Payload) (*Fus
 			if icp == nil {
 				icp = newICPReference(receiver.Cloud, DefaultICPConfig())
 			}
-			corr := icp.refine(al)
+			corr := icp.searchRefine(al)
 			al = al.Transform(corr)
 			in.ICPCorrections = append(in.ICPCorrections, corr.T.Norm())
 		}
@@ -147,7 +149,8 @@ func TestFuseMatchesReference(t *testing.T) {
 // TestFuseICPAtKeyLimit fuses a sender whose points align onto the
 // int32 grid key limit (x cells up to math.MaxInt32 at the 1 m ICP
 // cell). An int32 ring loop wraps there and never returns; Fuse must
-// return, and match the reference.
+// return, and match the always-search reference. The refinement must
+// reuse certified answers there, in cells keyed math.MaxInt32.
 func TestFuseICPAtKeyLimit(t *testing.T) {
 	const top = float64(math.MaxInt32) // x of the last 1 m cell's lower edge
 	world := func(seed int64) *pointcloud.Cloud {
@@ -199,6 +202,26 @@ func TestFuseICPAtKeyLimit(t *testing.T) {
 	}
 	assertSameFuse(t, got.in, want)
 	assertFinite(t, got.in.Cloud)
+
+	c, err := pointcloud.Decode(p.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	icp := newICPReference(rx.Cloud, DefaultICPConfig())
+	defer icp.release()
+	icp.refine(Align(recvState, sendState, c))
+	// A Match keeps its cell and certificate unexported: read them by
+	// reflection.
+	limit := 0
+	for _, m := range icp.matches {
+		v := reflect.ValueOf(m)
+		if v.FieldByName("key").FieldByName("X").Int() == math.MaxInt32 && v.FieldByName("lb2").Float() > 0 {
+			limit++
+		}
+	}
+	if icp.reused == 0 || limit == 0 {
+		t.Errorf("%d of %d queries reused, %d certified at the key limit; the case tests nothing", icp.reused, icp.queries, limit)
+	}
 }
 
 // TestFuseOneMatchesAlignMerge pins the one-transmitter Fuse, which

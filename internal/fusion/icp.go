@@ -47,9 +47,15 @@ type icpReference struct {
 	cfg   ICPConfig
 	cloud *pointcloud.Cloud
 	index *pointcloud.GridIndex
-	// refine's correspondence coordinates, sized for the largest source
-	// so far and reused by the next.
+	// refine's per-sample state, sized for the largest source so far and
+	// reused by the next: the correspondence coordinates, carved from one
+	// array, and each sample's last certified answer, which a later
+	// iteration that moves the sample little takes without a search.
 	sxs, sys, rxs, rys []float64
+	matches            []pointcloud.Match
+	// queries and reused count correspondence queries over every refine
+	// so far, and those answered from a certificate.
+	queries, reused int
 }
 
 // newICPReference prepares the reference; release returns its cloud to
@@ -95,21 +101,33 @@ func (r *icpReference) refine(source *pointcloud.Cloud) geom.Transform {
 		stride = src.Len() / cfg.MaxPoints
 	}
 
-	if m := (src.Len() + stride - 1) / stride; cap(r.sxs) < m {
-		r.sxs, r.sys = make([]float64, 0, m), make([]float64, 0, m)
-		r.rxs, r.rys = make([]float64, 0, m), make([]float64, 0, m)
+	m := (src.Len() + stride - 1) / stride
+	if cap(r.matches) < m {
+		buf := make([]float64, 4*m)
+		r.sxs, r.sys = buf[:0:m], buf[m:m:2*m]
+		r.rxs, r.rys = buf[2*m:2*m:3*m], buf[3*m:3*m]
+		r.matches = make([]pointcloud.Match, m)
 	}
+	matches := r.matches[:m]
+	clear(matches)
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
 		// Gather correspondences under the current correction.
 		r.sxs, r.sys, r.rxs, r.rys = r.sxs[:0], r.sys[:0], r.rxs[:0], r.rys[:0]
-		for i := 0; i < src.Len(); i += stride {
+		for k, i := 0, 0; i < src.Len(); k, i = k+1, i+stride {
 			p := correction.Apply(src.At(i).Pos())
 			// Bounded query: pairs beyond MaxPairDistance are discarded
 			// below anyway, and an unbounded nearest-neighbour search
 			// crawls the whole grid whenever a source point lands far from
 			// any reference structure (the NLOS families are full of such
 			// points — the occluder hides most of the reference cloud).
-			j, d := r.index.NearestWithin(p, cfg.MaxPairDistance)
+			// A late iteration moves each sample by millimetres, so a
+			// query often takes the sample's certified answer from the
+			// iteration before without searching.
+			j, d, hit := r.index.NearestWithinFrom(p, cfg.MaxPairDistance, &matches[k])
+			r.queries++
+			if hit {
+				r.reused++
+			}
 			if j < 0 || d > cfg.MaxPairDistance {
 				continue
 			}

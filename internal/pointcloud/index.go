@@ -152,14 +152,14 @@ func (g *GridIndex) column(x, y int64) *colSpan {
 	return &g.spans[id]
 }
 
-// from returns the column's entries from the first whose z cell is at
-// least zlo.
-func (g *GridIndex) from(s *colSpan, zlo int64) []gridEntry {
+// from returns the position in g.entries of the column's first entry
+// whose z cell is at least zlo.
+func (g *GridIndex) from(s *colSpan, zlo int64) int32 {
 	lo := s.lo
 	for lo < s.hi && int64(g.entries[lo].zc) < zlo {
 		lo++
 	}
-	return g.entries[lo:s.hi]
+	return lo
 }
 
 // Radius returns the indices of all points within r of q.
@@ -180,7 +180,7 @@ func (g *GridIndex) Radius(q geom.Vec3, r float64) []int {
 			if s == nil {
 				continue
 			}
-			for _, e := range g.from(s, z0) {
+			for _, e := range g.entries[g.from(s, z0):s.hi] {
 				if int64(e.zc) > z1 {
 					break
 				}
@@ -211,37 +211,119 @@ func (g *GridIndex) cells(v, r float64) (lo, hi int64) {
 // callers enforcing a strict cutoff must still check the returned
 // distance. The scan never expands past the cells that can hold a point within r, so queries far
 // from any point cost O(r³/cell³) instead of crawling the whole grid.
+//
+//cooper:deadexport test fixture: the always-search ICP refinement (fusion's reuse tests) and spod's reprojection test query with it
 func (g *GridIndex) NearestWithin(q geom.Vec3, r float64) (int, float64) {
-	if r <= 0 {
-		return -1, math.Inf(1)
-	}
-	maxRings := int32(math.Ceil(r/g.cellSize)) + 1
-	return g.nearest(q, maxRings)
+	var m Match
+	j, d, _ := g.NearestWithinFrom(q, r, &m)
+	return j, d
 }
 
-// nearest expands ring by ring up to maxRings (exclusive). Every point in
-// ring j lies at least (j-1) cells from q, so the scan stops at the first
-// ring that cannot hold a point closer than the best found so far.
-func (g *GridIndex) nearest(q geom.Vec3, maxRings int32) (int, float64) {
-	if len(g.entries) == 0 {
-		return -1, math.Inf(1)
+// Match is a NearestWithin answer kept with a certificate, so that a
+// later query near it can take the answer without a search. It records
+// the query, its cell, the scan's ring count, the answer and lb2: a lower
+// bound on the squared distance the scan computed from the query to
+// every point it covered other than the answer. The points the scan
+// covers depend only on the cell and the ring count. The zero Match
+// certifies nothing. A Match belongs to the index that filled it.
+type Match struct {
+	q     geom.Vec3
+	key   VoxelKey
+	rings int32
+	e     int32   // the answer's position in GridIndex.entries
+	lb2   float64 // 0: no certificate
+}
+
+// certMargin is the relative slack NearestWithinFrom leaves on a
+// certificate. It dwarfs the rounding of every distance involved (a few
+// ulps), as CropFOV's prefilter margin does.
+const certMargin = 1e-9
+
+// NearestWithinFrom is NearestWithin with m, the previous answer kept for
+// the same query slot. When q lies in m's cell, r spans the same rings,
+// and the answer j is closer to q than the certificate allows any other
+// point to come,
+//
+//	√dist2(q, j) + |q − m.q| < √lb2 · (1 − certMargin),
+//
+// it returns j and reports reused: every other point the scan covers
+// computed at least lb2 from m.q, so by the triangle inequality it lies
+// farther from q than j with room to spare for rounding, and the scan
+// would return j, with the same distance bits. Otherwise it searches and
+// stores the new answer in m.
+func (g *GridIndex) NearestWithinFrom(q geom.Vec3, r float64, m *Match) (j int, d float64, reused bool) {
+	if r <= 0 {
+		return -1, math.Inf(1), false
 	}
 	c := KeyFor(q.X, q.Y, q.Z, g.cellSize)
-	best, bestD2 := -1, math.Inf(1)
+	rings := int32(math.Ceil(r/g.cellSize)) + 1
+	if m.lb2 > 0 && c == m.key && rings == m.rings {
+		e := &g.entries[m.e]
+		dj := e.dist2(q)
+		dx, dy, dz := q.X-m.q.X, q.Y-m.q.Y, q.Z-m.q.Z
+		if math.Sqrt(dj)+math.Sqrt(dx*dx+dy*dy+dz*dz) < math.Sqrt(m.lb2)*(1-certMargin) {
+			return int(e.i), math.Sqrt(dj), true
+		}
+	}
+	best, bestD2, lb2 := g.nearest(q, c, rings)
+	*m = Match{q: q, key: c, rings: rings, e: best, lb2: lb2}
+	if best < 0 {
+		return -1, math.Inf(1), false
+	}
+	return int(g.entries[best].i), math.Sqrt(bestD2), false
+}
+
+// minCert and maxCert clamp a certificate to the range where its error
+// analysis holds. Below minCert the squares it vouches for may be
+// subnormal, so their rounding is no longer relative; a +Inf bound (every
+// other point's square overflowed) vouches only for math.MaxFloat64.
+const (
+	minCert = 0x1p-900
+	maxCert = math.MaxFloat64
+)
+
+// nearest expands ring by ring from c, q's cell, up to maxRings
+// (exclusive). Every point in ring j lies at least (j-1) cells from q, so
+// the scan stops at the first ring that cannot hold a point closer than
+// the best found so far. It returns the answer's position in g.entries
+// (-1 for none), its squared distance, and the certificate lb2 a Match
+// keeps (0 for none).
+//
+// A scan that stops early leaves rings unscanned, and an answer found
+// past ring 1 could be missed by a moved query's scan, whose ring cut-off
+// compares cell geometry rather than the computed distances the
+// certificate bounds: neither gets a certificate. Below ring 2 the
+// cut-off never fires before the answer's ring, since ring 1 stops only
+// on a zero best distance and every other point computes farther.
+func (g *GridIndex) nearest(q geom.Vec3, c VoxelKey, maxRings int32) (best int32, bestD2, lb2 float64) {
+	if len(g.entries) == 0 {
+		return -1, math.Inf(1), 0
+	}
+	best, bestD2, lb2 = -1, math.Inf(1), math.Inf(1)
+	at := int32(0) // the ring the answer came from
 	for ring := int32(0); ring < maxRings; ring++ {
 		if float64(ring-1)*g.cellSize >= math.Sqrt(bestD2) {
-			break
+			return best, bestD2, 0
 		}
-		best, bestD2 = g.scanShell(q, c, ring, best, bestD2)
+		prev := best
+		best, bestD2, lb2 = g.scanShell(q, c, ring, best, bestD2, lb2)
+		if best != prev {
+			at = ring
+		}
 	}
-	return best, math.Sqrt(bestD2)
+	if best < 0 || at > 1 || !(lb2 >= minCert) {
+		return best, bestD2, 0
+	}
+	return best, bestD2, min(lb2, maxCert)
 }
 
 // scanShell scans the cells exactly ring cells from c (in the Chebyshev
 // sense) in x→y→z order and returns the closer of (best, bestD2) and
 // the nearest point found there; an equal distance keeps the old best,
 // so a column whose bounding box puts it at or past bestD2 is skipped.
-func (g *GridIndex) scanShell(q geom.Vec3, c VoxelKey, ring int32, best int, bestD2 float64) (int, float64) {
+// It lowers lb2 to every squared distance it computes or replaces that is
+// not the best's, and to the box bound of every column it skips.
+func (g *GridIndex) scanShell(q geom.Vec3, c VoxelKey, ring int32, best int32, bestD2, lb2 float64) (int32, float64, float64) {
 	r := int64(ring)
 	cx, cy, cz := int64(c.X), int64(c.Y), int64(c.Z)
 	zlo, zhi := cz-r, cz+r
@@ -250,13 +332,22 @@ func (g *GridIndex) scanShell(q geom.Vec3, c VoxelKey, ring int32, best int, bes
 		xEdge := x == cx-r || x == cx+r
 		for y := cy - r; y <= cy+r; y++ {
 			s := g.column(x, y)
-			if s == nil || s.gap2(q) >= bestD2 {
+			if s == nil {
+				continue
+			}
+			if gap := s.gap2(q); gap >= bestD2 {
+				if gap < lb2 {
+					lb2 = gap
+				}
 				continue
 			}
 			// Columns on the XY boundary of the shell contribute every z
 			// cell in range; interior columns only the top and bottom.
 			edge := xEdge || y == cy-r || y == cy+r
-			for _, e := range g.from(s, zlo) {
+			lo := g.from(s, zlo)
+			es := g.entries[lo:s.hi]
+			for k := range es {
+				e := &es[k]
 				zc := int64(e.zc)
 				if zc > zhi {
 					break
@@ -264,11 +355,15 @@ func (g *GridIndex) scanShell(q geom.Vec3, c VoxelKey, ring int32, best int, bes
 				if !edge && zc != zlo && zc != zhi {
 					continue
 				}
+				// lb2 never drops below bestD2: every value it takes was
+				// at or past the best of its time.
 				if d2 := e.dist2(q); d2 < bestD2 {
-					best, bestD2 = int(e.i), d2
+					lb2, best, bestD2 = bestD2, lo+int32(k), d2
+				} else if d2 < lb2 {
+					lb2 = d2
 				}
 			}
 		}
 	}
-	return best, bestD2
+	return best, bestD2, lb2
 }

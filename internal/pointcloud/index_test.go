@@ -279,7 +279,11 @@ func (g *GridIndex) nearestUnbounded(q geom.Vec3) (int, float64) {
 	// A sparse index can still force thousands of empty ring scans
 	// before the first hit.
 	const maxRings = 1 << 12
-	return g.nearest(q, maxRings)
+	best, d2, _ := g.nearest(q, KeyFor(q.X, q.Y, q.Z, g.cellSize), maxRings)
+	if best < 0 {
+		return -1, math.Inf(1)
+	}
+	return int(g.entries[best].i), math.Sqrt(d2)
 }
 
 // wallCloud is n points of two walls over scattered clutter, the shape
@@ -474,7 +478,9 @@ func TestGridIndexPruneUsesPointBounds(t *testing.T) {
 
 // TestGridIndexKeyLimits queries at the int32 key limits, where int32
 // ring loops wrap and never end: every query must return and match
-// brute force.
+// brute force. Each query also fills a Match and moves by up to 5 cm,
+// so answers reused in cells keyed math.MaxInt32 and math.MinInt32 must
+// equal the full scan's.
 func TestGridIndexKeyLimits(t *testing.T) {
 	const top, bot = float64(math.MaxInt32), float64(math.MinInt32)
 	pts := []Point{
@@ -494,6 +500,7 @@ func TestGridIndexKeyLimits(t *testing.T) {
 		{X: bot + 0.9, Y: 0.5, Z: 0.5},
 		{X: 0.5, Y: top + 0.6, Z: bot + 0.2},
 	}
+	limitReuses := 0
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -520,6 +527,20 @@ func TestGridIndexKeyLimits(t *testing.T) {
 					if !slices.Equal(got, want) {
 						t.Errorf("cell %v: Radius(%v, %v) = %v, brute force %v", cell, q, r, got, want)
 					}
+					var m Match
+					idx.NearestWithinFrom(q, r, &m)
+					for _, s := range []float64{1e-3, -2e-3, 0.01, -0.05} {
+						q2 := geom.V3(q.X+s, q.Y-s/2, q.Z+s/3)
+						gi, gd, reused := idx.NearestWithinFrom(q2, r, &m)
+						wi, wd := idx.NearestWithin(q2, r)
+						if gi != wi || math.Float64bits(gd) != math.Float64bits(wd) {
+							t.Errorf("cell %v r %v: NearestWithinFrom(%v) after %v = (%d, %v, reused %v), NearestWithin (%d, %v)", cell, r, q2, q, gi, gd, reused, wi, wd)
+						}
+						k := KeyFor(q2.X, q2.Y, q2.Z, cell)
+						if reused && (k.X == math.MaxInt32 || k.X == math.MinInt32 || k.Y == math.MaxInt32 || k.Y == math.MinInt32) {
+							limitReuses++
+						}
+					}
 				}
 			}
 		}
@@ -528,5 +549,8 @@ func TestGridIndexKeyLimits(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("a query at the int32 key limit did not return")
+	}
+	if limitReuses == 0 {
+		t.Error("no answer was reused at a key limit; the reuse half tests nothing")
 	}
 }

@@ -40,11 +40,7 @@ func BenchmarkSpodConv(b *testing.B) {
 	grid, _ := middleGrid(b)
 	layers := DefaultMiddleLayers()
 	s := NewScratch()
-	conv := func() *SparseTensor {
-		t, featA := toSparseTensor(grid, s.featA)
-		s.featA = featA
-		return runMiddleLayers(t, layers, s)
-	}
+	conv := func() *SparseTensor { return runMiddleLayers(toSparseTensor(grid, s), layers, s) }
 	conv()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -59,15 +55,10 @@ func BenchmarkSpodConv(b *testing.B) {
 func BenchmarkProposalComponents(b *testing.B) {
 	grid, _ := middleGrid(b)
 	s := NewScratch()
-	t, featA := toSparseTensor(grid, s.featA)
-	s.featA = featA
-	t = runMiddleLayers(t, DefaultMiddleLayers(), s)
+	t := runMiddleLayers(toSparseTensor(grid, s), DefaultMiddleLayers(), s)
 	thr := DefaultConfig().ObjectnessThreshold
 	propose := func() *proposalSet {
-		s.bevObj = grow(s.bevObj, len(t.Cols))
-		s.bevTop = grow(s.bevTop, len(t.Cols))
-		bev := projectBEVInto(t, grid, s.bevObj, s.bevTop)
-		return proposalComponentsScratch(bev, thr, grid.Cols, nil, s)
+		return proposalComponentsScratch(projectBEVInto(t, grid, s), thr, grid.Cols, nil, s)
 	}
 	if propose().Len() == 0 {
 		b.Fatal("benchmark frame produced no proposals")
@@ -86,7 +77,7 @@ func BenchmarkDenseConvEquivalent(b *testing.B) {
 	// adopts sparse convolution precisely because LiDAR voxel grids are
 	// mostly empty.
 	grid, size := middleGrid(b)
-	tensor, _ := toSparseTensor(grid, nil)
+	tensor := toSparseTensor(grid, NewScratch())
 	layer := DefaultMiddleLayers()[0]
 	nx := int(size[0]/0.2) + 1
 	ny := int(size[1]/0.2) + 1

@@ -14,18 +14,22 @@ type BEVMap struct {
 	TopZ       []float64
 }
 
-// projectBEVInto collapses a sparse tensor to the BEV map in the given
-// column buffers, reading voxel tops from the grid. Each column's objectness sums its sites bottom-up (z ascending) — a
+// projectBEVInto collapses a sparse tensor to the scratch's BEV map and
+// column buffers (grown as needed), reading voxel tops from the grid.
+// Each column's objectness sums its sites bottom-up (z ascending) — a
 // fixed order, so the float accumulation is identical on every run. The
 // map-keyed predecessor summed in map iteration order, which made the
 // low bits of Objectness depend on Go's randomised map walk.
-func projectBEVInto(t *SparseTensor, g *VoxelGrid, obj, top []float64) *BEVMap {
-	m := &BEVMap{SizeXY: g.SizeXY, Cols: t.Cols, Objectness: obj[:len(t.Cols)], TopZ: top[:len(t.Cols)]}
+func projectBEVInto(t *SparseTensor, g *VoxelGrid, s *DetectorScratch) *BEVMap {
+	s.bevObj = grow(s.bevObj, len(t.Cols))
+	s.bevTop = grow(s.bevTop, len(t.Cols))
+	s.bev = BEVMap{SizeXY: g.SizeXY, Cols: t.Cols, Objectness: s.bevObj[:len(t.Cols)], TopZ: s.bevTop[:len(t.Cols)]}
+	m := &s.bev
 	for ci := range t.Cols {
 		objSum, topZ := 0.0, 0.0
-		for s := t.ColOff[ci]; s < t.ColOff[ci+1]; s++ {
-			objSum += t.Feats[int(s)*convChannels]
-			if zTop := (float64(t.Zs[s]) + 1) * g.SizeZ; zTop > topZ {
+		for site := t.ColOff[ci]; site < t.ColOff[ci+1]; site++ {
+			objSum += t.Feats[int(site)*convChannels]
+			if zTop := (float64(t.Zs[site]) + 1) * g.SizeZ; zTop > topZ {
 				topZ = zTop
 			}
 		}

@@ -25,16 +25,19 @@ type SparseTensor struct {
 	Feats  []float64
 }
 
-// toSparseTensor lifts a voxel grid into the initial feature tensor,
-// writing the feature planes into feats (grown as needed).
-func toSparseTensor(g *VoxelGrid, feats []float64) (*SparseTensor, []float64) {
-	feats = grow(feats, len(g.Feats)*convChannels)
+// toSparseTensor lifts a voxel grid into the initial feature tensor, the
+// scratch's tensorA, writing the feature planes into featA (grown as
+// needed).
+func toSparseTensor(g *VoxelGrid, s *DetectorScratch) *SparseTensor {
+	s.featA = grow(s.featA, len(g.Feats)*convChannels)
+	feats := s.featA
 	for i, f := range g.Feats {
 		feats[i*convChannels+0] = f.Density
 		feats[i*convChannels+1] = f.SpanZ
 		feats[i*convChannels+2] = f.MeanIntensity
 	}
-	return &SparseTensor{Cols: g.Cols, ColOff: g.ColOff, Zs: g.Zs, Feats: feats}, feats
+	s.tensorA = SparseTensor{Cols: g.Cols, ColOff: g.ColOff, Zs: g.Zs, Feats: feats}
+	return &s.tensorA
 }
 
 // ConvWeights parameterises one sparse convolution layer: a 3×3×3
@@ -225,7 +228,8 @@ func runMiddleLayers(t *SparseTensor, layers []ConvWeights, s *DetectorScratch) 
 	}
 	s.rules.build(t)
 	s.featB = grow(s.featB, len(t.Feats))
-	cur, next := t, &SparseTensor{Cols: t.Cols, ColOff: t.ColOff, Zs: t.Zs, Feats: s.featB}
+	s.tensorB = SparseTensor{Cols: t.Cols, ColOff: t.ColOff, Zs: t.Zs, Feats: s.featB}
+	cur, next := t, &s.tensorB
 	for _, l := range layers {
 		l.applyInto(cur, &s.rules, next.Feats)
 		cur, next = next, cur

@@ -183,9 +183,7 @@ func (d *Detector) frontHalf(cloud *pointcloud.Cloud, s *DetectorScratch, st *St
 
 	// Stage 3 — sparse convolutional middle layers.
 	t0 = nowWall()
-	tensor, featA := toSparseTensor(grid, s.featA)
-	s.featA = featA
-	tensor = runMiddleLayers(tensor, d.cfg.MiddleLayers, s)
+	tensor := runMiddleLayers(toSparseTensor(grid, s), d.cfg.MiddleLayers, s)
 	st.ConvTime = sinceWall(t0)
 	return tensor, grid, nonGround, groundZ
 }
@@ -199,9 +197,7 @@ func (d *Detector) frontHalf(cloud *pointcloud.Cloud, s *DetectorScratch, st *St
 func (d *Detector) backHalf(tensor *SparseTensor, grid *VoxelGrid, nonGround *pointcloud.Cloud, groundZ float64, ps *pseudoSet, s *DetectorScratch, st *Stats) []Detection {
 	// Stage 4 — BEV projection and region proposal.
 	t0 := nowWall()
-	s.bevObj = grow(s.bevObj, len(tensor.Cols))
-	s.bevTop = grow(s.bevTop, len(tensor.Cols))
-	bev := projectBEVInto(tensor, grid, s.bevObj, s.bevTop)
+	bev := projectBEVInto(tensor, grid, s)
 	var psCols []colKey
 	if ps != nil {
 		psCols = ps.cols

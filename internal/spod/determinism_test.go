@@ -40,12 +40,8 @@ func runStages(cloud *pointcloud.Cloud, cfg Config) stageOutputs {
 	groundZ := cloud.EstimateGroundZ()
 	nonGround := cloud.RemoveGroundPlaneInto(pointcloud.New(0), groundZ, cfg.GroundTolerance)
 	grid := voxelize(nonGround, cfg.VoxelSizeXY, cfg.VoxelSizeZ, groundZ, s)
-	tensor, featA := toSparseTensor(grid, s.featA)
-	s.featA = featA
-	tensor = runMiddleLayers(tensor, cfg.MiddleLayers, s)
-	s.bevObj = grow(s.bevObj, len(tensor.Cols))
-	s.bevTop = grow(s.bevTop, len(tensor.Cols))
-	bev := projectBEVInto(tensor, grid, s.bevObj, s.bevTop)
+	tensor := runMiddleLayers(toSparseTensor(grid, s), cfg.MiddleLayers, s)
+	bev := projectBEVInto(tensor, grid, s)
 	comps := proposalComponentsScratch(bev, cfg.ObjectnessThreshold, grid.Cols, nil, s)
 
 	var out stageOutputs

@@ -254,9 +254,9 @@ func fuseFeatureTensors(own *SparseTensor, grid *VoxelGrid, groundZ float64, rem
 		s.fuseCols = append(s.fuseCols, col)
 		s.fuseOff = append(s.fuseOff, int32(len(s.fuseZs)))
 	}
-	fused := &SparseTensor{Cols: s.fuseCols, ColOff: s.fuseOff, Zs: s.fuseZs, Feats: s.fuseFeats}
-	ps := &pseudoSet{cols: s.psCols, off: s.psOff, xs: s.psXs, ys: s.psYs, zs: s.psZs}
-	return fused, ps
+	s.fused = SparseTensor{Cols: s.fuseCols, ColOff: s.fuseOff, Zs: s.fuseZs, Feats: s.fuseFeats}
+	s.ps = pseudoSet{cols: s.psCols, off: s.psOff, xs: s.psXs, ys: s.psYs, zs: s.psZs}
+	return &s.fused, &s.ps
 }
 
 // maxInto folds the feature vector v into f by element-wise max.

@@ -38,12 +38,16 @@ type DetectorScratch struct {
 	zaccs      []voxAcc
 
 	// Stage 3 — sparse convolution: the layout's rulebook, shared by
-	// every layer, and the double-buffered feature planes.
-	rules        rulebook
-	featA, featB []float64
+	// every layer, and the double-buffered feature planes with their
+	// tensor headers.
+	rules            rulebook
+	featA, featB     []float64
+	tensorA, tensorB SparseTensor
 
-	// Stage 4 — BEV projection and region proposal: the thresholded
-	// columns and their row starts, the candidates, the DFS state.
+	// Stage 4 — BEV projection and region proposal: the map, the
+	// thresholded columns and their row starts, the candidates, the DFS
+	// state.
+	bev            BEVMap
 	bevObj, bevTop []float64
 	propSrc        []colKey
 	propRows       []int32
@@ -61,9 +65,11 @@ type DetectorScratch struct {
 	dets  []Detection
 
 	// Feature-level fusion (Detect with remotes): the staged remote
-	// sites (their sort records reuse entries), the fused tensor's
-	// storage and the remote pseudo-point CSR.
+	// sites (their sort records reuse entries), the fused tensor and its
+	// storage, and the remote pseudo-point CSR with its header.
 	fuseSites []fuseSite
+	fused     SparseTensor
+	ps        pseudoSet
 	fuseCols  []colKey
 	fuseOff   []int32
 	fuseZs    []int32

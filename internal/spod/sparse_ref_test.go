@@ -417,7 +417,7 @@ func TestStagesMatchReferenceOnBenchFrames(t *testing.T) {
 		s := NewScratch()
 		var st Stats
 		tensor, grid, _, _ := det.frontHalf(fr.cloud, s, &st)
-		in, _ := toSparseTensor(grid, nil)
+		in := toSparseTensor(grid, NewScratch())
 		if want := refMiddleLayers(in, fr.cfg.MiddleLayers); !sameFloatBits(tensor.Feats, want) {
 			t.Fatalf("%s: convolved features differ from the reference", fr.name)
 		}

@@ -59,7 +59,7 @@ func (w ConvWeights) apply(in *SparseTensor) *SparseTensor {
 // projectBEV collapses a sparse tensor to a fresh BEV map, reading voxel
 // tops from the grid.
 func projectBEV(t *SparseTensor, g *VoxelGrid) *BEVMap {
-	return projectBEVInto(t, g, make([]float64, len(t.Cols)), make([]float64, len(t.Cols)))
+	return projectBEVInto(t, g, NewScratch())
 }
 
 // proposalComponents runs the region proposal stage on a fresh scratch,
